@@ -46,14 +46,20 @@ def _warning(message: str):
     print(f"warning: {message}", file=sys.stderr)
 
 
+def _read_input(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise _CliError(str(exc), EXIT_USAGE) from exc
+    except UnicodeDecodeError as exc:
+        raise _CliError(f"{path}: {exc}", EXIT_PARSE) from exc
+
+
 def _load_graphs(paths: list[str]) -> Graph:
     g = Graph()
     for path in paths:
-        try:
-            with open(path, encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise _CliError(str(exc), EXIT_USAGE) from exc
+        text = _read_input(path)
         try:
             if path.endswith(".ttl"):
                 parsed = parse_turtle(text)
@@ -97,11 +103,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_query(args) -> int:
     g = _load_graphs(args.graphs)
-    try:
-        with open(args.query, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise _CliError(str(exc), EXIT_USAGE) from exc
+    text = _read_input(args.query)
     try:
         table = evaluate(parse_query(text), g)
     except QueryError as exc:

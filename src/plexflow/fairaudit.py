@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import vocab
-from .rdf import Graph, IRI, Literal, Term
-from .vocab import DC, DCAT, DUL, EDAM, PROV, RDF, RDFS
+from .rdf import RDF_TYPE, Graph, IRI, Literal, Term
+from .vocab import DC, DCAT, DUL, EDAM, PROV, RDFS
 
 ERROR = "error"
 WARNING = "warning"
@@ -28,7 +28,6 @@ PASS = "pass"
 FAIL = "fail"
 NOT_MACHINE_CHECKABLE = "not-machine-checkable"
 
-_RDF_TYPE = IRI(RDF.type)
 _ALLOWED_URL_SCHEMES = ("http://", "https://", "ftp://")
 
 
@@ -99,13 +98,13 @@ class AuditReport:
 
 
 def _typed(g: Graph, class_iri: str) -> list[Term]:
-    return [s for s in g.subjects(_RDF_TYPE, IRI(class_iri))]
+    return [s for s in g.subjects(RDF_TYPE, IRI(class_iri))]
 
 
 def _workflow_heads(g: Graph) -> list[Term]:
     heads = []
     for s in _typed(g, DUL.Workflow):
-        if isinstance(s, IRI) and g.match(s, _RDF_TYPE, IRI(vocab.PPLAN.Plan)):
+        if isinstance(s, IRI) and g.match(s, RDF_TYPE, IRI(vocab.PPLAN.Plan)):
             heads.append(s)
     return heads
 
@@ -141,9 +140,7 @@ def _check_f3(g: Graph) -> tuple[str, ...]:
     for ds in _typed(g, DCAT.Dataset):
         if not isinstance(ds, IRI):
             continue
-        dists = [t for t in g.objects(ds, IRI(DCAT.distribution))
-                 if isinstance(t, IRI)]
-        if not dists:
+        if not g.iri_objects(ds, DCAT.distribution):
             offenders.append(_name(ds))
     for dist in _typed(g, DCAT.Distribution):
         if not isinstance(dist, IRI):
@@ -186,9 +183,7 @@ def _check_i2(g: Graph) -> tuple[str, ...]:
 def _check_i3(g: Graph) -> tuple[str, ...]:
     used = set()
     for usage in _typed(g, PROV.Usage):
-        for entity in g.objects(usage, IRI(PROV.entity)):
-            if isinstance(entity, IRI):
-                used.add(entity.value)
+        used.update(g.iri_objects(usage, PROV.entity))
     offenders = [_name(d) for d in _typed(g, DCAT.Distribution)
                  if isinstance(d, IRI) and d.value not in used]
     return tuple(sorted(set(offenders)))

@@ -14,6 +14,12 @@ Anything else a full SPARQL 1.1 processor would accept (UNION, BIND,
 aggregates, subqueries, property-path alternation, updates, ...) is
 rejected by name at parse time.
 
+IRIs, strings, language tags and blank node labels are cut and decoded by
+the term lexer shared with the N-Triples and Turtle readers
+(:mod:`plexflow.lexing`). A malformed escape, an ill-formed literal and a
+REGEX pattern that does not compile are all :class:`QueryParseError` with
+their position, never an error during evaluation.
+
 Evaluation is bag-semantics over a frozen graph: VALUES tables and triple
 patterns are joined left-deep, most-selective pattern first (bound-term
 count, ties by textual order), then OPTIONAL left-joins, then MINUS, then
@@ -31,12 +37,14 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .rdf import (
-    XSD_NS, XSD_STRING, RDF_LANG_STRING, RDF_NS, Graph, IRI, Literal, Term,
-    nt_term,
+from .lexing import (
+    BLANK_RE, IRIREF_RE, LANGTAG_RE, PN_LOCAL, PN_PREFIX, PN_PREFIX_RE,
+    STRING_RE, Lexer, Token,
 )
-
-RDF_TYPE = IRI(RDF_NS + "type")
+from .rdf import (
+    XSD_NS, XSD_STRING, RDF_LANG_STRING, RDF_TYPE, Graph, IRI, Literal, RdfError,
+    Term, nt_term,
+)
 
 _NUMERIC_DATATYPES = {
     XSD_NS + "integer", XSD_NS + "decimal", XSD_NS + "double",
@@ -147,77 +155,15 @@ class SelectQuery:
 # ---------------------------------------------------------------------------
 # Lexer
 
-_IRIREF_RE = re.compile(r'<([^\x00-\x20<>"{}|^`\\]*)>')
-_STRING_RE = re.compile(r'"((?:[^"\\\n\r]|\\.)*)"')
-_PNAME_RE = re.compile(r"([A-Za-z][A-Za-z0-9_\-]*)?:([A-Za-z0-9_][A-Za-z0-9_.\-]*)?")
+_PNAME_RE = re.compile(rf"({PN_PREFIX})?:({PN_LOCAL})?")
 _VAR_RE = re.compile(r"[?]([A-Za-z_][A-Za-z0-9_]*)")
-_WORD_RE = re.compile(r"[A-Za-z][A-Za-z0-9_\-]*")
 _NUMBER_RE = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?")
-_LANG_RE = re.compile(r"@([A-Za-z]+(?:-[A-Za-z0-9]+)*)")
-
-_ECHAR = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
-          '"': '"', "'": "'", "\\": "\\"}
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    value: object
-    line: int
-    col: int
+class _Lexer(Lexer):
+    error_class = QueryParseError
 
-
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def _advance(self, n: int):
-        chunk = self.text[self.pos:self.pos + n]
-        newlines = chunk.count("\n")
-        if newlines:
-            self.line += newlines
-            self.col = n - chunk.rfind("\n")
-        else:
-            self.col += n
-        self.pos += n
-
-    def _error(self, message: str):
-        raise QueryParseError(message, self.line, self.col)
-
-    def _skip_ws(self):
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch in " \t\r\n":
-                self._advance(1)
-            elif ch == "#":
-                end = self.text.find("\n", self.pos)
-                self._advance((end if end != -1 else len(self.text)) - self.pos)
-            else:
-                return
-
-    def _unescape(self, raw: str) -> str:
-        out = []
-        i = 0
-        while i < len(raw):
-            if raw[i] != "\\":
-                out.append(raw[i])
-                i += 1
-                continue
-            nxt = raw[i + 1] if i + 1 < len(raw) else ""
-            if nxt in _ECHAR:
-                out.append(_ECHAR[nxt])
-                i += 2
-            elif nxt == "u" and i + 6 <= len(raw):
-                out.append(chr(int(raw[i + 2:i + 6], 16)))
-                i += 6
-            else:
-                self._error(f"bad escape: \\{nxt}")
-        return "".join(out)
-
-    def tokens(self) -> list[_Token]:
+    def tokens(self) -> list[Token]:
         out = []
         while True:
             tok = self._next_token()
@@ -225,85 +171,87 @@ class _Lexer:
             if tok.kind == "EOF":
                 return out
 
-    def _next_token(self) -> _Token:
+    def _next_token(self) -> Token:
         self._skip_ws()
         line, col = self.line, self.col
         if self.pos >= len(self.text):
-            return _Token("EOF", None, line, col)
+            return Token("EOF", None, line, col)
         text, pos = self.text, self.pos
         ch = text[pos]
 
         if ch == "<":
-            m = _IRIREF_RE.match(text, pos)
+            m = IRIREF_RE.match(text, pos)
             if m:
+                value = self._decoded(m.group(1))
                 self._advance(m.end() - pos)
-                return _Token("IRIREF", self._unescape(m.group(1)), line, col)
+                return Token("IRIREF", value, line, col)
             self._advance(1)
-            return _Token("LT", "<", line, col)
+            return Token("LT", "<", line, col)
         if ch == ">":
             self._advance(1)
-            return _Token("GT", ">", line, col)
+            return Token("GT", ">", line, col)
         if ch == '"':
-            m = _STRING_RE.match(text, pos)
+            m = STRING_RE.match(text, pos)
             if not m:
                 self._error("unterminated string literal")
+            value = self._decoded(m.group(1))
             self._advance(m.end() - pos)
-            return _Token("STRING", self._unescape(m.group(1)), line, col)
+            return Token("STRING", value, line, col)
         if ch == "@":
-            m = _LANG_RE.match(text, pos)
+            m = LANGTAG_RE.match(text, pos)
             if not m:
                 self._error("malformed language tag")
             self._advance(m.end() - pos)
-            return _Token("LANGTAG", m.group(1), line, col)
+            return Token("LANGTAG", m.group(1), line, col)
         if text.startswith("^^", pos):
             self._advance(2)
-            return _Token("HATHAT", "^^", line, col)
+            return Token("HATHAT", "^^", line, col)
         if ch == "?":
             m = _VAR_RE.match(text, pos)
             if not m:
                 self._error("malformed variable name")
             self._advance(m.end() - pos)
-            return _Token("VAR", m.group(1), line, col)
+            return Token("VAR", m.group(1), line, col)
         if ch == "$":
             self._error("unsubstituted query parameter (did you supply all "
                         "required parameters?)")
         if text.startswith("!=", pos):
             self._advance(2)
-            return _Token("NEQ", "!=", line, col)
+            return Token("NEQ", "!=", line, col)
         if ch == "!":
             self._advance(1)
-            return _Token("BANG", "!", line, col)
+            return Token("BANG", "!", line, col)
         if ch == "=":
             self._advance(1)
-            return _Token("EQ", "=", line, col)
+            return Token("EQ", "=", line, col)
         if ch in "{}().,;*+":
             self._advance(1)
             kinds = {"{": "LBRACE", "}": "RBRACE", "(": "LPAREN", ")": "RPAREN",
                      ".": "DOT", ",": "COMMA", ";": "SEMI", "*": "STAR", "+": "PLUS"}
-            return _Token(kinds[ch], ch, line, col)
+            return Token(kinds[ch], ch, line, col)
         if ch == "_" and text.startswith("_:", pos):
-            m = re.compile(r"_:([A-Za-z0-9_]+)").match(text, pos)
+            m = BLANK_RE.match(text, pos)
             if not m:
                 self._error("malformed blank node label")
             self._advance(m.end() - pos)
-            return _Token("BLANK", m.group(1), line, col)
+            return Token("BLANK", m.group(1), line, col)
         m = _NUMBER_RE.match(text, pos)
         if m and (ch.isdigit() or ch in "+-"):
             self._advance(m.end() - pos)
-            return _Token("NUMBER", m.group(0), line, col)
+            return Token("NUMBER", m.group(0), line, col)
         m = _PNAME_RE.match(text, pos)
         if m and ":" in text[pos:m.end()]:
             local = m.group(2) or ""
             while local.endswith("."):
                 local = local[:-1]  # statement dot, not part of the name
             self._advance(m.end() - pos - (len(m.group(2) or "") - len(local)))
-            return _Token("PNAME", (m.group(1) or "", local), line, col)
-        m = _WORD_RE.match(text, pos)
+            return Token("PNAME", (m.group(1) or "", local), line, col)
+        m = PN_PREFIX_RE.match(text, pos)
         if m:
             word = m.group(0)
             # A bare word followed by ':' is a PNAME prefix; handled above.
             self._advance(len(word))
-            return _Token("WORD", word, line, col)
+            return Token("WORD", word, line, col)
         self._error(f"unexpected character {ch!r}")
 
 
@@ -318,16 +266,16 @@ class _Parser:
         self.prefixes: dict[str, str] = {}
 
     @property
-    def tok(self) -> _Token:
+    def tok(self) -> Token:
         return self.toks[self.i]
 
-    def _next(self) -> _Token:
+    def _next(self) -> Token:
         tok = self.toks[self.i]
         if tok.kind != "EOF":
             self.i += 1
         return tok
 
-    def _error(self, message: str, tok: Optional[_Token] = None):
+    def _error(self, message: str, tok: Optional[Token] = None):
         tok = tok or self.tok
         raise QueryParseError(message, tok.line, tok.col)
 
@@ -343,13 +291,17 @@ class _Parser:
         if self.tok.kind == "WORD" and self.tok.value.upper() in _UNSUPPORTED_KEYWORDS:
             self._error(f"unsupported SPARQL construct: {self.tok.value.upper()}")
 
-    def _resolve_pname(self, tok: _Token) -> IRI:
-        prefix, local = tok.value
-        if prefix not in self.prefixes:
-            self._error(f"unknown prefix: {prefix!r}", tok)
+    def _iri(self, tok: Token) -> IRI:
+        """The IRI an IRIREF or PNAME token names."""
+        value = tok.value
+        if tok.kind == "PNAME":
+            prefix, local = tok.value
+            if prefix not in self.prefixes:
+                self._error(f"unknown prefix: {prefix!r}", tok)
+            value = self.prefixes[prefix] + local
         try:
-            return IRI(self.prefixes[prefix] + local)
-        except ValueError as exc:
+            return IRI(value)
+        except RdfError as exc:
             self._error(str(exc), tok)
 
     def parse(self) -> SelectQuery:
@@ -442,15 +394,9 @@ class _Parser:
         if tok.kind == "VAR":
             self._next()
             return Var(tok.value)
-        if tok.kind == "IRIREF":
+        if tok.kind in ("IRIREF", "PNAME"):
             self._next()
-            try:
-                return IRI(tok.value)
-            except ValueError as exc:
-                self._error(str(exc), tok)
-        if tok.kind == "PNAME":
-            self._next()
-            return self._resolve_pname(tok)
+            return self._iri(tok)
         if tok.kind == "WORD" and tok.value == "a" and position == "predicate":
             self._next()
             return RDF_TYPE
@@ -471,20 +417,18 @@ class _Parser:
 
     def _parse_literal(self) -> Literal:
         tok = self._next()
-        lexical = tok.value
+        datatype, lang = XSD_STRING, None
         if self.tok.kind == "LANGTAG":
-            return Literal(lexical, RDF_LANG_STRING, self._next().value)
-        if self.tok.kind == "HATHAT":
+            datatype, lang = RDF_LANG_STRING, self._next().value
+        elif self.tok.kind == "HATHAT":
             self._next()
-            dt_tok = self.tok
-            if dt_tok.kind == "IRIREF":
-                self._next()
-                return Literal(lexical, dt_tok.value)
-            if dt_tok.kind == "PNAME":
-                self._next()
-                return Literal(lexical, self._resolve_pname(dt_tok).value)
-            self._error("expected datatype IRI after '^^'")
-        return Literal(lexical)
+            if self.tok.kind not in ("IRIREF", "PNAME"):
+                self._error("expected datatype IRI after '^^'")
+            datatype = self._iri(self._next()).value
+        try:
+            return Literal(tok.value, datatype, lang)
+        except RdfError as exc:
+            self._error(str(exc), tok)
 
     def _parse_triple_block(self, group: Group):
         subject = self._parse_term_or_var("subject")
@@ -545,7 +489,12 @@ class _Parser:
             self._next()
             if self.tok.kind != "STRING":
                 self._error("REGEX expects a string pattern")
-            pattern = self._next().value
+            pattern = self.tok.value
+            try:
+                re.compile(pattern)
+            except (re.error, OverflowError, RecursionError) as exc:
+                self._error(f"bad REGEX pattern: {exc}")
+            self._next()
             if self.tok.kind != "RPAREN":
                 self._error("expected ')' to close REGEX")
             self._next()

@@ -27,6 +27,10 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
+from .lexing import (
+    BLANK_RE, IRIREF_RE, LANGTAG_RE, STRING_RE, EscapeError, unescape,
+)
+
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 XSD_NS = "http://www.w3.org/2001/XMLSchema#"
 RDF_LANG_STRING = RDF_NS + "langString"
@@ -130,6 +134,9 @@ def lit(lexical: str, datatype: Optional[str] = None, lang: Optional[str] = None
     if lang is not None:
         return Literal(lexical, RDF_LANG_STRING, lang)
     return Literal(lexical, datatype or XSD_STRING)
+
+
+RDF_TYPE = IRI(RDF_NS + "type")
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +316,26 @@ class Graph:
         found = self.objects(s, p)
         return found[0] if found else None
 
+    # -- readers keyed by a predicate IRI string, as the vocabulary gives it
+
+    def iri_objects(self, s: Term, p: str) -> list[str]:
+        """The IRI objects of ``(s, p)`` as strings; other objects are skipped."""
+        return [t.value for t in self.objects(s, IRI(p)) if isinstance(t, IRI)]
+
+    def iri_value(self, s: Term, p: str) -> str:
+        """The first object of ``(s, p)`` as an IRI string, or ``""``."""
+        term = self.value(s, IRI(p))
+        return term.value if isinstance(term, IRI) else ""
+
+    def str_value(self, s: Term, p: str) -> str:
+        """The first object of ``(s, p)`` as a lexical form, or ``""``."""
+        term = self.value(s, IRI(p))
+        return term.lexical if isinstance(term, Literal) else ""
+
+    def types(self, s: Term) -> set[str]:
+        """The IRI ``rdf:type`` values of ``s``."""
+        return {t.value for t in self.objects(s, RDF_TYPE) if isinstance(t, IRI)}
+
     def closure_pairs(self, p: IRI) -> "dict[Term, set[Term]]":
         """Transitive closure (one or more hops) of the ``p`` edge relation.
 
@@ -339,84 +366,43 @@ class Graph:
 # ---------------------------------------------------------------------------
 # N-Triples parsing
 
-_UCHAR_RE = re.compile(r"\\u([0-9A-Fa-f]{4})|\\U([0-9A-Fa-f]{8})")
-_IRIREF_RE = re.compile(r'<([^\x00-\x20<>"{}|^`]*)>')
-_BLANK_RE = re.compile(r"_:([A-Za-z0-9_]+)")
-_STRING_RE = re.compile(r'"((?:[^"\\\n\r]|\\.)*)"')
-_LANG_RE = re.compile(r"@([A-Za-z]+(?:-[A-Za-z0-9]+)*)")
-
-_ECHAR = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
-          '"': '"', "'": "'", "\\": "\\"}
-
-
-def _unescape(raw: str, line: int) -> str:
-    out = []
-    i = 0
-    n = len(raw)
-    while i < n:
-        ch = raw[i]
-        if ch != "\\":
-            out.append(ch)
-            i += 1
-            continue
-        if i + 1 >= n:
-            raise NTriplesParseError("dangling escape", line)
-        nxt = raw[i + 1]
-        if nxt in _ECHAR:
-            out.append(_ECHAR[nxt])
-            i += 2
-        elif nxt == "u":
-            hexpart = raw[i + 2:i + 6]
-            if len(hexpart) != 4 or not all(c in "0123456789abcdefABCDEF" for c in hexpart):
-                raise NTriplesParseError(f"bad \\u escape: {raw[i:i+6]!r}", line)
-            out.append(chr(int(hexpart, 16)))
-            i += 6
-        elif nxt == "U":
-            hexpart = raw[i + 2:i + 10]
-            if len(hexpart) != 8 or not all(c in "0123456789abcdefABCDEF" for c in hexpart):
-                raise NTriplesParseError(f"bad \\U escape: {raw[i:i+10]!r}", line)
-            code = int(hexpart, 16)
-            if code > 0x10FFFF:
-                raise NTriplesParseError("\\U escape out of range", line)
-            out.append(chr(code))
-            i += 10
-        else:
-            raise NTriplesParseError(f"bad escape: \\{nxt}", line)
-    return "".join(out)
+_SPACE_RE = re.compile(r"[ \t]*")
 
 
 def _parse_iri(raw: str, line: int) -> IRI:
-    value = _unescape(raw, line)
+    value = unescape(raw)
     if not _SCHEME_RE.match(value):
         raise NTriplesParseError(f"non-absolute IRI: {value!r}", line)
     return IRI(value)
 
 
 def _parse_nt_term(text: str, pos: int, line: int) -> tuple[Term, int]:
+    if pos >= len(text):
+        raise NTriplesParseError("unexpected end of statement", line)
     ch = text[pos]
     if ch == "<":
-        m = _IRIREF_RE.match(text, pos)
+        m = IRIREF_RE.match(text, pos)
         if not m:
             raise NTriplesParseError("malformed IRI", line)
         return _parse_iri(m.group(1), line), m.end()
     if ch == "_":
-        m = _BLANK_RE.match(text, pos)
+        m = BLANK_RE.match(text, pos)
         if not m:
             raise NTriplesParseError("malformed blank node label", line)
         return BlankNode(m.group(1)), m.end()
     if ch == '"':
-        m = _STRING_RE.match(text, pos)
+        m = STRING_RE.match(text, pos)
         if not m:
             raise NTriplesParseError("malformed string literal", line)
-        lexical = _unescape(m.group(1), line)
+        lexical = unescape(m.group(1))
         end = m.end()
         if end < len(text) and text[end] == "@":
-            lm = _LANG_RE.match(text, end)
+            lm = LANGTAG_RE.match(text, end)
             if not lm:
                 raise NTriplesParseError("malformed language tag", line)
             return Literal(lexical, RDF_LANG_STRING, lm.group(1)), lm.end()
         if text.startswith("^^", end):
-            m2 = _IRIREF_RE.match(text, end + 2)
+            m2 = IRIREF_RE.match(text, end + 2)
             if not m2:
                 raise NTriplesParseError("malformed datatype IRI", line)
             dt = _parse_iri(m2.group(1), line)
@@ -425,10 +411,26 @@ def _parse_nt_term(text: str, pos: int, line: int) -> tuple[Term, int]:
     raise NTriplesParseError(f"unexpected character {ch!r}", line)
 
 
-def _skip_ws(text: str, pos: int) -> int:
-    while pos < len(text) and text[pos] in " \t":
-        pos += 1
-    return pos
+def _parse_statement(line: str, lineno: int) -> Triple:
+    space = _SPACE_RE.match
+    pos = space(line).end()
+    s, pos = _parse_nt_term(line, pos, lineno)
+    pos = space(line, pos).end()
+    p, pos = _parse_nt_term(line, pos, lineno)
+    if not isinstance(p, IRI):
+        raise NTriplesParseError("predicate must be an IRI", lineno)
+    pos = space(line, pos).end()
+    o, pos = _parse_nt_term(line, pos, lineno)
+    pos = space(line, pos).end()
+    if pos >= len(line) or line[pos] != ".":
+        raise NTriplesParseError("expected '.' at end of statement", lineno)
+    pos = space(line, pos + 1).end()
+    if pos < len(line) and line[pos] != "#":
+        raise NTriplesParseError("trailing content after '.'", lineno)
+    try:
+        return Triple(s, p, o)
+    except RdfError as exc:
+        raise NTriplesParseError(str(exc), lineno) from exc
 
 
 def parse_ntriples(text: str) -> Graph:
@@ -442,24 +444,10 @@ def parse_ntriples(text: str) -> Graph:
         stripped = raw_line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        pos = _skip_ws(raw_line, 0)
-        s, pos = _parse_nt_term(raw_line, pos, lineno)
-        pos = _skip_ws(raw_line, pos)
-        p, pos = _parse_nt_term(raw_line, pos, lineno)
-        if not isinstance(p, IRI):
-            raise NTriplesParseError("predicate must be an IRI", lineno)
-        pos = _skip_ws(raw_line, pos)
-        o, pos = _parse_nt_term(raw_line, pos, lineno)
-        pos = _skip_ws(raw_line, pos)
-        if pos >= len(raw_line) or raw_line[pos] != ".":
-            raise NTriplesParseError("expected '.' at end of statement", lineno)
-        pos = _skip_ws(raw_line, pos + 1)
-        if pos < len(raw_line) and raw_line[pos] != "#":
-            raise NTriplesParseError("trailing content after '.'", lineno)
         try:
-            g.add(Triple(s, p, o))
-        except RdfError as exc:
-            raise NTriplesParseError(str(exc), lineno) from exc
+            g.add(_parse_statement(raw_line, lineno))
+        except EscapeError as exc:
+            raise NTriplesParseError(str(exc), lineno) from None
     return g
 
 

@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 from typing import Optional
 
 from . import vocab
-from .rdf import Graph, IRI, Literal, Triple, lit
+from .rdf import RDF_TYPE, Graph, IRI, Triple, lit
 from .vocab import DC, MLS, OPMW, PPLAN, PROV, RDF, XSD
 
 GENERIC_ARTIFACT = "generic-artifact"
@@ -120,7 +120,7 @@ class Tracer:
         The same step may be executed any number of times; every call makes
         a distinct activity.
         """
-        if not self._graph.match(IRI(step), IRI(RDF.type), IRI(PPLAN.Step)):
+        if not self._graph.match(IRI(step), RDF_TYPE, IRI(PPLAN.Step)):
             raise UnknownStepError(f"not a p-plan:Step in the graph: {step}")
         activity_iri = iri or self._fresh_activity_iri(step, at)
         if activity_iri in self._used_iris:
@@ -234,60 +234,45 @@ class Tracer:
         return g
 
 
-def _str_value(g: Graph, s: IRI, p: str) -> str:
-    term = g.value(s, IRI(p))
-    return term.lexical if isinstance(term, Literal) else ""
-
-
 def load_activity(g: Graph, activity_iri: str,
                   check_steps: bool = True) -> tuple[ActivityRecord, list[ArtifactRecord]]:
     """Reload one activity and its artifacts from a graph."""
     node = IRI(activity_iri)
-    if not g.match(node, IRI(RDF.type), IRI(PPLAN.Activity)):
+    if not g.match(node, RDF_TYPE, IRI(PPLAN.Activity)):
         raise TraceError(f"not a p-plan:Activity: {activity_iri}")
-    steps = [t.value for t in g.objects(node, IRI(PPLAN.correspondsToStep))
-             if isinstance(t, IRI)]
+    steps = g.iri_objects(node, PPLAN.correspondsToStep)
     if len(steps) != 1:
         raise TraceError(f"activity {activity_iri} must correspond to exactly "
                          f"one step, found {len(steps)}")
-    if check_steps and not g.match(IRI(steps[0]), IRI(RDF.type), IRI(PPLAN.Step)):
+    if check_steps and not g.match(IRI(steps[0]), RDF_TYPE, IRI(PPLAN.Step)):
         raise UnknownStepError(f"dangling step reference: {steps[0]}")
     associations = set()
-    for assoc in g.objects(node, IRI(PROV.qualifiedAssociation)):
-        if not isinstance(assoc, IRI):
-            continue
-        agent = g.value(assoc, IRI(PROV.agent))
-        role = g.value(assoc, IRI(PROV.hadRole))
-        if isinstance(agent, IRI) and isinstance(role, IRI):
-            associations.add((agent.value, role.value))
+    for assoc in g.iri_objects(node, PROV.qualifiedAssociation):
+        agent = g.iri_value(IRI(assoc), PROV.agent)
+        role = g.iri_value(IRI(assoc), PROV.hadRole)
+        if agent and role:
+            associations.add((agent, role))
     record = ActivityRecord(
         iri=activity_iri,
         step=steps[0],
-        started=_str_value(g, node, PROV.startedAtTime),
-        ended=_str_value(g, node, PROV.endedAtTime),
+        started=g.str_value(node, PROV.startedAtTime),
+        ended=g.str_value(node, PROV.endedAtTime),
         associations=frozenset(associations),
     )
     artifacts = []
     for target in g.objects(node, IRI(PROV.generated)):
         if not isinstance(target, IRI):
             continue
-        kinds = {t.value for t in g.objects(target, IRI(RDF.type))
-                 if isinstance(t, IRI)}
-        measure = g.value(target, IRI(MLS.specifiedBy))
-        generation = g.value(target, IRI(PROV.qualifiedGeneration))
-        generated_at = ""
-        generation_iri = ""
-        if isinstance(generation, IRI):
-            generation_iri = generation.value
-            generated_at = _str_value(g, generation, PROV.atTime)
+        kinds = g.types(target)
+        generation = g.iri_value(target, PROV.qualifiedGeneration)
         artifacts.append(ArtifactRecord(
             iri=target.value,
             activity=activity_iri,
             kind=MODEL_EVALUATION if MLS.ModelEvaluation in kinds else GENERIC_ARTIFACT,
-            value=_str_value(g, target, DC.description),
-            measure=measure.value if isinstance(measure, IRI) else None,
-            generation_iri=generation_iri,
-            generated_at=generated_at,
+            value=g.str_value(target, DC.description),
+            measure=g.iri_value(target, MLS.specifiedBy) or None,
+            generation_iri=generation,
+            generated_at=g.str_value(IRI(generation), PROV.atTime) if generation else "",
         ))
     artifacts.sort(key=lambda a: a.iri)
     return record, artifacts
@@ -296,7 +281,7 @@ def load_activity(g: Graph, activity_iri: str,
 def load_trace(g: Graph, check_steps: bool = True) -> list[tuple[ActivityRecord, list[ArtifactRecord]]]:
     """All activities in a graph as typed records, sorted by IRI."""
     out = []
-    for subject in g.subjects(IRI(RDF.type), IRI(PPLAN.Activity)):
+    for subject in g.subjects(RDF_TYPE, IRI(PPLAN.Activity)):
         if isinstance(subject, IRI):
             out.append(load_activity(g, subject.value, check_steps=check_steps))
     out.sort(key=lambda pair: pair[0].iri)

@@ -7,28 +7,24 @@ language-tagged string literals, and ``_:label`` blank nodes. Everything
 else in full Turtle (collections, ``[]`` anonymous nodes, ``@base``,
 numeric and boolean shorthand, multi-line strings) is rejected by name so a
 document never parses to something other than what it says.
+
+Terms are cut and decoded by the lexer shared with the N-Triples and
+SPARQL readers (:mod:`plexflow.lexing`): IRIs may carry ``\\u``/``\\U``
+escapes, so any canonical N-Triples document is also valid input, and a
+malformed escape is a :class:`TurtleParseError` with its position.
 """
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
 from typing import Optional
 
-from .rdf import (
-    RDF_LANG_STRING, RDF_NS, BlankNode, Graph, IRI, Literal, RdfError, Triple,
+from .lexing import (
+    BLANK_RE, IRIREF_RE, LANGTAG_RE, PN_LOCAL_RE, PN_PREFIX_RE, STRING_RE,
+    Lexer, Token,
 )
-
-RDF_TYPE = IRI(RDF_NS + "type")
-
-_PN_PREFIX_RE = re.compile(r"[A-Za-z][A-Za-z0-9_\-]*")
-_PN_LOCAL_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.\-]*")
-_LANG_RE = re.compile(r"[A-Za-z]+(?:-[A-Za-z0-9]+)*")
-_IRIREF_RE = re.compile(r'<([^\x00-\x20<>"{}|^`\\]*)>')
-_STRING_RE = re.compile(r'"((?:[^"\\\n\r]|\\.)*)"')
-
-_ECHAR = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
-          '"': '"', "'": "'", "\\": "\\"}
+from .rdf import (
+    RDF_LANG_STRING, RDF_TYPE, BlankNode, Graph, IRI, Literal, RdfError, Triple,
+)
 
 
 class TurtleParseError(RdfError):
@@ -38,119 +34,64 @@ class TurtleParseError(RdfError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # PREFIX_DIRECTIVE IRIREF PNAME BLANK STRING LANGTAG HATHAT A DOT SEMI COMMA EOF
-    value: object
-    line: int
-    col: int
+class _Lexer(Lexer):
+    """Token kinds: PREFIX_DIRECTIVE IRIREF PNAME BLANK STRING LANGTAG HATHAT
+    A DOT SEMI COMMA EOF."""
 
+    error_class = TurtleParseError
 
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def _advance(self, n: int):
-        chunk = self.text[self.pos:self.pos + n]
-        newlines = chunk.count("\n")
-        if newlines:
-            self.line += newlines
-            self.col = n - chunk.rfind("\n")
-        else:
-            self.col += n
-        self.pos += n
-
-    def _error(self, message: str):
-        raise TurtleParseError(message, self.line, self.col)
-
-    def _skip_ws(self):
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch in " \t\r\n":
-                self._advance(1)
-            elif ch == "#":
-                end = self.text.find("\n", self.pos)
-                self._advance((end if end != -1 else len(self.text)) - self.pos)
-            else:
-                return
-
-    def _unescape(self, raw: str) -> str:
-        out = []
-        i = 0
-        while i < len(raw):
-            ch = raw[i]
-            if ch != "\\":
-                out.append(ch)
-                i += 1
-                continue
-            nxt = raw[i + 1] if i + 1 < len(raw) else ""
-            if nxt in _ECHAR:
-                out.append(_ECHAR[nxt])
-                i += 2
-            elif nxt == "u" and i + 6 <= len(raw):
-                out.append(chr(int(raw[i + 2:i + 6], 16)))
-                i += 6
-            elif nxt == "U" and i + 10 <= len(raw):
-                out.append(chr(int(raw[i + 2:i + 10], 16)))
-                i += 10
-            else:
-                self._error(f"bad escape sequence: \\{nxt}")
-        return "".join(out)
-
-    def next_token(self) -> _Token:
+    def next_token(self) -> Token:
         self._skip_ws()
         line, col = self.line, self.col
         if self.pos >= len(self.text):
-            return _Token("EOF", None, line, col)
+            return Token("EOF", None, line, col)
         text, pos = self.text, self.pos
         ch = text[pos]
 
         if ch == "@":
             if text.startswith("@prefix", pos):
                 self._advance(7)
-                return _Token("PREFIX_DIRECTIVE", "@prefix", line, col)
+                return Token("PREFIX_DIRECTIVE", "@prefix", line, col)
             if text.startswith("@base", pos):
                 self._error("unsupported construct: @base directive")
-            m = _LANG_RE.match(text, pos + 1)
+            m = LANGTAG_RE.match(text, pos)
             if not m:
                 self._error("malformed language tag")
-            self._advance(1 + len(m.group(0)))
-            return _Token("LANGTAG", m.group(0), line, col)
+            self._advance(m.end() - pos)
+            return Token("LANGTAG", m.group(1), line, col)
 
         if ch == "<":
-            m = _IRIREF_RE.match(text, pos)
+            m = IRIREF_RE.match(text, pos)
             if not m:
                 self._error("malformed IRI reference")
+            value = self._decoded(m.group(1))
             self._advance(m.end() - pos)
-            return _Token("IRIREF", self._unescape(m.group(1)), line, col)
+            return Token("IRIREF", value, line, col)
 
         if ch == '"':
             if text.startswith('"""', pos):
                 self._error("unsupported construct: multi-line string literal")
-            m = _STRING_RE.match(text, pos)
+            m = STRING_RE.match(text, pos)
             if not m:
                 self._error("unterminated string literal")
+            value = self._decoded(m.group(1))
             self._advance(m.end() - pos)
-            return _Token("STRING", self._unescape(m.group(1)), line, col)
+            return Token("STRING", value, line, col)
 
         if text.startswith("^^", pos):
             self._advance(2)
-            return _Token("HATHAT", "^^", line, col)
+            return Token("HATHAT", "^^", line, col)
 
         if text.startswith("_:", pos):
-            m = _PN_LOCAL_RE.match(text, pos + 2)
+            m = BLANK_RE.match(text, pos)
             if not m:
                 self._error("malformed blank node label")
-            label = m.group(0).rstrip(".")
-            self._advance(2 + len(label))
-            return _Token("BLANK", label, line, col)
+            self._advance(m.end() - pos)
+            return Token("BLANK", m.group(1), line, col)
 
         if ch in ".;,":
             self._advance(1)
-            return _Token({"." : "DOT", ";": "SEMI", ",": "COMMA"}[ch], ch, line, col)
+            return Token({"." : "DOT", ";": "SEMI", ",": "COMMA"}[ch], ch, line, col)
 
         if ch == "[":
             self._error("unsupported construct: anonymous blank node '[]'")
@@ -161,23 +102,23 @@ class _Lexer:
 
         # Bare word: either a PNAME (with ':'), the 'a' keyword, or a
         # SPARQL-style PREFIX directive.
-        if ch == ":" or _PN_PREFIX_RE.match(text, pos):
-            m = _PN_PREFIX_RE.match(text, pos)
+        if ch == ":" or PN_PREFIX_RE.match(text, pos):
+            m = PN_PREFIX_RE.match(text, pos)
             word = m.group(0) if m else ""
             after = pos + len(word)
             if after < len(text) and text[after] == ":":
-                m2 = _PN_LOCAL_RE.match(text, after + 1)
+                m2 = PN_LOCAL_RE.match(text, after + 1)
                 local = m2.group(0) if m2 else ""
                 while local.endswith("."):
                     local = local[:-1]
                 self._advance(len(word) + 1 + len(local))
-                return _Token("PNAME", (word, local), line, col)
+                return Token("PNAME", (word, local), line, col)
             if word == "a":
                 self._advance(1)
-                return _Token("A", "a", line, col)
+                return Token("A", "a", line, col)
             if word.upper() == "PREFIX":
                 self._advance(len(word))
-                return _Token("PREFIX_DIRECTIVE", "PREFIX", line, col)
+                return Token("PREFIX_DIRECTIVE", "PREFIX", line, col)
             if word.upper() == "BASE":
                 self._error("unsupported construct: BASE directive")
             if word in ("true", "false"):
@@ -193,27 +134,27 @@ class _Parser:
         self.prefixes: dict[str, str] = {}
         self.graph = Graph()
 
-    def _error(self, message: str, token: Optional[_Token] = None):
+    def _error(self, message: str, token: Optional[Token] = None):
         tok = token or self.token
         raise TurtleParseError(message, tok.line, tok.col)
 
-    def _next(self) -> _Token:
+    def _next(self) -> Token:
         tok = self.token
         self.token = self.lexer.next_token()
         return tok
 
-    def _expect(self, kind: str) -> _Token:
+    def _expect(self, kind: str) -> Token:
         if self.token.kind != kind:
             self._error(f"expected {kind}, found {self.token.kind}")
         return self._next()
 
-    def _make_iri(self, value: str, token: _Token) -> IRI:
+    def _make_iri(self, value: str, token: Token) -> IRI:
         try:
             return IRI(value)
         except RdfError as exc:
             self._error(str(exc), token)
 
-    def _resolve_pname(self, token: _Token) -> IRI:
+    def _resolve_pname(self, token: Token) -> IRI:
         prefix, local = token.value
         if prefix not in self.prefixes:
             self._error(f"unknown prefix: {prefix!r}", token)

@@ -21,13 +21,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Collection
 
-from . import vocab
 from .rdf import Graph, IRI
-from .vocab import BPMN, DCAT, DUL, PPLAN, PROV, RDF
+from .vocab import BPMN, DCAT, DUL, PPLAN, PROV
 from .workflow import MANUAL, SCRIPT, WorkflowError, is_workflow
-
-_RDF_TYPE = IRI(RDF.type)
 
 
 @dataclass(frozen=True)
@@ -62,32 +60,25 @@ def _require_workflow(g: Graph, wf: str):
         raise WorkflowError(f"workflow not found: {wf}")
 
 
-def _iri_objects(g: Graph, s: str, p: str) -> list[str]:
-    return [t.value for t in g.objects(IRI(s), IRI(p)) if isinstance(t, IRI)]
+UsageMap = dict[str, set[tuple[str, str]]]
 
 
-def _step_kind(g: Graph, step: str) -> str:
-    types = {t.value for t in g.objects(IRI(step), _RDF_TYPE) if isinstance(t, IRI)}
-    return MANUAL if BPMN.ManualTask in types else SCRIPT
-
-
-def used_instructions(g: Graph, wf: str) -> dict[str, set[tuple[str, str]]]:
+def used_instructions(g: Graph, wf: str) -> UsageMap:
     """Instructions used by a workflow, with their (step, kind) contexts.
 
     Covers the workflow's own steps and one level of sub-plan steps.
     """
     _require_workflow(g, wf)
-    usage: dict[str, set[tuple[str, str]]] = {}
+    usage: UsageMap = {}
     step_of = IRI(PPLAN.isStepOfPlan)
 
     def visit(plan: str, depth: int):
         for subject in g.subjects(step_of, IRI(plan)):
             if not isinstance(subject, IRI):
                 continue
-            step = subject.value
-            kind = _step_kind(g, step)
-            for instr in _iri_objects(g, step, DUL.isDescribedBy):
-                usage.setdefault(instr, set()).add((step, kind))
+            kind = MANUAL if BPMN.ManualTask in g.types(subject) else SCRIPT
+            for instr in g.iri_objects(subject, DUL.isDescribedBy):
+                usage.setdefault(instr, set()).add((subject.value, kind))
                 if depth == 0:
                     visit(instr, depth + 1)
 
@@ -103,22 +94,45 @@ def _revision_pairs(g: Graph) -> set[tuple[str, str]]:
     return pairs
 
 
-def diff_instructions(g: Graph, wf_a: str, wf_b: str) -> DiffReport:
-    """Removed / changed / added instruction sets between two versions."""
-    used_a = used_instructions(g, wf_a)
-    used_b = used_instructions(g, wf_b)
-    changed = {(old, new) for old, new in _revision_pairs(g)
-               if old in used_a and new in used_b}
+def _partition(revisions: set[tuple[str, str]], a: Collection[str],
+               b: Collection[str]):
+    """(removed, changed, added) between the used sets ``a`` and ``b``."""
+    changed = {(old, new) for old, new in revisions if old in a and new in b}
     olds = {old for old, _ in changed}
     news = {new for _, new in changed}
-    removed = (set(used_a) - set(used_b)) - olds
-    added = (set(used_b) - set(used_a)) - news
+    removed = (set(a) - set(b)) - olds
+    added = (set(b) - set(a)) - news
+    return frozenset(removed), frozenset(changed), frozenset(added)
+
+
+def _automatized(changed: frozenset[tuple[str, str]], used_a: UsageMap,
+                 used_b: UsageMap) -> frozenset[tuple[str, str]]:
+    return frozenset((step_a, step_b)
+                     for old, new in changed
+                     for step_a, kind_a in used_a[old] if kind_a == MANUAL
+                     for step_b, kind_b in used_b[new] if kind_b == SCRIPT)
+
+
+def _distributions(g: Graph, used: UsageMap) -> set[str]:
+    dists: set[str] = set()
+    for instr in used:
+        for usage in g.iri_objects(IRI(instr), PROV.qualifiedUsage):
+            for entity in g.iri_objects(IRI(usage), PROV.entity):
+                if DCAT.Distribution in g.types(IRI(entity)):
+                    dists.add(entity)
+    return dists
+
+
+def diff_instructions(g: Graph, wf_a: str, wf_b: str) -> DiffReport:
+    """Removed / changed / added instruction sets between two versions."""
+    removed, changed, added = _partition(
+        _revision_pairs(g), used_instructions(g, wf_a), used_instructions(g, wf_b))
     return DiffReport(
         from_workflow=wf_a,
         to_workflow=wf_b,
-        removed_instructions=frozenset(removed),
-        changed_instructions=frozenset(changed),
-        added_instructions=frozenset(added),
+        removed_instructions=removed,
+        changed_instructions=changed,
+        added_instructions=added,
     )
 
 
@@ -126,63 +140,48 @@ def automatized_steps(g: Graph, wf_a: str, wf_b: str) -> frozenset[tuple[str, st
     """(old step, new step) pairs that went manual -> computational."""
     used_a = used_instructions(g, wf_a)
     used_b = used_instructions(g, wf_b)
-    pairs = set()
-    for old, new in _revision_pairs(g):
-        if old not in used_a or new not in used_b:
-            continue
-        for step_a, kind_a in used_a[old]:
-            if kind_a != MANUAL:
-                continue
-            for step_b, kind_b in used_b[new]:
-                if kind_b == SCRIPT:
-                    pairs.add((step_a, step_b))
-    return frozenset(pairs)
+    _, changed, _ = _partition(_revision_pairs(g), used_a, used_b)
+    return _automatized(changed, used_a, used_b)
 
 
 def reachable_distributions(g: Graph, wf: str) -> set[str]:
     """Distributions reachable through the usage bindings of used instructions."""
-    dists: set[str] = set()
-    for instr in used_instructions(g, wf):
-        for usage in _iri_objects(g, instr, PROV.qualifiedUsage):
-            for entity in _iri_objects(g, usage, PROV.entity):
-                types = {t.value for t in g.objects(IRI(entity), _RDF_TYPE)
-                         if isinstance(t, IRI)}
-                if DCAT.Distribution in types:
-                    dists.add(entity)
-    return dists
+    return _distributions(g, used_instructions(g, wf))
 
 
 def diff_datasets(g: Graph, wf_a: str, wf_b: str) -> DiffReport:
     """Removed / changed / added dataset distributions between two versions."""
-    reach_a = reachable_distributions(g, wf_a)
-    reach_b = reachable_distributions(g, wf_b)
-    changed = {(old, new) for old, new in _revision_pairs(g)
-               if old in reach_a and new in reach_b}
-    olds = {old for old, _ in changed}
-    news = {new for _, new in changed}
-    removed = (reach_a - reach_b) - olds
-    added = (reach_b - reach_a) - news
+    removed, changed, added = _partition(
+        _revision_pairs(g), reachable_distributions(g, wf_a),
+        reachable_distributions(g, wf_b))
     return DiffReport(
         from_workflow=wf_a,
         to_workflow=wf_b,
-        removed_datasets=frozenset(removed),
-        changed_datasets=frozenset(changed),
-        added_datasets=frozenset(added),
+        removed_datasets=removed,
+        changed_datasets=changed,
+        added_datasets=added,
     )
 
 
 def diff(g: Graph, wf_a: str, wf_b: str) -> DiffReport:
-    """Full diff report: instructions, automatized steps and datasets."""
-    instructions = diff_instructions(g, wf_a, wf_b)
-    datasets = diff_datasets(g, wf_a, wf_b)
+    """Full diff report: instructions, automatized steps and datasets.
+
+    Walks each version once and reads the revision links once.
+    """
+    used_a = used_instructions(g, wf_a)
+    used_b = used_instructions(g, wf_b)
+    revisions = _revision_pairs(g)
+    removed, changed, added = _partition(revisions, used_a, used_b)
+    removed_ds, changed_ds, added_ds = _partition(
+        revisions, _distributions(g, used_a), _distributions(g, used_b))
     return DiffReport(
         from_workflow=wf_a,
         to_workflow=wf_b,
-        removed_instructions=instructions.removed_instructions,
-        changed_instructions=instructions.changed_instructions,
-        added_instructions=instructions.added_instructions,
-        automatized_steps=automatized_steps(g, wf_a, wf_b),
-        removed_datasets=datasets.removed_datasets,
-        changed_datasets=datasets.changed_datasets,
-        added_datasets=datasets.added_datasets,
+        removed_instructions=removed,
+        changed_instructions=changed,
+        added_instructions=added,
+        automatized_steps=_automatized(changed, used_a, used_b),
+        removed_datasets=removed_ds,
+        changed_datasets=changed_ds,
+        added_datasets=added_ds,
     )

@@ -219,9 +219,3 @@ def prefixes_turtle() -> str:
     for prefix in sorted(NAMESPACES):
         lines.append(f"@prefix {prefix}: <{NAMESPACES[prefix]}> .")
     return "\n".join(lines) + "\n"
-
-
-def prefixes_sparql(prefixes: "tuple[str, ...] | None" = None) -> str:
-    """PREFIX header lines for queries (all namespaces by default)."""
-    names = sorted(NAMESPACES) if prefixes is None else list(prefixes)
-    return "\n".join(f"PREFIX {p}: <{NAMESPACES[p]}>" for p in names) + "\n"

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import vocab
-from .rdf import Graph, IRI, Literal, Term, Triple, lit
+from .rdf import RDF_TYPE, Graph, IRI, Literal, Term, Triple, lit
 from .vocab import BPMN, DC, DCAT, DUL, PPLAN, PROV, PWO, RDF, RDFS, SH, XSD
 
 MANUAL = "manual"
@@ -197,12 +197,6 @@ _language_kinds: dict[str, str] = {
 }
 
 
-def register_language(iri: str, kind: str) -> None:
-    if kind not in (NATURAL_LANGUAGE, COMPUTER_LANGUAGE):
-        raise ValueError(f"unknown language kind: {kind!r}")
-    _language_kinds[iri] = kind
-
-
 def instruction_kind(instruction: Instruction) -> str:
     """Classify an instruction by its language IRI.
 
@@ -219,41 +213,17 @@ def instruction_kind(instruction: Instruction) -> str:
         raise UnknownLanguageError(f"unregistered language IRI: {language}") from None
 
 
-# -- graph term helpers ------------------------------------------------------
-
-_RDF_TYPE = IRI(RDF.type)
-
-
-def _iri_str(term: Term) -> str:
-    return term.value if isinstance(term, IRI) else ""
-
-
-def _str_value(g: Graph, s: IRI, p: str) -> str:
-    term = g.value(s, IRI(p))
-    return term.lexical if isinstance(term, Literal) else ""
-
-
-def _iri_value(g: Graph, s: IRI, p: str) -> str:
-    term = g.value(s, IRI(p))
-    return term.value if isinstance(term, IRI) else ""
-
-
-def _iri_objects(g: Graph, s: IRI, p: str) -> list[str]:
-    return [t.value for t in g.objects(s, IRI(p)) if isinstance(t, IRI)]
-
-
-def _types(g: Graph, s: IRI) -> set[str]:
-    return {t.value for t in g.objects(s, _RDF_TYPE) if isinstance(t, IRI)}
+# -- workflow heads ---------------------------------------------------------
 
 
 def is_workflow(g: Graph, iri_: str) -> bool:
     """Workflow heads carry both dul:Workflow and p-plan:Plan types."""
-    types = _types(g, IRI(iri_))
+    types = g.types(IRI(iri_))
     return DUL.Workflow in types and PPLAN.Plan in types
 
 
 def workflow_iris(g: Graph) -> list[str]:
-    heads = [s.value for s in g.subjects(_RDF_TYPE, IRI(DUL.Workflow))
+    heads = [s.value for s in g.subjects(RDF_TYPE, IRI(DUL.Workflow))
              if isinstance(s, IRI) and is_workflow(g, s.value)]
     return sorted(set(heads))
 
@@ -266,7 +236,7 @@ _STEP_TYPE_SKIP = {PPLAN.Step, BPMN.ManualTask, BPMN.ScriptTask}
 def _load_step(g: Graph, step_iri: str, plan_iri: str,
                anomalies: list[Violation]) -> StepDef:
     node = IRI(step_iri)
-    types = _types(g, node)
+    types = g.types(node)
     manual = BPMN.ManualTask in types
     script = BPMN.ScriptTask in types
     if manual and script:
@@ -275,7 +245,7 @@ def _load_step(g: Graph, step_iri: str, plan_iri: str,
     if not manual and not script:
         anomalies.append(Violation("E_STEP_KIND_NONE", step_iri,
                                    "typed neither bpmn:ManualTask nor bpmn:ScriptTask"))
-    instructions = sorted(_iri_objects(g, node, DUL.isDescribedBy))
+    instructions = sorted(g.iri_objects(node, DUL.isDescribedBy))
     if not instructions:
         anomalies.append(Violation("E_STEP_NO_INSTR", step_iri,
                                    "step has no dul:isDescribedBy instruction"))
@@ -288,28 +258,28 @@ def _load_step(g: Graph, step_iri: str, plan_iri: str,
         plan=plan_iri,
         kind=MANUAL if manual else SCRIPT,
         instruction=instructions[0] if instructions else "",
-        precedes=frozenset(_iri_objects(g, node, DUL.precedes)),
-        input_vars=frozenset(_iri_objects(g, node, PPLAN.hasInputVar)),
-        output_vars=frozenset(_iri_objects(g, node, PPLAN.hasOutputVar)),
+        precedes=frozenset(g.iri_objects(node, DUL.precedes)),
+        input_vars=frozenset(g.iri_objects(node, PPLAN.hasInputVar)),
+        output_vars=frozenset(g.iri_objects(node, PPLAN.hasOutputVar)),
         operation_class=op_classes[0] if op_classes else None,
-        label=_str_value(g, node, RDFS.label),
+        label=g.str_value(node, RDFS.label),
     )
 
 
 def _load_instruction(g: Graph, instr_iri: str) -> Instruction:
     node = IRI(instr_iri)
-    types = _types(g, node)
+    types = g.types(node)
     extra = frozenset(t for t in types if t != PPLAN.Plan)
     return Instruction(
         iri=instr_iri,
-        language=tuple(sorted(_iri_objects(g, node, DC.language))),
-        description=_str_value(g, node, DC.description),
-        label=_str_value(g, node, RDFS.label),
-        version=_str_value(g, node, DC.hasVersion),
-        described_by=_iri_value(g, node, DUL.isDescribedBy) or None,
-        revision_of=_iri_value(g, node, PROV.wasRevisionOf) or None,
-        qualified_usages=frozenset(_iri_objects(g, node, PROV.qualifiedUsage)),
-        first_step=_iri_value(g, node, PWO.hasFirstStep),
+        language=tuple(sorted(g.iri_objects(node, DC.language))),
+        description=g.str_value(node, DC.description),
+        label=g.str_value(node, RDFS.label),
+        version=g.str_value(node, DC.hasVersion),
+        described_by=g.iri_value(node, DUL.isDescribedBy) or None,
+        revision_of=g.iri_value(node, PROV.wasRevisionOf) or None,
+        qualified_usages=frozenset(g.iri_objects(node, PROV.qualifiedUsage)),
+        first_step=g.iri_value(node, PWO.hasFirstStep),
         extra_types=extra,
     )
 
@@ -327,19 +297,19 @@ def load_workflow(g: Graph, wf_iri: str) -> WorkflowView:
         raise WorkflowError(
             f"{wf_iri} is not a workflow (needs both dul:Workflow and p-plan:Plan)")
     anomalies: list[Violation] = []
-    revision_of = _iri_value(g, head, PROV.wasRevisionOf) or None
+    revision_of = g.iri_value(head, PROV.wasRevisionOf) or None
     wf = WorkflowDef(
         iri=wf_iri,
-        version=_str_value(g, head, DC.hasVersion),
-        created=_str_value(g, head, DC.created),
-        modified=_str_value(g, head, DC.modified),
-        creator=_iri_value(g, head, DC.creator),
-        attributed_to=_iri_value(g, head, PROV.wasAttributedTo),
-        first_step=_iri_value(g, head, PWO.hasFirstStep),
-        label=_str_value(g, head, RDFS.label),
-        description=_str_value(g, head, DC.description),
-        language=_iri_value(g, head, DC.language),
-        license=_iri_value(g, head, DC.license),
+        version=g.str_value(head, DC.hasVersion),
+        created=g.str_value(head, DC.created),
+        modified=g.str_value(head, DC.modified),
+        creator=g.iri_value(head, DC.creator),
+        attributed_to=g.iri_value(head, PROV.wasAttributedTo),
+        first_step=g.iri_value(head, PWO.hasFirstStep),
+        label=g.str_value(head, RDFS.label),
+        description=g.str_value(head, DC.description),
+        language=g.iri_value(head, DC.language),
+        license=g.iri_value(head, DC.license),
         revision_of=revision_of,
     )
     view = WorkflowView(workflow=wf, anomalies=anomalies)
@@ -368,7 +338,7 @@ def load_workflow(g: Graph, wf_iri: str) -> WorkflowView:
         if instr.described_by:
             spec_level.add(instr.described_by)
     for extra in sorted(spec_level - set(view.instructions)):
-        if PPLAN.Plan in _types(g, IRI(extra)):
+        if PPLAN.Plan in g.types(IRI(extra)):
             view.instructions[extra] = _load_instruction(g, extra)
 
     var_iris: set[str] = set()
@@ -379,13 +349,13 @@ def load_workflow(g: Graph, wf_iri: str) -> WorkflowView:
         usage_iris |= instr.qualified_usages
     for usage_iri in sorted(usage_iris):
         node = IRI(usage_iri)
-        entities = frozenset(_iri_objects(g, node, PROV.entity))
+        entities = frozenset(g.iri_objects(node, PROV.entity))
         view.usages[usage_iri] = UsageBinding(
-            iri=usage_iri, entities=entities, label=_str_value(g, node, RDFS.label))
+            iri=usage_iri, entities=entities, label=g.str_value(node, RDFS.label))
         for ent in entities:
-            if PPLAN.Variable in _types(g, IRI(ent)):
+            if PPLAN.Variable in g.types(IRI(ent)):
                 var_iris.add(ent)
-            if DCAT.Distribution in _types(g, IRI(ent)):
+            if DCAT.Distribution in g.types(IRI(ent)):
                 urls = [t.lexical for t in g.objects(IRI(ent), IRI(DCAT.downloadURL))
                         if isinstance(t, Literal)]
                 if len(urls) != 1:
@@ -395,41 +365,41 @@ def load_workflow(g: Graph, wf_iri: str) -> WorkflowView:
                 view.distributions[ent] = DistributionDef(
                     iri=ent,
                     download_url=urls[0] if urls else "",
-                    media_type=_iri_value(g, IRI(ent), DCAT.mediaType),
-                    label=_str_value(g, IRI(ent), RDFS.label),
+                    media_type=g.iri_value(IRI(ent), DCAT.mediaType),
+                    label=g.str_value(IRI(ent), RDFS.label),
                 )
     for var_iri in sorted(var_iris):
-        if PPLAN.Variable not in _types(g, IRI(var_iri)):
+        if PPLAN.Variable not in g.types(IRI(var_iri)):
             continue  # untyped references surface as dangling in validate
         view.variables[var_iri] = VariableDef(
-            iri=var_iri, label=_str_value(g, IRI(var_iri), RDFS.label))
+            iri=var_iri, label=g.str_value(IRI(var_iri), RDFS.label))
 
-    for ds in sorted(s.value for s in g.subjects(_RDF_TYPE, IRI(DCAT.Dataset))
+    for ds in sorted(s.value for s in g.subjects(RDF_TYPE, IRI(DCAT.Dataset))
                      if isinstance(s, IRI)):
-        dists = frozenset(_iri_objects(g, IRI(ds), DCAT.distribution))
+        dists = frozenset(g.iri_objects(IRI(ds), DCAT.distribution))
         if not (dists & set(view.distributions)):
             continue
         view.datasets[ds] = DatasetRecord(
             iri=ds,
             distributions=dists,
-            label=_str_value(g, IRI(ds), RDFS.label),
-            description=_str_value(g, IRI(ds), DC.description),
-            license=_iri_value(g, IRI(ds), DC.license),
+            label=g.str_value(IRI(ds), RDFS.label),
+            description=g.str_value(IRI(ds), DC.description),
+            license=g.iri_value(IRI(ds), DC.license),
         )
 
     plan_pool = set(view.instructions) | {wf_iri}
-    for assoc in sorted(s.value for s in g.subjects(_RDF_TYPE, IRI(PROV.Association))
+    for assoc in sorted(s.value for s in g.subjects(RDF_TYPE, IRI(PROV.Association))
                         if isinstance(s, IRI)):
         node = IRI(assoc)
-        plans = frozenset(_iri_objects(g, node, PROV.hadPlan))
+        plans = frozenset(g.iri_objects(node, PROV.hadPlan))
         if not (plans & plan_pool):
             continue
         record = AgentAssociation(
             iri=assoc,
-            agent=_iri_value(g, node, PROV.agent),
-            role=_iri_value(g, node, PROV.hadRole),
+            agent=g.iri_value(node, PROV.agent),
+            role=g.iri_value(node, PROV.hadRole),
             plans=plans,
-            label=_str_value(g, node, RDFS.label),
+            label=g.str_value(node, RDFS.label),
         )
         view.associations[assoc] = record
         if not (record.agent and record.role and record.plans):
@@ -439,22 +409,22 @@ def load_workflow(g: Graph, wf_iri: str) -> WorkflowView:
     agent_iris = {a.agent for a in view.associations.values() if a.agent}
     agent_iris |= {wf.creator, wf.attributed_to} - {""}
     for agent_iri in sorted(agent_iris):
-        types = _types(g, IRI(agent_iri))
+        types = g.types(IRI(agent_iri))
         view.agents[agent_iri] = AgentDef(
             iri=agent_iri,
-            label=_str_value(g, IRI(agent_iri), RDFS.label),
+            label=g.str_value(IRI(agent_iri), RDFS.label),
             software=PROV.SoftwareAgent in types,
-            version=_str_value(g, IRI(agent_iri), DC.hasVersion),
+            version=g.str_value(IRI(agent_iri), DC.hasVersion),
         )
 
-    for shape in sorted(s.value for s in g.subjects(_RDF_TYPE, IRI(SH.NodeShape))
+    for shape in sorted(s.value for s in g.subjects(RDF_TYPE, IRI(SH.NodeShape))
                         if isinstance(s, IRI)):
         node = IRI(shape)
-        target = _iri_value(g, node, SH.targetClass)
+        target = g.iri_value(node, SH.targetClass)
         if target not in view.usages:
             continue
-        constraint = _iri_value(g, node, SH.sparql)
-        text = _str_value(g, IRI(constraint), SH.select) if constraint else ""
+        constraint = g.iri_value(node, SH.sparql)
+        text = g.str_value(IRI(constraint), SH.select) if constraint else ""
         view.shapes[shape] = QueryShape(
             iri=shape, constraint_iri=constraint, sparql_text=text,
             target_usage=target)

@@ -160,3 +160,33 @@ def test_console_entry_point_runs_in_subprocess(tmp_path):
         capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert out.exists()
+
+
+MALFORMED_INPUTS = {
+    "ttl-bad-u-escape": ("validate", "bad.ttl", b'<urn:s> <urn:p> "\\uZZZZ" .\n'),
+    "ttl-U-escape-out-of-range": ("validate", "bad.ttl",
+                                  b'<urn:s> <urn:p> "\\UFFFFFFFF" .\n'),
+    "nt-truncated-statement": ("validate", "bad.nt", b"<urn:s> <urn:p>\n"),
+    "nt-not-utf8": ("validate", "bad.nt", b'<urn:s> <urn:p> "\xff" .\n'),
+    "rq-bad-u-escape": ("query", "bad.rq", b'SELECT ?s WHERE { ?s ?p "\\uZZZZ" }\n'),
+    "rq-bad-regex": ("query", "bad.rq",
+                     b'SELECT ?o WHERE { ?s ?p ?o FILTER(REGEX(?o, "(")) }\n'),
+}
+
+
+@pytest.mark.parametrize("command, name, data", MALFORMED_INPUTS.values(),
+                         ids=MALFORMED_INPUTS.keys())
+def test_malformed_input_exits_3_with_one_error_line(tmp_path, capsys,
+                                                      command, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    if command == "validate":
+        argv = ["validate", str(path)]
+    else:
+        graph = tmp_path / "one.nt"
+        graph.write_text('<urn:s> <urn:p> "o" .\n', encoding="utf-8")
+        argv = ["query", "--graph", str(graph), "--query", str(path)]
+    # Any exception escaping main() would be a traceback under python -m.
+    assert main(argv) == EXIT_PARSE
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
