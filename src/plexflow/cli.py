@@ -172,16 +172,24 @@ def _cmd_fixture(args) -> int:
     return EXIT_OK
 
 
-def _cmd_run_openpredict(args) -> int:
-    if args.drug_sim or args.disease_sim:
-        try:
-            bundle = op_mod.load_bundle_csv(args.drug_sim, args.disease_sim)
-        except op_mod.PipelineError as exc:
-            raise _CliError(str(exc), EXIT_PARSE) from exc
+def _load_openpredict_csv(args):
+    """Bundle and gold standard from CSV files: a file that cannot be opened
+    exits 2, malformed content exits 3."""
+    try:
+        bundle = op_mod.load_bundle_csv(args.drug_sim, args.disease_sim)
         if not args.gold:
             raise _CliError("--gold is required with CSV similarity input",
                             EXIT_USAGE)
-        gold = op_mod.load_gold_csv(args.gold, bundle)
+        return bundle, op_mod.load_gold_csv(args.gold, bundle)
+    except OSError as exc:
+        raise _CliError(str(exc), EXIT_USAGE) from exc
+    except op_mod.PipelineError as exc:
+        raise _CliError(str(exc), EXIT_PARSE) from exc
+
+
+def _cmd_run_openpredict(args) -> int:
+    if args.drug_sim or args.disease_sim:
+        bundle, gold = _load_openpredict_csv(args)
     else:
         bundle, gold = op_mod.generate_bundle(
             args.drugs, args.diseases, seed=args.seed, planted=not args.null)

@@ -190,3 +190,53 @@ def test_malformed_input_exits_3_with_one_error_line(tmp_path, capsys,
     assert main(argv) == EXIT_PARSE
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+def _write_csv_bundle(tmp_path, drug_cell="0.5"):
+    """Five 2x2 drug and two 2x2 disease similarity files; returns the
+    run-openpredict arguments naming them."""
+    argv = ["run-openpredict", "--scheme", "drugs"]
+    for flag, prefix, count in (("--drug-sim", "D", 5), ("--disease-sim", "S", 2)):
+        for m in range(count):
+            path = tmp_path / f"{prefix}{m}.csv"
+            cell = drug_cell if (flag, m) == ("--drug-sim", 0) else "0.5"
+            path.write_text(f"id,{prefix}0,{prefix}1\n{prefix}0,1.0,{cell}\n"
+                            f"{prefix}1,{cell},1.0\n", encoding="utf-8")
+            argv += [flag, str(path)]
+    return argv
+
+
+BAD_OPENPREDICT_CSV = {
+    # name: (drug sim cell, gold bytes, file to drop, exit code, message parts)
+    "gold-one-column": ("0.5", b"D0,S0\nD1\n", None, EXIT_PARSE,
+                        ("gold.csv, line 2", "drug id and a disease id")),
+    "gold-unknown-drug": ("0.5", b"# comment\nD9,S0\n", None, EXIT_PARSE,
+                          ("gold.csv, line 2", "'D9'")),
+    "gold-unknown-disease": ("0.5", b"D0,S7\n", None, EXIT_PARSE,
+                             ("gold.csv, line 1", "'S7'")),
+    "gold-not-utf8": ("0.5", b"D0,S\xff\n", None, EXIT_PARSE, ("gold.csv",)),
+    "sim-not-a-number": ("high", b"D0,S0\n", None, EXIT_PARSE,
+                         ("D0.csv, line 2", "'high'")),
+    "missing-gold": ("0.5", b"D0,S0\n", "gold.csv", EXIT_USAGE, ("gold.csv",)),
+    "missing-drug-sim": ("0.5", b"D0,S0\n", "D3.csv", EXIT_USAGE, ("D3.csv",)),
+    "missing-disease-sim": ("0.5", b"D0,S0\n", "S1.csv", EXIT_USAGE, ("S1.csv",)),
+}
+
+
+@pytest.mark.parametrize("cell, gold, drop, code, parts",
+                         BAD_OPENPREDICT_CSV.values(),
+                         ids=BAD_OPENPREDICT_CSV.keys())
+def test_bad_openpredict_csv_input_exits_with_one_error_line(
+        tmp_path, capsys, cell, gold, drop, code, parts):
+    argv = _write_csv_bundle(tmp_path, drug_cell=cell)
+    gold_path = tmp_path / "gold.csv"
+    gold_path.write_bytes(gold)
+    argv += ["--gold", str(gold_path)]
+    if drop:
+        (tmp_path / drop).unlink()
+    # Any exception escaping main() would be a traceback under python -m.
+    assert main(argv) == code
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    for part in parts:
+        assert part in lines[0]
