@@ -104,12 +104,15 @@ def _cmd_validate(args) -> int:
 def _cmd_query(args) -> int:
     g = _load_graphs(args.graphs)
     text = _read_input(args.query)
+    plan = [] if args.explain else None
     try:
-        table = evaluate(parse_query(text), g)
+        table = evaluate(parse_query(text), g, plan)
     except QueryError as exc:
         raise _CliError(f"{args.query}: {exc}", EXIT_PARSE) from exc
     _write_output(table.to_json() if args.format == "json" else table.to_tsv(),
                   args.out)
+    for line in plan or ():
+        print(line, file=sys.stderr)
     return EXIT_OK
 
 
@@ -233,6 +236,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", required=True, help="query file (.rq)")
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p.add_argument("--out", help="output path (default: stdout)")
+    p.add_argument("--explain", action="store_true",
+                   help="write the evaluation plan (join order, rows per step) "
+                        "to stderr")
     p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser("cq", help="answer a canned competency question")

@@ -163,9 +163,8 @@ def _check_a1_1(g: Graph) -> tuple[str, ...]:
 
 
 def _check_i1(g: Graph) -> tuple[str, ...]:
-    offenders = {t.p.value for t in g.match()
-                 if not vocab.in_catalog_namespace(t.p.value)}
-    return tuple(sorted(vocab.compress(p) for p in offenders))
+    return tuple(sorted(vocab.compress(p.value) for p in g.predicates()
+                        if not vocab.in_catalog_namespace(p.value)))
 
 
 def _check_i2(g: Graph) -> tuple[str, ...]:

@@ -88,8 +88,10 @@ class SimilarityBundle:
                                        self.n_diseases):
             raise PipelineError("disease similarity tensor has the wrong shape")
         for name, sims in (("drug", self.drug_sims), ("disease", self.disease_sims)):
-            if np.min(sims) < 0 or np.max(sims) > 1:
-                raise PipelineError(f"{name} similarities must lie in [0, 1]")
+            # Written so that NaN, which fails every comparison, is rejected.
+            if not np.all((sims >= 0) & (sims <= 1)):
+                raise PipelineError(f"{name} similarities must be finite and "
+                                    f"lie in [0, 1]")
             if np.max(np.abs(sims - sims.transpose(0, 2, 1))) > tol:
                 raise PipelineError(f"{name} similarities must be symmetric")
             diag = sims[:, range(sims.shape[1]), range(sims.shape[1])]
@@ -617,6 +619,9 @@ def load_similarity_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
             matrix[i] = [float(v) for v in row[1:]]
         except ValueError as exc:
             raise PipelineError(f"{path}, line {line}: {exc}") from None
+        if not np.all((matrix[i] >= 0) & (matrix[i] <= 1)):
+            raise PipelineError(f"{path}, line {line}: similarities must be "
+                                f"finite and lie in [0, 1]")
     return ids, matrix
 
 

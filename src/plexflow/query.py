@@ -21,13 +21,28 @@ REGEX pattern that does not compile are all :class:`QueryParseError` with
 their position, never an error during evaluation.
 
 Evaluation is bag-semantics over a frozen graph: VALUES tables and triple
-patterns are joined left-deep, most-selective pattern first (bound-term
-count, ties by textual order), then OPTIONAL left-joins, then MINUS, then
-FILTERs. ``p+`` matches the transitive closure of ``p``. MINUS removes a
-row when some inner row shares at least one variable and agrees on all
-shared ones. Type-mismatched FILTER comparisons evaluate to false rather
-than erroring. Result rows come back in ORDER BY order when given,
-otherwise sorted by their serialized form, so output is deterministic.
+patterns are joined left-deep, then OPTIONAL left-joins, then MINUS, then
+FILTERs. ``p+`` matches the transitive closure of ``p``. Type-mismatched
+FILTER comparisons evaluate to false rather than erroring. Result rows come
+back in ORDER BY order when given, otherwise sorted by their serialized
+form, so output is deterministic.
+
+- Join order is cost-based. The next pattern is the one with the fewest
+  estimated candidates, ties by textual order. A pattern's estimate is the
+  sum, over the current rows, of the smallest index bucket among its bound
+  positions (:meth:`Graph.bucket_size`; for ``p+`` the closure maps
+  :meth:`Graph.closure_pairs` and :meth:`Graph.closure_sources`), so it
+  reflects the values actually bound, VALUES included.
+- OPTIONAL and MINUS evaluate their inner group on its own and hash-join it
+  to the outer rows. The key is the variables bound in every outer row and
+  in every inner row; only rows with equal keys are paired, and each pair
+  is then checked as before on the variables outside the key. An empty key
+  puts all inner rows in one bucket. An OPTIONAL row extends the outer row
+  with every compatible inner row, or keeps it alone when there is none.
+  MINUS removes an outer row when some inner row shares at least one
+  variable with it and agrees on all shared ones.
+- :func:`explain` returns the steps the evaluator took, recorded during
+  the run: join order, estimates, join keys and row counts.
 """
 
 from __future__ import annotations
@@ -644,34 +659,25 @@ def _substitute(part: TermOrVar, sol: Solution):
 
 def _match_pattern(g: Graph, pat: TriplePattern, sol: Solution) -> list[Solution]:
     s = _substitute(pat.s, sol)
-    p = _substitute(pat.p, sol)
     o = _substitute(pat.o, sol)
-    out: list[Solution] = []
-    if pat.plus:
-        closure = g.closure_pairs(pat.p)  # parser guarantees an IRI predicate
+    if pat.plus:  # the parser guarantees an IRI predicate
+        parts = (pat.s, pat.o)
         if s is not None:
-            targets = closure.get(s, set())
-            pairs = [(s, t) for t in targets if o is None or t == o]
+            found = [(s, t) for t in g.closure_pairs(pat.p).get(s, ())
+                     if o is None or t == o]
         elif o is not None:
-            pairs = [(src, o) for src, targets in closure.items() if o in targets]
+            found = [(src, o) for src in g.closure_sources(pat.p).get(o, ())]
         else:
-            pairs = [(src, t) for src, targets in closure.items() for t in targets]
-        for subj, obj in pairs:
-            ext = dict(sol)
-            ok = True
-            for part, val in ((pat.s, subj), (pat.o, obj)):
-                if isinstance(part, Var):
-                    if part.name in ext and ext[part.name] != val:
-                        ok = False
-                        break
-                    ext[part.name] = val
-            if ok:
-                out.append(ext)
-        return out
-    for t in g.match(s, p, o):
+            found = [(src, t) for src, targets in g.closure_pairs(pat.p).items()
+                     for t in targets]
+    else:
+        parts = (pat.s, pat.p, pat.o)
+        found = g.match(s, _substitute(pat.p, sol), o)
+    out: list[Solution] = []
+    for values in found:
         ext = dict(sol)
         ok = True
-        for part, val in ((pat.s, t.s), (pat.p, t.p), (pat.o, t.o)):
+        for part, val in zip(parts, values):
             if isinstance(part, Var):
                 if part.name in ext and ext[part.name] != val:
                     ok = False
@@ -682,12 +688,54 @@ def _match_pattern(g: Graph, pat: TriplePattern, sol: Solution) -> list[Solution
     return out
 
 
-def _pattern_selectivity(pat: TriplePattern, bound: set[str]) -> int:
-    score = 0
-    for part in (pat.s, pat.p, pat.o):
-        if not isinstance(part, Var) or part.name in bound:
-            score += 1
-    return score
+def _candidate_count(g: Graph, pat: TriplePattern, sol: Solution) -> int:
+    """The smallest index bucket among the pattern's positions bound in
+    ``sol``: the candidates :func:`_match_pattern` would look at."""
+    s = _substitute(pat.s, sol)
+    o = _substitute(pat.o, sol)
+    if not pat.plus:
+        return g.bucket_size(s, _substitute(pat.p, sol), o)
+    if s is None and o is None:
+        return sum(map(len, g.closure_pairs(pat.p).values()))
+    sizes = []
+    if s is not None:
+        sizes.append(len(g.closure_pairs(pat.p).get(s, ())))
+    if o is not None:
+        sizes.append(len(g.closure_sources(pat.p).get(o, ())))
+    return min(sizes)
+
+
+def _estimate(g: Graph, pat: TriplePattern, sols: list[Solution],
+              bound: set[str]) -> int:
+    """Candidates summed over the current rows; rows that bind none of the
+    pattern's variables all see the same buckets."""
+    if not any(isinstance(part, Var) and part.name in bound
+               for part in (pat.s, pat.p, pat.o)):
+        return len(sols) * _candidate_count(g, pat, {})
+    return sum(_candidate_count(g, pat, sol) for sol in sols)
+
+
+def _hash_join(left: list[Solution],
+               right: list[Solution]) -> tuple[list[str], list[tuple]]:
+    """The join key, and each left row with the right rows that agree with it
+    on the key.
+
+    The key holds the variables bound in every row on both sides, so rows
+    outside a bucket can never be compatible; variables only some rows bind
+    are left to the caller's row check. An empty key puts every right row
+    in one bucket.
+    """
+    key: set[str] = set(left[0]) if left and right else set()
+    for row in left + right:
+        if not key:
+            break
+        key.intersection_update(row)
+    names = sorted(key)
+    buckets: dict[tuple, list[Solution]] = {}
+    for row in right:
+        buckets.setdefault(tuple(row[k] for k in names), []).append(row)
+    return names, [(sol, buckets.get(tuple(sol[k] for k in names), ()))
+                   for sol in left]
 
 
 def _compatible(a: Solution, b: Solution) -> bool:
@@ -741,12 +789,18 @@ def _eval_filter(expr: FilterExpr, sol: Solution) -> bool:
     return False  # type mismatch
 
 
-def _eval_group(group: Group, g: Graph) -> list[Solution]:
+def _show(part: TermOrVar) -> str:
+    return f"?{part.name}" if isinstance(part, Var) else nt_term(part)
+
+
+def _eval_group(group: Group, g: Graph, plan: Optional[list[str]] = None,
+                depth: int = 0) -> list[Solution]:
     patterns = [el for el in group.elements if isinstance(el, TriplePattern)]
     values = [el for el in group.elements if isinstance(el, Values)]
     optionals = [el for el in group.elements if isinstance(el, OptionalGroup)]
     minuses = [el for el in group.elements if isinstance(el, Minus)]
     filters = [el for el in group.elements if isinstance(el, Filter)]
+    indent = "  " * depth
 
     sols: list[Solution] = [{}]
     bound: set[str] = set()
@@ -761,48 +815,64 @@ def _eval_group(group: Group, g: Graph) -> list[Solution]:
                 joined.append(ext)
         sols = joined
         bound.add(v.var.name)
+        if plan is not None:
+            plan.append(f"{indent}values ?{v.var.name} terms={len(v.terms)} "
+                        f"rows={len(sols)}")
 
-    remaining = list(enumerate(patterns))
-    while remaining:
-        remaining.sort(key=lambda item: (-_pattern_selectivity(item[1], bound), item[0]))
-        idx, pat = remaining.pop(0)
+    remaining = list(patterns)
+    while remaining and sols:
+        estimates = [_estimate(g, pat, sols, bound) for pat in remaining]
+        best = min(range(len(remaining)), key=estimates.__getitem__)
+        pat = remaining.pop(best)
         sols = [ext for sol in sols for ext in _match_pattern(g, pat, sol)]
         for part in (pat.s, pat.p, pat.o):
             if isinstance(part, Var):
                 bound.add(part.name)
+        if plan is not None:
+            plus = "+" if pat.plus else ""
+            plan.append(f"{indent}pattern {_show(pat.s)} {_show(pat.p)}{plus} "
+                        f"{_show(pat.o)} estimate={estimates[best]} "
+                        f"rows={len(sols)}")
+
+    for nested in optionals + minuses:
         if not sols:
             break
-
-    for opt in optionals:
-        right = _eval_group(opt.group, g)
-        joined = []
-        for sol in sols:
-            matches = [r for r in right if _compatible(sol, r)]
-            if matches:
-                for r in matches:
-                    merged = dict(sol)
-                    merged.update(r)
-                    joined.append(merged)
-            else:
-                joined.append(sol)
-        sols = joined
-
-    for m in minuses:
-        right = _eval_group(m.group, g)
-        sols = [sol for sol in sols
-                if not any(_shared_agree(sol, r) for r in right)]
+        right = _eval_group(nested.group, g, plan, depth + 1)
+        key, candidates = _hash_join(sols, right)
+        if isinstance(nested, Minus):
+            kind = "minus"
+            sols = [sol for sol, rows in candidates
+                    if not any(_shared_agree(sol, r) for r in rows)]
+        else:
+            kind = "optional"
+            sols = []
+            for sol, rows in candidates:
+                sols.extend([{**sol, **r} for r in rows if _compatible(sol, r)]
+                            or [sol])
+        if plan is not None:
+            pairs = sum(len(rows) for _, rows in candidates)
+            names = " ".join(f"?{k}" for k in key)
+            plan.append(f"{indent}{kind} key=({names}) pairs={pairs} "
+                        f"rows={len(sols)}")
 
     for f in filters:
         sols = [sol for sol in sols if _eval_filter(f.expr, sol)]
+        if plan is not None:
+            plan.append(f"{indent}filter rows={len(sols)}")
 
     return sols
 
 
-def evaluate(query: SelectQuery, g: Graph) -> ResultTable:
-    """Evaluate a parsed query over a frozen graph."""
+def evaluate(query: SelectQuery, g: Graph,
+             plan: Optional[list[str]] = None) -> ResultTable:
+    """Evaluate a parsed query over a frozen graph.
+
+    When ``plan`` is a list, the evaluator appends its EXPLAIN lines to it
+    as it runs (see :func:`explain`).
+    """
     if not g.frozen:
         raise QueryError("graph must be frozen before evaluation")
-    sols = _eval_group(query.where, g)
+    sols = _eval_group(query.where, g, plan)
     if query.variables is None:
         header = _group_vars_ordered(query.where)
     else:
@@ -818,6 +888,24 @@ def evaluate(query: SelectQuery, g: Graph) -> ResultTable:
     else:
         rows.sort(key=_row_sort_key)
     return ResultTable(header, rows)
+
+
+def explain(query: SelectQuery, g: Graph) -> list[str]:
+    """The plan the evaluator follows for ``query`` over ``g``, one line per
+    step, recorded while it evaluates the query.
+
+    - ``values ?v terms=N rows=R``: a VALUES table joined in;
+    - ``pattern S P O estimate=E rows=R``: the next triple pattern, with the
+      candidate count that chose it and the rows after joining it;
+    - ``optional`` / ``minus key=(?k ...) pairs=C rows=R``: a hash join on
+      ``key``, where ``pairs`` counts the outer/inner row pairs sharing a
+      key (the pairs checked); the inner group's own steps come just before
+      it, indented one level deeper;
+    - ``filter rows=R``: the rows a FILTER keeps.
+    """
+    plan: list[str] = []
+    evaluate(query, g, plan)
+    return plan
 
 
 def run_query(text: str, g: Graph) -> ResultTable:

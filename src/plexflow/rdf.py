@@ -10,7 +10,8 @@ Design notes:
   is ever resolved over the network.
 - :class:`Graph` keeps a triple set plus subject-, predicate- and
   object-major indexes, so pattern matching scans only the smallest
-  candidate set. Insertion is idempotent (set semantics).
+  candidate set; :meth:`Graph.bucket_size` reports that set's size without
+  a scan, for the query planner. Insertion is idempotent (set semantics).
 - Serialization is canonical: statements sorted by their serialized
   (subject, predicate, object) forms, one per line, ``\\n`` endings. Byte
   identity of output is therefore a pure function of the triple set.
@@ -143,34 +144,31 @@ RDF_TYPE = IRI(RDF_NS + "type")
 # Canonical N-Triples formatting
 
 
+_LITERAL_SPECIAL_RE = re.compile(r'[\x00-\x1f"\\]')
+_IRI_SPECIAL_RE = re.compile(r'[\x00-\x20<>"{}|^`\\]')
+_LITERAL_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r",
+                    "\t": "\\t"}
+
+
+def _uchar(match: re.Match) -> str:
+    return f"\\u{ord(match.group()):04X}"
+
+
+def _literal_char(match: re.Match) -> str:
+    return _LITERAL_ESCAPES.get(match.group()) or _uchar(match)
+
+
 def _escape_literal(text: str) -> str:
-    out = []
-    for ch in text:
-        if ch == "\\":
-            out.append("\\\\")
-        elif ch == '"':
-            out.append('\\"')
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04X}")
-        else:
-            out.append(ch)
-    return "".join(out)
+    # Most lexical forms need no escape; one search settles that.
+    if _LITERAL_SPECIAL_RE.search(text) is None:
+        return text
+    return _LITERAL_SPECIAL_RE.sub(_literal_char, text)
 
 
 def _escape_iri(value: str) -> str:
-    out = []
-    for ch in value:
-        if ch in '<>"{}|^`\\' or ord(ch) <= 0x20:
-            out.append(f"\\u{ord(ch):04X}")
-        else:
-            out.append(ch)
-    return "".join(out)
+    if _IRI_SPECIAL_RE.search(value) is None:
+        return value
+    return _IRI_SPECIAL_RE.sub(_uchar, value)
 
 
 def nt_term(term: Term) -> str:
@@ -215,7 +213,7 @@ class Graph:
         self._frozen = False
         self._blank_labels: set[str] = set()
         self._blank_counter = 0
-        self._closure_cache: dict[IRI, dict] = {}
+        self._closure_cache: dict[IRI, tuple[dict, dict]] = {}
         for t in triples:
             self.add(t)
 
@@ -303,7 +301,8 @@ class Graph:
                if (s is None or t.s == s)
                and (p is None or t.p == p)
                and (o is None or t.o == o)]
-        out.sort(key=_triple_key)
+        if len(out) > 1:
+            out.sort(key=_triple_key)
         return out
 
     def objects(self, s: Term, p: Term) -> list[Term]:
@@ -336,11 +335,35 @@ class Graph:
         """The IRI ``rdf:type`` values of ``s``."""
         return {t.value for t in self.objects(s, RDF_TYPE) if isinstance(t, IRI)}
 
+    def predicates(self) -> list[Term]:
+        """The distinct predicates, in canonical (serialized) order."""
+        return sorted(self._by_p, key=nt_term)
+
+    def bucket_size(self, s: Optional[Term] = None, p: Optional[Term] = None,
+                    o: Optional[Term] = None) -> int:
+        """The size of the smallest index bucket among the bound positions:
+        an upper bound on ``len(self.match(s, p, o))`` that costs no scan.
+        The whole graph when nothing is bound, 0 when a bound term is absent.
+        """
+        size = len(self._triples)
+        for term, index in ((s, self._by_s), (p, self._by_p), (o, self._by_o)):
+            if term is not None:
+                size = min(size, len(index.get(term, ())))
+        return size
+
     def closure_pairs(self, p: IRI) -> "dict[Term, set[Term]]":
-        """Transitive closure (one or more hops) of the ``p`` edge relation.
+        """Transitive closure (one or more hops) of the ``p`` edge relation,
+        as source -> reachable targets.
 
         Cached per predicate; only safe to rely on once the graph is frozen.
         """
+        return self._closure(p)[0]
+
+    def closure_sources(self, p: IRI) -> "dict[Term, set[Term]]":
+        """The inverse of :meth:`closure_pairs`: target -> sources reaching it."""
+        return self._closure(p)[1]
+
+    def _closure(self, p: IRI) -> "tuple[dict[Term, set[Term]], dict[Term, set[Term]]]":
         cached = self._closure_cache.get(p)
         if cached is not None and self._frozen:
             return cached
@@ -348,6 +371,7 @@ class Graph:
         for t in self._by_p.get(p, ()):
             adjacency.setdefault(t.s, set()).add(t.o)
         reach: dict[Term, set[Term]] = {}
+        sources: dict[Term, set[Term]] = {}
         for start in adjacency:
             seen: set[Term] = set()
             stack = list(adjacency[start])
@@ -358,9 +382,11 @@ class Graph:
                 seen.add(node)
                 stack.extend(adjacency.get(node, ()))
             reach[start] = seen
+            for node in seen:
+                sources.setdefault(node, set()).add(start)
         if self._frozen:
-            self._closure_cache[p] = reach
-        return reach
+            self._closure_cache[p] = (reach, sources)
+        return reach, sources
 
 
 # ---------------------------------------------------------------------------

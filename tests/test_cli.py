@@ -99,6 +99,27 @@ def test_query_subcommand_tsv(fixture_file, tmp_path, capsys):
     assert len(lines) == 1 + 78
 
 
+def test_query_explain_goes_to_stderr_only(fixture_file, tmp_path, capsys):
+    rq = tmp_path / "steps.rq"
+    rq.write_text(
+        "PREFIX p-plan: <http://purl.org/net/p-plan#>\n"
+        "SELECT ?s ?t WHERE { ?s p-plan:isStepOfPlan ?w . OPTIONAL { ?s a ?t } }\n",
+        encoding="utf-8")
+    argv = ["query", "--graph", str(fixture_file), "--query", str(rq)]
+    assert main(argv) == EXIT_OK
+    plain = capsys.readouterr()
+    assert main(argv + ["--explain"]) == EXIT_OK
+    explained = capsys.readouterr()
+    assert explained.out == plain.out and plain.err == ""
+    assert explained.err.splitlines() == [
+        "pattern ?s <http://purl.org/net/p-plan#isStepOfPlan> ?w "
+        "estimate=78 rows=78",
+        "  pattern ?s <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> ?t "
+        "estimate=478 rows=478",
+        "optional key=(?s) pairs=178 rows=178",
+    ]
+
+
 def test_query_syntax_error(fixture_file, tmp_path, capsys):
     rq = tmp_path / "bad.rq"
     rq.write_text("SELECT ?s WHERE { ?s ?p }", encoding="utf-8")
@@ -217,6 +238,10 @@ BAD_OPENPREDICT_CSV = {
     "gold-not-utf8": ("0.5", b"D0,S\xff\n", None, EXIT_PARSE, ("gold.csv",)),
     "sim-not-a-number": ("high", b"D0,S0\n", None, EXIT_PARSE,
                          ("D0.csv, line 2", "'high'")),
+    "sim-nan": ("nan", b"D0,S0\n", None, EXIT_PARSE,
+                ("D0.csv, line 2", "finite and lie in [0, 1]")),
+    "sim-out-of-range": ("1.5", b"D0,S0\n", None, EXIT_PARSE,
+                         ("D0.csv, line 2", "finite and lie in [0, 1]")),
     "missing-gold": ("0.5", b"D0,S0\n", "gold.csv", EXIT_USAGE, ("gold.csv",)),
     "missing-drug-sim": ("0.5", b"D0,S0\n", "D3.csv", EXIT_USAGE, ("D3.csv",)),
     "missing-disease-sim": ("0.5", b"D0,S0\n", "S1.csv", EXIT_USAGE, ("S1.csv",)),

@@ -134,6 +134,17 @@ def test_bundle_validation():
         bundle.validate()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.25, 1.25])
+@pytest.mark.parametrize("field", ["drug_sims", "disease_sims"])
+def test_bundle_validation_rejects_non_finite_and_out_of_range(field, bad):
+    bundle, _ = generate_bundle(20, 15, seed=1)
+    bundle.validate()
+    sims = getattr(bundle, field)
+    sims[0, 1, 2] = sims[0, 2, 1] = bad  # symmetric, so only the range check fires
+    with pytest.raises(PipelineError, match="finite and lie in"):
+        bundle.validate()
+
+
 # -- logistic classifier -------------------------------------------------------
 
 def _separable_toy(n=80, seed=0):

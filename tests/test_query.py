@@ -1,10 +1,16 @@
+import re
+
 import pytest
 
+from plexflow.cq import CATALOGUE, query_text
+from plexflow.fixture import V01, generate_fixture
 from plexflow.query import (
     Comparison, Minus, OptionalGroup, QueryError, QueryParseError, ResultTable,
-    TriplePattern, Values, Var, evaluate, parse_query, run_query,
+    TriplePattern, Values, Var, evaluate, explain, parse_query, run_query,
 )
-from plexflow.rdf import Graph, Literal, Triple, iri, lit
+from plexflow.rdf import (
+    Graph, Literal, Triple, iri, lit, parse_ntriples, serialize_ntriples,
+)
 
 BPMN = "http://dkm.fbk.eu/ontologies/bpmn#"
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
@@ -245,3 +251,73 @@ def test_tsv_and_json_output():
     assert tsv.splitlines()[0] == "?s\t?missing"
     assert tsv.splitlines()[1] == "<urn:a>\t"
     assert '"rows"' in table.to_json()
+
+
+# -- EXPLAIN -----------------------------------------------------------------
+
+def test_explain_records_join_order_estimates_and_hash_keys():
+    g = g_of(("urn:a", "urn:type", "urn:T"), ("urn:b", "urn:type", "urn:T"),
+             ("urn:c", "urn:type", "urn:T"), ("urn:a", "urn:name", "urn:x"),
+             ("urn:c", "urn:name", "urn:z"), ("urn:a", "urn:next", "urn:b"),
+             ("urn:b", "urn:next", "urn:c"), ("urn:b", "urn:gone", "urn:y"))
+    query = parse_query(
+        "SELECT * WHERE { ?s <urn:type> <urn:T> . ?s <urn:name> ?n . "
+        "OPTIONAL { ?s <urn:next>+ ?t } MINUS { ?t <urn:gone> ?u } "
+        "FILTER(BOUND(?t)) }")
+    plan = explain(query, g)
+    # urn:c has no successor, so ?t is not a MINUS key: the key is empty.
+    assert plan == [
+        "pattern ?s <urn:name> ?n estimate=2 rows=2",
+        "pattern ?s <urn:type> <urn:T> estimate=5 rows=2",
+        "  pattern ?s <urn:next>+ ?t estimate=3 rows=3",
+        "optional key=(?s) pairs=2 rows=3",
+        "  pattern ?t <urn:gone> ?u estimate=1 rows=1",
+        "minus key=() pairs=3 rows=2",
+        "filter rows=1",
+    ]
+    assert evaluate(query, g).rows == [
+        (iri("urn:a"), iri("urn:x"), iri("urn:c"), None)]
+
+
+def test_estimate_uses_the_buckets_of_the_values_bound():
+    # ?kind is bound to the rare type, so ?s rdf:type ?kind (1 candidate)
+    # runs before ?s <urn:p> ?o (3), though the predicate bucket of
+    # rdf:type (4) is the larger one.
+    g = g_of(("urn:a", RDF_TYPE, "urn:Rare"), ("urn:a", RDF_TYPE, "urn:Common"),
+             ("urn:b", RDF_TYPE, "urn:Common"), ("urn:c", RDF_TYPE, "urn:Common"),
+             ("urn:a", "urn:p", "urn:x"), ("urn:b", "urn:p", "urn:x"),
+             ("urn:c", "urn:p", "urn:x"))
+    query = parse_query("SELECT ?s WHERE { ?s <urn:p> ?o . ?s a ?kind . "
+                        "VALUES ?kind { <urn:Rare> } }")
+    plan = explain(query, g)
+    assert plan[1] == f"pattern ?s <{RDF_TYPE}> ?kind estimate=1 rows=1"
+    assert plan[2] == "pattern ?s <urn:p> ?o estimate=3 rows=1"
+
+
+BASE = "https://w3id.org/fair/openpredict/"
+
+
+def k_copy_graph(k: int) -> Graph:
+    """The fixture relabelled into k copies, copy i under ``BASE/c<i>/``."""
+    nt = serialize_ntriples(generate_fixture())
+    return parse_ntriples("".join(
+        nt if i == 0 else nt.replace(BASE, f"{BASE}c{i}/")
+        for i in range(k))).freeze()
+
+
+def plan_work(cq_id: str, g: Graph) -> int:
+    """Rows after every step plus join pairs, over a question's queries."""
+    total = 0
+    for name in CATALOGUE[cq_id].files:
+        text = query_text(name).replace("$workflow", f"<{V01}>")
+        for line in explain(parse_query(text), g):
+            total += sum(map(int, re.findall(r"\b(?:rows|pairs)=(\d+)", line)))
+    return total
+
+
+def test_plan_work_grows_linearly_with_copies():
+    one, four = k_copy_graph(1), k_copy_graph(4)
+    for cq_id in ("CQ1.2", "CQ2.1", "CQ3.5"):
+        base, scaled = plan_work(cq_id, one), plan_work(cq_id, four)
+        assert base > 0
+        assert scaled <= 4.5 * base, (cq_id, base, scaled)

@@ -322,3 +322,139 @@ def test_distinct_is_set_collapse_of_plain_result():
         plain_rows = row_multiset(evaluate(plain, g).rows)
         strict_rows = row_multiset(evaluate(strict, g).rows)
         assert sorted(set(plain_rows)) == strict_rows
+
+
+# ---------------------------------------------------------------------------
+# Hash-joined OPTIONAL / MINUS, cost-based join order and closure lookups
+
+JOIN_SHAPES = ("two-optionals", "nested-optionals", "optional-then-minus",
+               "values-join", "closure-bound-object")
+
+
+def random_join_query(rng: random.Random, g: Graph, shape: str) -> SelectQuery:
+    """A query of one shape that stresses the join paths.
+
+    Variables ``?a``-``?d`` are shared freely across groups, so an OPTIONAL
+    often binds a variable only some rows carry; ``?e`` is bound by an
+    OPTIONAL alone in the ``optional-then-minus`` shape.
+    """
+    subjects = sorted({t.s for t in g.match()}, key=nt_term)
+    objects = sorted({t.o for t in g.match()}, key=nt_term)
+    preds = sorted({t.p for t in g.match()}, key=nt_term)
+    names = ["a", "b", "c", "d"]
+
+    def var():
+        return Var(rng.choice(names))
+
+    def pattern(s=None, o=None, plus=None):
+        p = rng.choice(preds)
+        if plus is None:
+            plus = rng.random() < 0.2
+        if s is None:
+            s = var() if rng.random() < 0.8 else rng.choice(subjects)
+        if o is None:
+            o = var() if rng.random() < 0.7 else rng.choice(objects)
+        return TriplePattern(s, p, o, plus)
+
+    def bgp(low, high):
+        return [pattern() for _ in range(rng.randrange(low, high + 1))]
+
+    def values(name):
+        pool = subjects + objects
+        return Values(Var(name), [rng.choice(pool)
+                                  for _ in range(rng.randrange(1, 4))])
+
+    elements = bgp(1, 2)
+    if shape == "two-optionals":
+        elements += [OptionalGroup(Group(bgp(1, 2))), OptionalGroup(Group(bgp(1, 2)))]
+    elif shape == "nested-optionals":
+        inner = bgp(1, 2) + [OptionalGroup(Group(bgp(1, 2)))]
+        if rng.random() < 0.3:
+            inner.append(Minus(Group(bgp(1, 1))))
+        elements.append(OptionalGroup(Group(inner)))
+    elif shape == "optional-then-minus":
+        only = Var("e")
+        elements.append(OptionalGroup(Group(
+            [pattern(s=var(), o=only)] + bgp(0, 1))))
+        hit = pattern(s=only) if rng.random() < 0.5 else pattern(o=only)
+        elements.append(Minus(Group([hit] + bgp(0, 1))))
+    elif shape == "values-join":
+        elements.insert(0, values(rng.choice(names)))
+        group = bgp(1, 2)
+        if rng.random() < 0.5:
+            group.append(values(rng.choice(names)))
+        kind = OptionalGroup if rng.random() < 0.6 else Minus
+        elements.append(kind(Group(group)))
+    else:  # closure-bound-object
+        p = rng.choice(preds)
+        reached = sorted({t.o for t in g.match(p=p)}, key=nt_term)
+        target = Var("b") if rng.random() < 0.6 else rng.choice(reached)
+        if isinstance(target, Var) and rng.random() < 0.5:
+            elements.insert(0, Values(target, [rng.choice(reached)
+                                               for _ in range(rng.randrange(1, 4))]))
+        elements.append(TriplePattern(Var("a"), p, target, True))
+        if rng.random() < 0.5:
+            elements.append(OptionalGroup(Group(
+                [pattern(s=var(), o=Var("a"), plus=True)])))
+    if rng.random() < 0.25:
+        elements.append(Filter(BoundTest(Var(rng.choice(names + ["e"])),
+                                         rng.random() < 0.5)))
+
+    in_scope = []
+
+    def collect(els):
+        for el in els:
+            if isinstance(el, TriplePattern):
+                for part in (el.s, el.p, el.o):
+                    if isinstance(part, Var) and part.name not in in_scope:
+                        in_scope.append(part.name)
+            elif isinstance(el, Values) and el.var.name not in in_scope:
+                in_scope.append(el.var.name)
+            elif isinstance(el, (Minus, OptionalGroup)):
+                collect(el.group.elements)
+
+    collect(elements)
+    projected = None
+    if in_scope and rng.random() < 0.7:
+        k = rng.randrange(1, len(in_scope) + 1)
+        projected = [Var(n) for n in rng.sample(in_scope, k)]
+    return SelectQuery({}, projected, rng.random() < 0.3, Group(elements), [])
+
+
+def shuffle_patterns(rng: random.Random, group: Group) -> Group:
+    """The group with the triple patterns of it and every nested group in
+    a random order."""
+    patterns = [e for e in group.elements if isinstance(e, TriplePattern)]
+    rng.shuffle(patterns)
+    others = []
+    for el in group.elements:
+        if isinstance(el, OptionalGroup):
+            others.append(OptionalGroup(shuffle_patterns(rng, el.group)))
+        elif isinstance(el, Minus):
+            others.append(Minus(shuffle_patterns(rng, el.group)))
+        elif not isinstance(el, TriplePattern):
+            others.append(el)
+    return Group(patterns + others)
+
+
+def test_join_paths_match_oracle_and_join_order_on_200_cases():
+    rng = random.Random(20261018)
+    non_empty = dict.fromkeys(JOIN_SHAPES, 0)
+    for case in range(200):
+        shape = JOIN_SHAPES[case % len(JOIN_SHAPES)]
+        g = random_graph(rng)
+        query = random_join_query(rng, g, shape)
+        table = evaluate(query, g)
+        mine = row_multiset(table.rows)
+        assert mine == row_multiset(oracle_evaluate(query, g)), \
+            f"case {case} ({shape}) diverged from the oracle"
+        # Project the same header: SELECT * lists variables in textual order.
+        header = [Var(name) for name in table.variables]
+        shuffled = SelectQuery(query.prefixes, header, query.distinct,
+                               shuffle_patterns(rng, query.where), query.order_by)
+        assert row_multiset(evaluate(shuffled, g).rows) == mine, \
+            f"case {case} ({shape}) depends on pattern order"
+        non_empty[shape] += bool(mine)
+    # The cases must reach the joins with rows on both sides, not just agree
+    # on empty answers.
+    assert all(count >= 15 for count in non_empty.values()), non_empty

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plexflow.rdf import (
     BlankBudgetError, BlankNode, FrozenGraphError, Graph, IRI, Literal,
@@ -258,3 +260,107 @@ def test_roundtrip_with_blanks_is_isomorphic():
         again = parse_ntriples(serialize_ntriples(g))
         assert again == g
         assert isomorphic(again, g)
+
+
+# -- escape fast paths against the character loops they replaced -----------
+
+def loop_escape_literal(text: str) -> str:
+    out = []
+    for ch in text:
+        if ch == "\\":
+            out.append("\\\\")
+        elif ch == '"':
+            out.append('\\"')
+        elif ch == "\n":
+            out.append("\\n")
+        elif ch == "\r":
+            out.append("\\r")
+        elif ch == "\t":
+            out.append("\\t")
+        elif ord(ch) < 0x20:
+            out.append(f"\\u{ord(ch):04X}")
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+def loop_escape_iri(value: str) -> str:
+    out = []
+    for ch in value:
+        if ch in '<>"{}|^`\\' or ord(ch) <= 0x20:
+            out.append(f"\\u{ord(ch):04X}")
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+def loop_nt_term(term) -> str:
+    if isinstance(term, IRI):
+        return f"<{loop_escape_iri(term.value)}>"
+    body = f'"{loop_escape_literal(term.lexical)}"'
+    if term.lang is not None:
+        return f"{body}@{term.lang}"
+    if term.datatype != XSD_STRING:
+        return f"{body}^^<{loop_escape_iri(term.datatype)}>"
+    return body
+
+
+def assert_escapes_match_loops(text: str):
+    for term in (IRI("urn:x:" + text), Literal(text), Literal(text, lang="en"),
+                 Literal(text, "urn:dt:" + text)):
+        assert nt_term(term) == loop_nt_term(term), repr(text)
+
+
+BELOW_0X800 = "".join(map(chr, range(0x800)))
+ECHARS_AND_CONTROLS = ("\t\n\r\b\f\"'\\<>{}|^` \x7f"
+                       + "".join(map(chr, range(0x20))))
+ASTRAL_SAMPLE = "".join(chr(c) for c in
+                        random.Random(0x1F600).sample(range(0x10000, 0x110000), 2048))
+
+
+def test_escapes_equal_character_loops_per_character():
+    for ch in BELOW_0X800 + ECHARS_AND_CONTROLS + ASTRAL_SAMPLE:
+        assert_escapes_match_loops(ch)
+        assert_escapes_match_loops(f"a{ch}b{ch}")
+    assert_escapes_match_loops(BELOW_0X800)
+    assert_escapes_match_loops(ASTRAL_SAMPLE)
+
+
+ESCAPES = settings(derandomize=True, max_examples=400, deadline=None)
+
+
+@ESCAPES
+@given(st.text(alphabet=st.sampled_from(BELOW_0X800 + ASTRAL_SAMPLE)))
+def test_escapes_equal_character_loops_on_mixed_text(text):
+    assert_escapes_match_loops(text)
+
+
+@ESCAPES
+@given(st.text(alphabet=st.sampled_from(ECHARS_AND_CONTROLS + "az\u00e9\U0001F600")))
+def test_escapes_equal_character_loops_on_escape_dense_text(text):
+    assert_escapes_match_loops(text)
+
+
+# -- index statistics used by the query planner ------------------------------
+
+def test_bucket_size_predicates_and_inverse_closure_agree_with_scans():
+    rng = random.Random(515)
+    for _ in range(30):
+        nodes = [iri(f"urn:n{i}") for i in range(rng.randrange(2, 9))]
+        preds = [iri(f"urn:p{i}") for i in range(rng.randrange(1, 4))]
+        g = Graph(Triple(rng.choice(nodes), rng.choice(preds), rng.choice(nodes))
+                  for _ in range(rng.randrange(1, 40))).freeze()
+        assert g.predicates() == sorted({t.p for t in g.match()}, key=nt_term)
+        for _ in range(20):
+            s, p, o = (rng.choice([None, rng.choice(pool)])
+                       for pool in (nodes, preds + [iri("urn:absent")], nodes))
+            size, found = g.bucket_size(s, p, o), len(g.match(s, p, o))
+            assert size >= found
+            if sum(term is not None for term in (s, p, o)) <= 1:
+                assert size == found
+        for p in preds:
+            inverse = {}
+            for src, targets in g.closure_pairs(p).items():
+                for t in targets:
+                    inverse.setdefault(t, set()).add(src)
+            assert g.closure_sources(p) == inverse
