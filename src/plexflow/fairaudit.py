@@ -20,6 +20,7 @@ from typing import Callable, Optional
 from . import vocab
 from .rdf import RDF_TYPE, Graph, IRI, Literal, Term
 from .vocab import DC, DCAT, DUL, EDAM, PROV, RDFS
+from .workflow import workflow_iris
 
 ERROR = "error"
 WARNING = "warning"
@@ -101,14 +102,6 @@ def _typed(g: Graph, class_iri: str) -> list[Term]:
     return [s for s in g.subjects(RDF_TYPE, IRI(class_iri))]
 
 
-def _workflow_heads(g: Graph) -> list[Term]:
-    heads = []
-    for s in _typed(g, DUL.Workflow):
-        if isinstance(s, IRI) and g.match(s, RDF_TYPE, IRI(vocab.PPLAN.Plan)):
-            heads.append(s)
-    return heads
-
-
 def _name(term: Term) -> str:
     return vocab.compress(term.value) if isinstance(term, IRI) else str(term)
 
@@ -124,7 +117,7 @@ def _check_f1(g: Graph) -> tuple[str, ...]:
 
 def _check_f2(g: Graph) -> tuple[str, ...]:
     offenders = []
-    for s in _typed(g, DCAT.Dataset) + _workflow_heads(g):
+    for s in _typed(g, DCAT.Dataset) + [IRI(w) for w in workflow_iris(g)]:
         if not isinstance(s, IRI):
             continue
         has_label = any(isinstance(t.o, Literal) for t in g.match(s, IRI(RDFS.label)))
@@ -194,7 +187,7 @@ def _has_license(g: Graph, s: IRI) -> bool:
 
 def _check_r1_1(g: Graph) -> tuple[str, ...]:
     offenders = []
-    for s in _typed(g, DCAT.Dataset) + _workflow_heads(g):
+    for s in _typed(g, DCAT.Dataset) + [IRI(w) for w in workflow_iris(g)]:
         if isinstance(s, IRI) and not _has_license(g, s):
             offenders.append(_name(s))
     return tuple(sorted(set(offenders)))
@@ -202,9 +195,7 @@ def _check_r1_1(g: Graph) -> tuple[str, ...]:
 
 def _check_r1_2(g: Graph) -> tuple[str, ...]:
     offenders = []
-    for s in _workflow_heads(g):
-        if not isinstance(s, IRI):
-            continue
+    for s in map(IRI, workflow_iris(g)):
         if not g.objects(s, IRI(DC.creator)) or not g.objects(s, IRI(DC.created)):
             offenders.append(_name(s))
     return tuple(sorted(set(offenders)))

@@ -323,16 +323,17 @@ class CrossValRecord:
         }
 
 
+def _tie_blocks(sorted_scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and (exclusive) end of each run of equal scores in a sorted array."""
+    starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    return starts, np.r_[starts[1:], len(sorted_scores)]
+
+
 def _midranks(scores: np.ndarray) -> np.ndarray:
     order = np.argsort(scores, kind="mergesort")
+    starts, ends = _tie_blocks(scores[order])
     ranks = np.empty(len(scores), dtype=np.float64)
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (starts + ends - 1) + 1.0, ends - starts)
     return ranks
 
 
@@ -361,23 +362,12 @@ def average_precision(scores, labels) -> float:
     if npos == 0 or int(np.sum(labels == 0)) == 0:
         raise PipelineError("AUPR needs at least one positive and one negative")
     order = np.argsort(-scores, kind="mergesort")
-    ap = 0.0
-    tp = 0
-    seen = 0
-    i = 0
-    n = len(scores)
-    while i < n:
-        j = i
-        while j + 1 < n and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        block = order[i:j + 1]
-        block_tp = int(np.sum(labels[block] == 1))
-        tp += block_tp
-        seen += len(block)
-        if block_tp:
-            ap += (block_tp / npos) * (tp / seen)
-        i = j + 1
-    return ap
+    starts, ends = _tie_blocks(scores[order])
+    tp = np.cumsum(labels[order] == 1)[ends - 1]
+    block_tp = np.diff(tp, prepend=0)
+    # cumsum adds left to right, block by block, as a running total would;
+    # blocks without a positive add an exact 0.0.
+    return float(np.cumsum((block_tp / npos) * (tp / ends))[-1])
 
 
 def metrics(scores, labels, threshold: float = 0.5) -> MetricsRecord:
@@ -485,16 +475,8 @@ def _run_hide_drugs(bundle, gold, folds, seed, rep, hyper, weights):
             _all_negative_candidates(bundle.n_drugs, bundle.n_diseases,
                                      gold.pairs, drug_pool=train_drugs),
             len(train_gold.pairs), rng_fold)
-        train_pairs = sorted(train_gold.pairs) + negatives
-        train = build_features(bundle, train_gold, train_pairs,
-                               exclude_self=True, weights=weights)
-        test = build_features(bundle, train_gold, test_pairs,
-                              exclude_self=False, weights=weights)
-        test_labels = np.fromiter((1.0 if p in gold.pairs else 0.0
-                                   for p in test_pairs), dtype=np.float64)
-        model = train_logistic(train, hyper)
-        scores = predict_proba(model, test.X)
-        records.append(metrics(scores, test_labels))
+        records.append(_fold_metrics(bundle, gold, train_gold, negatives,
+                                     test_pairs, hyper, weights))
     return records
 
 
@@ -516,18 +498,25 @@ def _run_hide_associations(bundle, gold, folds, seed, rep, hyper, weights):
         test_neg_set = set(test_neg)
         remaining = [p for p in unlabeled if p not in test_neg_set]
         train_neg = _sample_pairs(remaining, len(train_gold.pairs), rng_fold)
-        train_pairs = sorted(train_gold.pairs) + train_neg
         test_pairs = sorted(test_pos) + test_neg
-        train = build_features(bundle, train_gold, train_pairs,
-                               exclude_self=True, weights=weights)
-        test = build_features(bundle, train_gold, test_pairs,
-                              exclude_self=False, weights=weights)
-        test_labels = np.fromiter((1.0 if p in gold.pairs else 0.0
-                                   for p in test_pairs), dtype=np.float64)
-        model = train_logistic(train, hyper)
-        scores = predict_proba(model, test.X)
-        records.append(metrics(scores, test_labels))
+        records.append(_fold_metrics(bundle, gold, train_gold, train_neg,
+                                     test_pairs, hyper, weights))
     return records
+
+
+def _fold_metrics(bundle, gold, train_gold, train_neg, test_pairs, hyper,
+                  weights) -> MetricsRecord:
+    """Train on the fold's gold pairs and sampled negatives, and score the
+    test pairs against the full gold standard."""
+    train_pairs = sorted(train_gold.pairs) + train_neg
+    train = build_features(bundle, train_gold, train_pairs,
+                           exclude_self=True, weights=weights)
+    test = build_features(bundle, train_gold, test_pairs,
+                          exclude_self=False, weights=weights)
+    test_labels = np.fromiter((1.0 if p in gold.pairs else 0.0
+                               for p in test_pairs), dtype=np.float64)
+    model = train_logistic(train, hyper)
+    return metrics(predict_proba(model, test.X), test_labels)
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,14 @@ Anything else a full SPARQL 1.1 processor would accept (UNION, BIND,
 aggregates, subqueries, property-path alternation, updates, ...) is
 rejected by name at parse time.
 
-IRIs, strings, language tags and blank node labels are cut and decoded by
-the term lexer shared with the N-Triples and Turtle readers
-(:mod:`plexflow.lexing`). A malformed escape, an ill-formed literal and a
-REGEX pattern that does not compile are all :class:`QueryParseError` with
-their position, never an error during evaluation.
+The triples grammar is Turtle's: the tokens both syntaxes share are cut by
+:meth:`plexflow.lexing.Lexer._shared_token`, and the parser subclasses
+:class:`plexflow.turtle.TriplesParser` for the token cursor, prefixes,
+IRIs, literals and the ``;`` / ``,`` lists, adding only what is SPARQL's
+own. Tokens are read one at a time, so the first error in document order
+is the one reported. A malformed escape, an ill-formed literal and a REGEX
+pattern that does not compile are all :class:`QueryParseError` with their
+position, never an error during evaluation.
 
 Evaluation is bag-semantics over a frozen graph: VALUES tables and triple
 patterns are joined left-deep, then OPTIONAL left-joins, then MINUS, then
@@ -52,14 +55,9 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .lexing import (
-    BLANK_RE, IRIREF_RE, LANGTAG_RE, PN_LOCAL, PN_PREFIX, PN_PREFIX_RE,
-    STRING_RE, Lexer, Token,
-)
-from .rdf import (
-    XSD_NS, XSD_STRING, RDF_LANG_STRING, RDF_TYPE, Graph, IRI, Literal, RdfError,
-    Term, nt_term,
-)
+from .lexing import PN_PREFIX_RE, Lexer, Token
+from .rdf import XSD_NS, XSD_STRING, RDF_TYPE, Graph, IRI, Literal, Term, nt_term
+from .turtle import TriplesParser
 
 _NUMERIC_DATATYPES = {
     XSD_NS + "integer", XSD_NS + "decimal", XSD_NS + "double",
@@ -170,103 +168,46 @@ class SelectQuery:
 # ---------------------------------------------------------------------------
 # Lexer
 
-_PNAME_RE = re.compile(rf"({PN_PREFIX})?:({PN_LOCAL})?")
 _VAR_RE = re.compile(r"[?]([A-Za-z_][A-Za-z0-9_]*)")
 _NUMBER_RE = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?")
+_PUNCTUATION = {"{": "LBRACE", "}": "RBRACE", "(": "LPAREN", ")": "RPAREN",
+                "*": "STAR", "+": "PLUS", "=": "EQ", "<": "LT", ">": "GT"}
 
 
 class _Lexer(Lexer):
+    """Token kinds: the shared ones (:meth:`Lexer._shared_token`), VAR,
+    NUMBER, WORD, NEQ, BANG, those of ``_PUNCTUATION`` and EOF."""
+
     error_class = QueryParseError
 
-    def tokens(self) -> list[Token]:
-        out = []
-        while True:
-            tok = self._next_token()
-            out.append(tok)
-            if tok.kind == "EOF":
-                return out
-
-    def _next_token(self) -> Token:
-        self._skip_ws()
-        line, col = self.line, self.col
-        if self.pos >= len(self.text):
-            return Token("EOF", None, line, col)
+    def _cut(self) -> Token:
+        tok = self._shared_token()
+        if tok:
+            return tok
         text, pos = self.text, self.pos
         ch = text[pos]
-
-        if ch == "<":
-            m = IRIREF_RE.match(text, pos)
-            if m:
-                value = self._decoded(m.group(1))
-                self._advance(m.end() - pos)
-                return Token("IRIREF", value, line, col)
-            self._advance(1)
-            return Token("LT", "<", line, col)
-        if ch == ">":
-            self._advance(1)
-            return Token("GT", ">", line, col)
-        if ch == '"':
-            m = STRING_RE.match(text, pos)
-            if not m:
-                self._error("unterminated string literal")
-            value = self._decoded(m.group(1))
-            self._advance(m.end() - pos)
-            return Token("STRING", value, line, col)
-        if ch == "@":
-            m = LANGTAG_RE.match(text, pos)
-            if not m:
-                self._error("malformed language tag")
-            self._advance(m.end() - pos)
-            return Token("LANGTAG", m.group(1), line, col)
-        if text.startswith("^^", pos):
-            self._advance(2)
-            return Token("HATHAT", "^^", line, col)
         if ch == "?":
             m = _VAR_RE.match(text, pos)
             if not m:
                 self._error("malformed variable name")
-            self._advance(m.end() - pos)
-            return Token("VAR", m.group(1), line, col)
+            return self._take("VAR", m.end(), m.group(1))
         if ch == "$":
             self._error("unsubstituted query parameter (did you supply all "
                         "required parameters?)")
         if text.startswith("!=", pos):
-            self._advance(2)
-            return Token("NEQ", "!=", line, col)
+            return self._take("NEQ", pos + 2, "!=")
         if ch == "!":
-            self._advance(1)
-            return Token("BANG", "!", line, col)
-        if ch == "=":
-            self._advance(1)
-            return Token("EQ", "=", line, col)
-        if ch in "{}().,;*+":
-            self._advance(1)
-            kinds = {"{": "LBRACE", "}": "RBRACE", "(": "LPAREN", ")": "RPAREN",
-                     ".": "DOT", ",": "COMMA", ";": "SEMI", "*": "STAR", "+": "PLUS"}
-            return Token(kinds[ch], ch, line, col)
-        if ch == "_" and text.startswith("_:", pos):
-            m = BLANK_RE.match(text, pos)
-            if not m:
-                self._error("malformed blank node label")
-            self._advance(m.end() - pos)
-            return Token("BLANK", m.group(1), line, col)
+            return self._take("BANG", pos + 1, ch)
+        # '<' reaches here only when it opens no IRI reference.
+        if ch in _PUNCTUATION:
+            return self._take(_PUNCTUATION[ch], pos + 1, ch)
         m = _NUMBER_RE.match(text, pos)
-        if m and (ch.isdigit() or ch in "+-"):
-            self._advance(m.end() - pos)
-            return Token("NUMBER", m.group(0), line, col)
-        m = _PNAME_RE.match(text, pos)
-        if m and ":" in text[pos:m.end()]:
-            local = m.group(2) or ""
-            while local.endswith("."):
-                local = local[:-1]  # statement dot, not part of the name
-            self._advance(m.end() - pos - (len(m.group(2) or "") - len(local)))
-            return Token("PNAME", (m.group(1) or "", local), line, col)
+        if m:
+            return self._take("NUMBER", m.end(), m.group(0))
+        # A bare word (a prefixed name was cut above): a keyword or 'a'.
         m = PN_PREFIX_RE.match(text, pos)
         if m:
-            word = m.group(0)
-            # A bare word followed by ':' is a PNAME prefix; handled above.
-            self._advance(len(word))
-            return Token("WORD", word, line, col)
+            return self._take("WORD", m.end(), m.group(0))
         self._error(f"unexpected character {ch!r}")
 
 
@@ -274,25 +215,13 @@ class _Lexer(Lexer):
 # Parser
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.toks = _Lexer(text).tokens()
-        self.i = 0
-        self.prefixes: dict[str, str] = {}
+class _Parser(TriplesParser):
+    """SPARQL's own grammar over the shared triples grammar: variables, the
+    ``+`` modifier, blank-node rejection, numbers, FILTER, VALUES, OPTIONAL,
+    MINUS, SELECT and ORDER BY."""
 
-    @property
-    def tok(self) -> Token:
-        return self.toks[self.i]
-
-    def _next(self) -> Token:
-        tok = self.toks[self.i]
-        if tok.kind != "EOF":
-            self.i += 1
-        return tok
-
-    def _error(self, message: str, tok: Optional[Token] = None):
-        tok = tok or self.tok
-        raise QueryParseError(message, tok.line, tok.col)
+    lexer_class = _Lexer
+    error_class = QueryParseError
 
     def _is_word(self, *words: str) -> bool:
         return self.tok.kind == "WORD" and self.tok.value.upper() in words
@@ -306,29 +235,10 @@ class _Parser:
         if self.tok.kind == "WORD" and self.tok.value.upper() in _UNSUPPORTED_KEYWORDS:
             self._error(f"unsupported SPARQL construct: {self.tok.value.upper()}")
 
-    def _iri(self, tok: Token) -> IRI:
-        """The IRI an IRIREF or PNAME token names."""
-        value = tok.value
-        if tok.kind == "PNAME":
-            prefix, local = tok.value
-            if prefix not in self.prefixes:
-                self._error(f"unknown prefix: {prefix!r}", tok)
-            value = self.prefixes[prefix] + local
-        try:
-            return IRI(value)
-        except RdfError as exc:
-            self._error(str(exc), tok)
-
     def parse(self) -> SelectQuery:
         while self._is_word("PREFIX"):
             self._next()
-            name = self._next()
-            if name.kind != "PNAME" or name.value[1]:
-                self._error("expected 'prefix:' in PREFIX declaration", name)
-            iriref = self._next()
-            if iriref.kind != "IRIREF":
-                self._error("expected IRI in PREFIX declaration", iriref)
-            self.prefixes[name.value[0]] = iriref.value
+            self._prefix_declaration()
         self._check_unsupported()
         self._expect_word("SELECT")
         distinct = False
@@ -360,7 +270,7 @@ class _Parser:
             self._error(f"unexpected trailing token {self.tok.value!r}")
 
         query = SelectQuery(self.prefixes, variables, distinct, where, order_by)
-        in_scope = _group_vars(where)
+        in_scope = _group_vars_ordered(where)
         for v in (variables or []):
             if v.name not in in_scope:
                 raise QueryError(
@@ -372,9 +282,7 @@ class _Parser:
         return query
 
     def _parse_group(self) -> Group:
-        if self.tok.kind != "LBRACE":
-            self._error("expected '{'")
-        self._next()
+        self._expect("LBRACE", "expected '{'")
         group = Group()
         while self.tok.kind != "RBRACE":
             if self.tok.kind == "EOF":
@@ -394,17 +302,18 @@ class _Parser:
                 group.elements.append(OptionalGroup(self._parse_group()))
             elif self.tok.kind == "LBRACE":
                 # A bare nested group only appears in UNION syntax here.
-                if any(t.kind == "WORD" and t.value.upper() == "UNION"
-                       for t in self.toks[self.i:]):
+                brace = self.tok
+                self._parse_group()
+                if self._is_word("UNION"):
                     self._error("unsupported SPARQL construct: UNION")
                 self._error("nested groups are only supported after "
-                            "OPTIONAL or MINUS")
+                            "OPTIONAL or MINUS", brace)
             else:
                 self._parse_triple_block(group)
         self._next()
         return group
 
-    def _parse_term_or_var(self, position: str) -> TermOrVar:
+    def _term(self, position: str) -> TermOrVar:
         tok = self.tok
         if tok.kind == "VAR":
             self._next()
@@ -416,92 +325,55 @@ class _Parser:
             self._next()
             return RDF_TYPE
         if tok.kind == "BLANK":
-            self._error("blank nodes are not allowed in query patterns", tok)
+            self._error("blank nodes are not allowed in query patterns")
+        if tok.kind in ("STRING", "NUMBER") and position == "predicate":
+            self._error("literal not allowed as predicate")
         if tok.kind == "STRING":
-            if position == "predicate":
-                self._error("literal not allowed as predicate", tok)
-            return self._parse_literal()
+            return self._literal()
         if tok.kind == "NUMBER":
-            if position == "predicate":
-                self._error("literal not allowed as predicate", tok)
             self._next()
             dt = "decimal" if "." in tok.value else "integer"
             return Literal(tok.value, XSD_NS + dt)
         self._check_unsupported()
         self._error(f"expected {position} term, found {tok.kind}")
 
-    def _parse_literal(self) -> Literal:
-        tok = self._next()
-        datatype, lang = XSD_STRING, None
-        if self.tok.kind == "LANGTAG":
-            datatype, lang = RDF_LANG_STRING, self._next().value
-        elif self.tok.kind == "HATHAT":
-            self._next()
-            if self.tok.kind not in ("IRIREF", "PNAME"):
-                self._error("expected datatype IRI after '^^'")
-            datatype = self._iri(self._next()).value
-        try:
-            return Literal(tok.value, datatype, lang)
-        except RdfError as exc:
-            self._error(str(exc), tok)
+    def _verb(self) -> tuple[TermOrVar, bool]:
+        """The predicate, and whether the closure modifier '+' follows it."""
+        predicate = self._term("predicate")
+        if self.tok.kind != "PLUS":
+            return predicate, False
+        if not isinstance(predicate, IRI):
+            self._error("closure modifier '+' requires an IRI predicate")
+        self._next()
+        return predicate, True
 
     def _parse_triple_block(self, group: Group):
-        subject = self._parse_term_or_var("subject")
-        while True:
-            predicate = self._parse_term_or_var("predicate")
-            plus = False
-            if self.tok.kind == "PLUS":
-                if not isinstance(predicate, IRI):
-                    self._error("closure modifier '+' requires an IRI predicate")
-                plus = True
-                self._next()
-            while True:
-                obj = self._parse_term_or_var("object")
-                group.elements.append(TriplePattern(subject, predicate, obj, plus))
-                if self.tok.kind == "COMMA":
-                    self._next()
-                    continue
-                break
-            if self.tok.kind == "SEMI":
-                while self.tok.kind == "SEMI":
-                    self._next()
-                if self.tok.kind in ("DOT", "RBRACE"):
-                    break
-                continue
-            break
+        def add(s: TermOrVar, verb: tuple[TermOrVar, bool], o: TermOrVar):
+            group.elements.append(TriplePattern(s, verb[0], o, verb[1]))
+
+        self._predicate_object_list(self._term("subject"), add)
         if self.tok.kind == "DOT":
             self._next()
 
     def _parse_filter_expr(self) -> FilterExpr:
-        if self.tok.kind != "LPAREN":
-            self._error("expected '(' after FILTER")
-        self._next()
+        self._expect("LPAREN", "expected '(' after FILTER")
         expr = self._parse_bool_expr()
-        if self.tok.kind != "RPAREN":
-            self._error("expected ')' to close FILTER")
-        self._next()
+        self._expect("RPAREN", "expected ')' to close FILTER")
         return expr
 
     def _parse_bool_expr(self) -> FilterExpr:
-        negated = False
-        if self.tok.kind == "BANG":
-            negated = True
+        negated = self.tok.kind == "BANG"
+        if negated:
             self._next()
         if self._is_word("BOUND"):
             self._next()
-            var = self._parse_call_var()
-            return BoundTest(var, negated)
+            return BoundTest(self._parse_call_var(), negated)
         if self._is_word("REGEX"):
             self._next()
-            if self.tok.kind != "LPAREN":
-                self._error("expected '(' after REGEX")
-            self._next()
-            if self.tok.kind != "VAR":
-                self._error("REGEX expects a variable as first argument")
-            var = Var(self._next().value)
-            if self.tok.kind != "COMMA":
-                self._error("expected ',' in REGEX")
-            self._next()
+            self._expect("LPAREN", "expected '(' after REGEX")
+            var = Var(self._expect(
+                "VAR", "REGEX expects a variable as first argument").value)
+            self._expect("COMMA", "expected ',' in REGEX")
             if self.tok.kind != "STRING":
                 self._error("REGEX expects a string pattern")
             pattern = self.tok.value
@@ -510,55 +382,30 @@ class _Parser:
             except (re.error, OverflowError, RecursionError) as exc:
                 self._error(f"bad REGEX pattern: {exc}")
             self._next()
-            if self.tok.kind != "RPAREN":
-                self._error("expected ')' to close REGEX")
-            self._next()
+            self._expect("RPAREN", "expected ')' to close REGEX")
             return RegexTest(var, pattern, negated)
         if negated:
             self._error("'!' only applies to BOUND or REGEX")
-        lhs = self._parse_operand()
-        op_tok = self.tok
-        if op_tok.kind == "EQ":
-            op = "="
-        elif op_tok.kind == "NEQ":
-            op = "!="
-        elif op_tok.kind == "LT":
-            op = "<"
-        elif op_tok.kind == "GT":
-            op = ">"
-        else:
+        lhs = self._term("object")
+        if self.tok.kind not in ("EQ", "NEQ", "LT", "GT"):
             self._error("expected comparison operator (=, !=, <, >)")
-        self._next()
-        rhs = self._parse_operand()
-        return Comparison(op, lhs, rhs)
+        op = self._next().value
+        return Comparison(op, lhs, self._term("object"))
 
     def _parse_call_var(self) -> Var:
-        if self.tok.kind != "LPAREN":
-            self._error("expected '('")
-        self._next()
-        if self.tok.kind != "VAR":
-            self._error("expected a variable")
-        var = Var(self._next().value)
-        if self.tok.kind != "RPAREN":
-            self._error("expected ')'")
-        self._next()
+        self._expect("LPAREN", "expected '('")
+        var = Var(self._expect("VAR", "expected a variable").value)
+        self._expect("RPAREN", "expected ')'")
         return var
 
-    def _parse_operand(self) -> TermOrVar:
-        return self._parse_term_or_var("object")
-
     def _parse_values(self) -> Values:
-        if self.tok.kind != "VAR":
-            self._error("VALUES expects a single variable")
-        var = Var(self._next().value)
-        if self.tok.kind != "LBRACE":
-            self._error("expected '{' after VALUES variable")
-        self._next()
+        var = Var(self._expect("VAR", "VALUES expects a single variable").value)
+        self._expect("LBRACE", "expected '{' after VALUES variable")
         terms = []
         while self.tok.kind != "RBRACE":
             if self.tok.kind == "EOF":
                 self._error("unterminated VALUES block")
-            terms.append(self._parse_term_or_var("object"))
+            terms.append(self._term("object"))
         self._next()
         for t in terms:
             if isinstance(t, Var):
@@ -566,37 +413,23 @@ class _Parser:
         return Values(var, terms)
 
 
-def _group_vars(group: Group) -> set[str]:
-    names: set[str] = set()
-    for el in group.elements:
-        if isinstance(el, TriplePattern):
-            for part in (el.s, el.p, el.o):
-                if isinstance(part, Var):
-                    names.add(part.name)
-        elif isinstance(el, Values):
-            names.add(el.var.name)
-        elif isinstance(el, (Minus, OptionalGroup)):
-            names |= _group_vars(el.group)
-    return names
-
-
 def _group_vars_ordered(group: Group) -> list[str]:
-    names: list[str] = []
+    """The variables of a group and its nested groups, in first-use order."""
+    names: dict[str, None] = {}
 
     def visit(g: Group):
         for el in g.elements:
             if isinstance(el, TriplePattern):
                 for part in (el.s, el.p, el.o):
-                    if isinstance(part, Var) and part.name not in names:
-                        names.append(part.name)
+                    if isinstance(part, Var):
+                        names.setdefault(part.name)
             elif isinstance(el, Values):
-                if el.var.name not in names:
-                    names.append(el.var.name)
+                names.setdefault(el.var.name)
             elif isinstance(el, (Minus, OptionalGroup)):
                 visit(el.group)
 
     visit(group)
-    return names
+    return list(names)
 
 
 def parse_query(text: str) -> SelectQuery:

@@ -1,4 +1,4 @@
-"""Turtle-subset reader.
+"""Turtle-subset reader, and the triples grammar SPARQL shares with it.
 
 Covers exactly the authoring sugar the workflow listings use: ``@prefix``
 and SPARQL-style ``PREFIX`` directives, CURIEs (including the empty
@@ -8,22 +8,31 @@ else in full Turtle (collections, ``[]`` anonymous nodes, ``@base``,
 numeric and boolean shorthand, multi-line strings) is rejected by name so a
 document never parses to something other than what it says.
 
-Terms are cut and decoded by the lexer shared with the N-Triples and
+A SPARQL 1.1 ``TriplesBlock`` is Turtle's ``predicateObjectList``, so
+Turtle's grammar is the base of SPARQL's. :class:`TriplesParser` holds the
+one copy of what both parsers use: the token cursor with positioned errors,
+the prefix table and its declarations, ``IRIREF | PNAME`` to an IRI,
+``STRING [LANGTAG | ^^ iri]`` to a literal, and the predicate-object list
+with its ``;`` / ``,`` sugar. The SPARQL parser (:mod:`plexflow.query`)
+subclasses it.
+
+Tokens are cut and decoded by the lexer shared with the N-Triples and
 SPARQL readers (:mod:`plexflow.lexing`): IRIs may carry ``\\u``/``\\U``
-escapes, so any canonical N-Triples document is also valid input, and a
-malformed escape is a :class:`TurtleParseError` with its position.
+escapes, so any canonical N-Triples document is also valid input. Both
+parsers pull one token at a time, so an error is reported where the parser
+meets it, and every error is a :class:`TurtleParseError` with its position:
+a malformed escape, and an ill-formed literal such as
+``"x"^^rdf:langString``, at the term.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, NoReturn, Optional
 
-from .lexing import (
-    BLANK_RE, IRIREF_RE, LANGTAG_RE, PN_LOCAL_RE, PN_PREFIX_RE, STRING_RE,
-    Lexer, Token,
-)
+from .lexing import PN_PREFIX_RE, Lexer, Token
 from .rdf import (
-    RDF_LANG_STRING, RDF_TYPE, BlankNode, Graph, IRI, Literal, RdfError, Triple,
+    RDF_LANG_STRING, RDF_TYPE, XSD_STRING, BlankNode, Graph, IRI, Literal,
+    RdfError, Term, Triple,
 )
 
 
@@ -35,153 +44,159 @@ class TurtleParseError(RdfError):
 
 
 class _Lexer(Lexer):
-    """Token kinds: PREFIX_DIRECTIVE IRIREF PNAME BLANK STRING LANGTAG HATHAT
-    A DOT SEMI COMMA EOF."""
+    """Token kinds: the shared ones (:meth:`Lexer._shared_token`),
+    PREFIX_DIRECTIVE, A and EOF."""
 
     error_class = TurtleParseError
 
-    def next_token(self) -> Token:
-        self._skip_ws()
-        line, col = self.line, self.col
-        if self.pos >= len(self.text):
-            return Token("EOF", None, line, col)
+    def _cut(self) -> Token:
         text, pos = self.text, self.pos
         ch = text[pos]
-
-        if ch == "@":
+        # Each of these also starts a shared token, so it goes first.
+        if ch in '@"':
             if text.startswith("@prefix", pos):
-                self._advance(7)
-                return Token("PREFIX_DIRECTIVE", "@prefix", line, col)
+                return self._take("PREFIX_DIRECTIVE", pos + 7, "@prefix")
             if text.startswith("@base", pos):
                 self._error("unsupported construct: @base directive")
-            m = LANGTAG_RE.match(text, pos)
-            if not m:
-                self._error("malformed language tag")
-            self._advance(m.end() - pos)
-            return Token("LANGTAG", m.group(1), line, col)
-
-        if ch == "<":
-            m = IRIREF_RE.match(text, pos)
-            if not m:
-                self._error("malformed IRI reference")
-            value = self._decoded(m.group(1))
-            self._advance(m.end() - pos)
-            return Token("IRIREF", value, line, col)
-
-        if ch == '"':
             if text.startswith('"""', pos):
                 self._error("unsupported construct: multi-line string literal")
-            m = STRING_RE.match(text, pos)
-            if not m:
-                self._error("unterminated string literal")
-            value = self._decoded(m.group(1))
-            self._advance(m.end() - pos)
-            return Token("STRING", value, line, col)
+        tok = self._shared_token()
+        if tok:
+            return tok
 
-        if text.startswith("^^", pos):
-            self._advance(2)
-            return Token("HATHAT", "^^", line, col)
-
-        if text.startswith("_:", pos):
-            m = BLANK_RE.match(text, pos)
-            if not m:
-                self._error("malformed blank node label")
-            self._advance(m.end() - pos)
-            return Token("BLANK", m.group(1), line, col)
-
-        if ch in ".;,":
-            self._advance(1)
-            return Token({"." : "DOT", ";": "SEMI", ",": "COMMA"}[ch], ch, line, col)
-
+        if ch == "<":
+            self._error("malformed IRI reference")
         if ch == "[":
             self._error("unsupported construct: anonymous blank node '[]'")
         if ch == "(":
             self._error("unsupported construct: RDF collection '(...)'")
-        if ch.isdigit() or (ch in "+-" and pos + 1 < len(text) and text[pos + 1].isdigit()):
+        if ch.isdigit() or (ch in "+-" and text[pos + 1:pos + 2].isdigit()):
             self._error("unsupported construct: numeric literal shorthand")
 
-        # Bare word: either a PNAME (with ':'), the 'a' keyword, or a
+        # A bare word (a prefixed name was cut above): the 'a' keyword or a
         # SPARQL-style PREFIX directive.
-        if ch == ":" or PN_PREFIX_RE.match(text, pos):
-            m = PN_PREFIX_RE.match(text, pos)
-            word = m.group(0) if m else ""
-            after = pos + len(word)
-            if after < len(text) and text[after] == ":":
-                m2 = PN_LOCAL_RE.match(text, after + 1)
-                local = m2.group(0) if m2 else ""
-                while local.endswith("."):
-                    local = local[:-1]
-                self._advance(len(word) + 1 + len(local))
-                return Token("PNAME", (word, local), line, col)
-            if word == "a":
-                self._advance(1)
-                return Token("A", "a", line, col)
-            if word.upper() == "PREFIX":
-                self._advance(len(word))
-                return Token("PREFIX_DIRECTIVE", "PREFIX", line, col)
-            if word.upper() == "BASE":
-                self._error("unsupported construct: BASE directive")
-            if word in ("true", "false"):
-                self._error("unsupported construct: boolean literal shorthand")
-            self._error(f"unexpected token {word!r}")
-        self._error(f"unexpected character {ch!r}")
+        m = PN_PREFIX_RE.match(text, pos)
+        if not m:
+            self._error(f"unexpected character {ch!r}")
+        word = m.group(0)
+        if word == "a":
+            return self._take("A", m.end(), word)
+        if word.upper() == "PREFIX":
+            return self._take("PREFIX_DIRECTIVE", m.end(), "PREFIX")
+        if word.upper() == "BASE":
+            self._error("unsupported construct: BASE directive")
+        if word in ("true", "false"):
+            self._error("unsupported construct: boolean literal shorthand")
+        self._error(f"unexpected token {word!r}")
 
 
-class _Parser:
+class TriplesParser:
+    """The triples grammar Turtle and SPARQL share, over a streamed lexer.
+
+    Subclasses set ``lexer_class`` and ``error_class`` (called as
+    ``error_class(message, line, col)``) and implement ``_term(position)``
+    for the subject, predicate and object terms they allow. A subclass may
+    override :meth:`_verb`, whose result is passed on to ``emit`` as the
+    predicate.
+    """
+
+    lexer_class: type[Lexer]
+    error_class: type[Exception]
+
     def __init__(self, text: str):
-        self.lexer = _Lexer(text)
-        self.token = self.lexer.next_token()
+        self.lexer = self.lexer_class(text)
+        self.tok = self.lexer.next_token()
         self.prefixes: dict[str, str] = {}
-        self.graph = Graph()
 
-    def _error(self, message: str, token: Optional[Token] = None):
-        tok = token or self.token
-        raise TurtleParseError(message, tok.line, tok.col)
+    def _error(self, message: str, tok: Optional[Token] = None) -> NoReturn:
+        tok = tok or self.tok
+        raise self.error_class(message, tok.line, tok.col)
 
     def _next(self) -> Token:
-        tok = self.token
-        self.token = self.lexer.next_token()
+        tok = self.tok
+        self.tok = self.lexer.next_token()
         return tok
 
-    def _expect(self, kind: str) -> Token:
-        if self.token.kind != kind:
-            self._error(f"expected {kind}, found {self.token.kind}")
+    def _expect(self, kind: str, message: Optional[str] = None) -> Token:
+        if self.tok.kind != kind:
+            self._error(message or f"expected {kind}, found {self.tok.kind}")
         return self._next()
 
-    def _make_iri(self, value: str, token: Token) -> IRI:
+    def _prefix_declaration(self):
+        """``prefix: <iri>``, after the ``@prefix`` / ``PREFIX`` keyword."""
+        name = self._expect("PNAME")
+        if name.value[1]:
+            self._error("prefix declaration must end with ':'", name)
+        self.prefixes[name.value[0]] = self._expect("IRIREF").value
+
+    def _iri(self, tok: Token) -> IRI:
+        """The IRI an IRIREF or PNAME token names."""
+        value = tok.value
+        if tok.kind == "PNAME":
+            prefix, local = value
+            if prefix not in self.prefixes:
+                self._error(f"unknown prefix: {prefix!r}", tok)
+            value = self.prefixes[prefix] + local
         try:
             return IRI(value)
         except RdfError as exc:
-            self._error(str(exc), token)
+            self._error(str(exc), tok)
 
-    def _resolve_pname(self, token: Token) -> IRI:
-        prefix, local = token.value
-        if prefix not in self.prefixes:
-            self._error(f"unknown prefix: {prefix!r}", token)
-        return self._make_iri(self.prefixes[prefix] + local, token)
+    def _literal(self) -> Literal:
+        """``STRING [LANGTAG | ^^ iri]``, from the current STRING token; an
+        ill-formed literal is an error at its string."""
+        tok = self._next()
+        datatype, lang = XSD_STRING, None
+        if self.tok.kind == "LANGTAG":
+            datatype, lang = RDF_LANG_STRING, self._next().value
+        elif self.tok.kind == "HATHAT":
+            self._next()
+            if self.tok.kind not in ("IRIREF", "PNAME"):
+                self._error("expected datatype IRI after '^^'")
+            datatype = self._iri(self._next()).value
+        try:
+            return Literal(tok.value, datatype, lang)
+        except RdfError as exc:
+            self._error(str(exc), tok)
 
-    def _parse_directive(self):
-        self._next()
-        name_tok = self._expect("PNAME")
-        prefix, local = name_tok.value
-        if local:
-            self._error("prefix declaration must end with ':'", name_tok)
-        iri_tok = self._expect("IRIREF")
-        self.prefixes[prefix] = iri_tok.value
-        if self.token.kind == "DOT":
-            self._next()
+    def _verb(self):
+        return self._term("predicate")
 
-    def _parse_term(self, position: str):
-        tok = self.token
-        if tok.kind == "IRIREF":
+    def _predicate_object_list(self, subject, emit: Callable):
+        """``verb object (, object)* (; verb object (, object)*)*``, calling
+        ``emit(subject, verb, object)`` once per triple. A run of ``;`` may
+        also end the list before a ``.`` or ``}``, which is left unread."""
+        while True:
+            verb = self._verb()
+            while True:
+                emit(subject, verb, self._term("object"))
+                if self.tok.kind != "COMMA":
+                    break
+                self._next()
+            if self.tok.kind != "SEMI":
+                return
+            while self.tok.kind == "SEMI":
+                self._next()
+            if self.tok.kind in ("DOT", "RBRACE"):
+                return
+
+
+class _Parser(TriplesParser):
+    lexer_class = _Lexer
+    error_class = TurtleParseError
+
+    def __init__(self, text: str):
+        super().__init__(text)
+        self.graph = Graph()
+
+    def _term(self, position: str) -> Term:
+        tok = self.tok
+        if tok.kind in ("IRIREF", "PNAME"):
             self._next()
-            return self._make_iri(tok.value, tok)
-        if tok.kind == "PNAME":
-            self._next()
-            return self._resolve_pname(tok)
+            return self._iri(tok)
         if tok.kind == "BLANK":
             if position == "predicate":
-                self._error("blank node not allowed as predicate", tok)
+                self._error("blank node not allowed as predicate")
             self._next()
             return BlankNode(tok.value)
         if tok.kind == "A" and position == "predicate":
@@ -189,53 +204,26 @@ class _Parser:
             return RDF_TYPE
         if tok.kind == "STRING":
             if position != "object":
-                self._error("literal only allowed in object position", tok)
-            self._next()
-            if self.token.kind == "LANGTAG":
-                lang = self._next().value
-                return Literal(tok.value, RDF_LANG_STRING, lang)
-            if self.token.kind == "HATHAT":
-                self._next()
-                dt_tok = self.token
-                if dt_tok.kind == "IRIREF":
-                    self._next()
-                    dt = self._make_iri(dt_tok.value, dt_tok)
-                elif dt_tok.kind == "PNAME":
-                    self._next()
-                    dt = self._resolve_pname(dt_tok)
-                else:
-                    self._error("expected datatype IRI after '^^'")
-                return Literal(tok.value, dt.value)
-            return Literal(tok.value)
+                self._error("literal only allowed in object position")
+            return self._literal()
         self._error(f"expected {position} term, found {tok.kind}")
 
-    def _parse_triples(self):
-        subject = self._parse_term("subject")
-        while True:
-            if self.token.kind == "DOT":
-                # Trailing ';' before the final '.' leaves us here.
-                break
-            predicate = self._parse_term("predicate")
-            while True:
-                obj = self._parse_term("object")
-                self.graph.add(Triple(subject, predicate, obj))
-                if self.token.kind == "COMMA":
-                    self._next()
-                    continue
-                break
-            if self.token.kind == "SEMI":
-                while self.token.kind == "SEMI":
-                    self._next()
-                continue
-            break
-        self._expect("DOT")
+    def _add(self, s: Term, p: Term, o: Term):
+        self.graph.add(Triple(s, p, o))
 
     def parse(self) -> Graph:
-        while self.token.kind != "EOF":
-            if self.token.kind == "PREFIX_DIRECTIVE":
-                self._parse_directive()
-            else:
-                self._parse_triples()
+        while self.tok.kind != "EOF":
+            if self.tok.kind == "PREFIX_DIRECTIVE":
+                self._next()
+                self._prefix_declaration()
+                if self.tok.kind == "DOT":
+                    self._next()
+                continue
+            subject = self._term("subject")
+            # A subject with no predicate-object list states nothing.
+            if self.tok.kind != "DOT":
+                self._predicate_object_list(subject, self._add)
+            self._expect("DOT")
         return self.graph
 
 

@@ -284,6 +284,13 @@ def _load_instruction(g: Graph, instr_iri: str) -> Instruction:
     )
 
 
+def _linking(g: Graph, predicate: str, targets) -> list[str]:
+    """The IRIs with a ``predicate`` link to any of ``targets``, sorted."""
+    return sorted({s.value for target in targets
+                   for s in g.subjects(IRI(predicate), IRI(target))
+                   if isinstance(s, IRI)})
+
+
 def load_workflow(g: Graph, wf_iri: str) -> WorkflowView:
     """Build the typed view for one workflow head.
 
@@ -374,31 +381,29 @@ def load_workflow(g: Graph, wf_iri: str) -> WorkflowView:
         view.variables[var_iri] = VariableDef(
             iri=var_iri, label=g.str_value(IRI(var_iri), RDFS.label))
 
-    for ds in sorted(s.value for s in g.subjects(RDF_TYPE, IRI(DCAT.Dataset))
-                     if isinstance(s, IRI)):
-        dists = frozenset(g.iri_objects(IRI(ds), DCAT.distribution))
-        if not (dists & set(view.distributions)):
+    # Datasets, associations and shapes are reached from what was loaded,
+    # by inverse lookups, so the cost follows the workflow, not the graph.
+    for ds in _linking(g, DCAT.distribution, view.distributions):
+        if DCAT.Dataset not in g.types(IRI(ds)):
             continue
         view.datasets[ds] = DatasetRecord(
             iri=ds,
-            distributions=dists,
+            distributions=frozenset(g.iri_objects(IRI(ds), DCAT.distribution)),
             label=g.str_value(IRI(ds), RDFS.label),
             description=g.str_value(IRI(ds), DC.description),
             license=g.iri_value(IRI(ds), DC.license),
         )
 
     plan_pool = set(view.instructions) | {wf_iri}
-    for assoc in sorted(s.value for s in g.subjects(RDF_TYPE, IRI(PROV.Association))
-                        if isinstance(s, IRI)):
+    for assoc in _linking(g, PROV.hadPlan, plan_pool):
         node = IRI(assoc)
-        plans = frozenset(g.iri_objects(node, PROV.hadPlan))
-        if not (plans & plan_pool):
+        if PROV.Association not in g.types(node):
             continue
         record = AgentAssociation(
             iri=assoc,
             agent=g.iri_value(node, PROV.agent),
             role=g.iri_value(node, PROV.hadRole),
-            plans=plans,
+            plans=frozenset(g.iri_objects(node, PROV.hadPlan)),
             label=g.str_value(node, RDFS.label),
         )
         view.associations[assoc] = record
@@ -417,11 +422,11 @@ def load_workflow(g: Graph, wf_iri: str) -> WorkflowView:
             version=g.str_value(IRI(agent_iri), DC.hasVersion),
         )
 
-    for shape in sorted(s.value for s in g.subjects(RDF_TYPE, IRI(SH.NodeShape))
-                        if isinstance(s, IRI)):
+    for shape in _linking(g, SH.targetClass, view.usages):
         node = IRI(shape)
+        # Only a shape's first sh:targetClass counts.
         target = g.iri_value(node, SH.targetClass)
-        if target not in view.usages:
+        if SH.NodeShape not in g.types(node) or target not in view.usages:
             continue
         constraint = g.iri_value(node, SH.sparql)
         text = g.str_value(IRI(constraint), SH.select) if constraint else ""

@@ -187,6 +187,9 @@ MALFORMED_INPUTS = {
     "ttl-bad-u-escape": ("validate", "bad.ttl", b'<urn:s> <urn:p> "\\uZZZZ" .\n'),
     "ttl-U-escape-out-of-range": ("validate", "bad.ttl",
                                   b'<urn:s> <urn:p> "\\UFFFFFFFF" .\n'),
+    "ttl-langstring-without-tag": (
+        "validate", "bad.ttl",
+        b'<urn:s> <urn:p> "x"^^<http://www.w3.org/1999/02/22-rdf-syntax-ns#langString> .\n'),
     "nt-truncated-statement": ("validate", "bad.nt", b"<urn:s> <urn:p>\n"),
     "nt-not-utf8": ("validate", "bad.nt", b'<urn:s> <urn:p> "\xff" .\n'),
     "rq-bad-u-escape": ("query", "bad.rq", b'SELECT ?s WHERE { ?s ?p "\\uZZZZ" }\n'),

@@ -177,7 +177,7 @@ def test_mutated_ntriples_raise_only_typed_errors(doc):
 def test_mutated_ntriples_as_turtle_raise_only_typed_errors(doc):
     try:
         parse_turtle(doc)
-    except RdfError:
+    except TurtleParseError:
         pass
 
 
@@ -186,7 +186,7 @@ def test_mutated_ntriples_as_turtle_raise_only_typed_errors(doc):
 def test_mutated_turtle_raise_only_typed_errors(doc):
     try:
         parse_turtle(doc)
-    except RdfError:
+    except TurtleParseError:
         pass
 
 

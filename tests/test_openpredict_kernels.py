@@ -1,9 +1,10 @@
 """The OpenPREDICT numeric kernels against their reference forms.
 
 ``build_features`` takes the maximum grouped by gold disease, ``_sigmoid``
-uses one branch-free expression and ``train_logistic`` never evaluates the
-loss; each must agree with the direct form below bit for bit, so every
-feature, weight and metric of a run is unchanged.
+uses one branch-free expression, ``train_logistic`` never evaluates the
+loss, and the midranks and average precision find their tie blocks with
+array operations; each must agree with the direct form below bit for bit,
+so every feature, weight and metric of a run is unchanged.
 """
 
 import hashlib
@@ -15,8 +16,9 @@ from hypothesis import strategies as st
 
 from plexflow.cli import EXIT_OK, main
 from plexflow.openpredict import (
-    N_FEATURES, GoldStandard, Hyper, SimilarityBundle, _ROW_BLOCK, _sigmoid,
-    build_features, generate_bundle, train_logistic,
+    N_FEATURES, GoldStandard, Hyper, SimilarityBundle, _ROW_BLOCK, _midranks,
+    _sigmoid, average_precision, build_features, generate_bundle,
+    train_logistic,
 )
 
 WEIGHTS = [(0.5, 0.5), (0.3, 0.7), (1.0, 0.0), (0.0, 1.0)]
@@ -145,6 +147,71 @@ def test_training_equals_reference_loop_bytes():
         weights, bias = reference_train(fm.X, fm.y, hyper)
         assert model.weights.tobytes() == weights.tobytes()
         assert np.float64(model.bias).tobytes() == np.float64(bias).tobytes()
+
+
+def loop_midranks(scores):
+    """Midranks, one tie block at a time."""
+    order = np.argsort(scores, kind="mergesort")
+    ranks = np.empty(len(scores), dtype=np.float64)
+    i = 0
+    while i < len(scores):
+        j = i
+        while j + 1 < len(scores) and scores[order[j + 1]] == scores[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def loop_average_precision(scores, labels):
+    """Average precision, adding one term per tie block with a positive."""
+    npos = int(np.sum(labels == 1))
+    order = np.argsort(-scores, kind="mergesort")
+    ap = 0.0
+    tp = 0
+    seen = 0
+    i = 0
+    n = len(scores)
+    while i < n:
+        j = i
+        while j + 1 < n and scores[order[j + 1]] == scores[order[i]]:
+            j += 1
+        block = order[i:j + 1]
+        block_tp = int(np.sum(labels[block] == 1))
+        tp += block_tp
+        seen += len(block)
+        if block_tp:
+            ap += (block_tp / npos) * (tp / seen)
+        i = j + 1
+    return ap
+
+
+@st.composite
+def ranked_cases(draw):
+    """Scores drawn from up to 30 levels, so that ties are common and there
+    can be more than the 8 tie blocks where a pairwise sum would depart
+    from a running one, with at least one positive and one negative label."""
+    n = draw(st.integers(2, 120))
+    levels = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30))
+    scores = np.array(draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n)))
+    labels = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n,
+                                    max_size=n)))
+    pos, neg = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                             unique=True))
+    labels[pos], labels[neg] = 1.0, 0.0
+    return scores, labels
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(ranked_cases())
+@example((np.full(6, 0.5), np.array([1.0, 0.0, 1.0, 0.0, 0.0, 1.0])))
+@example((np.array([0.3, 0.3]), np.array([0.0, 1.0])))
+@example((np.array([0.9, 0.1]), np.array([0.0, 1.0])))
+def test_tie_blocks_equal_the_loops_bytes(case):
+    scores, labels = case
+    assert _midranks(scores).tobytes() == loop_midranks(scores).tobytes()
+    assert (np.float64(average_precision(scores, labels)).tobytes()
+            == np.float64(loop_average_precision(scores, labels)).tobytes())
 
 
 def test_paper_scale_features_stay_in_bounded_memory():

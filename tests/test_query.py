@@ -3,14 +3,14 @@ import re
 import pytest
 
 from plexflow.cq import CATALOGUE, query_text
-from plexflow.fixture import V01, generate_fixture
+from plexflow.fixture import V01
 from plexflow.query import (
     Comparison, Minus, OptionalGroup, QueryError, QueryParseError, ResultTable,
     TriplePattern, Values, Var, evaluate, explain, parse_query, run_query,
 )
-from plexflow.rdf import (
-    Graph, Literal, Triple, iri, lit, parse_ntriples, serialize_ntriples,
-)
+from plexflow.rdf import Graph, Literal, Triple, iri, lit
+
+from conftest import k_copy_graph
 
 BPMN = "http://dkm.fbk.eu/ontologies/bpmn#"
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
@@ -292,17 +292,6 @@ def test_estimate_uses_the_buckets_of_the_values_bound():
     plan = explain(query, g)
     assert plan[1] == f"pattern ?s <{RDF_TYPE}> ?kind estimate=1 rows=1"
     assert plan[2] == "pattern ?s <urn:p> ?o estimate=3 rows=1"
-
-
-BASE = "https://w3id.org/fair/openpredict/"
-
-
-def k_copy_graph(k: int) -> Graph:
-    """The fixture relabelled into k copies, copy i under ``BASE/c<i>/``."""
-    nt = serialize_ntriples(generate_fixture())
-    return parse_ntriples("".join(
-        nt if i == 0 else nt.replace(BASE, f"{BASE}c{i}/")
-        for i in range(k))).freeze()
 
 
 def plan_work(cq_id: str, g: Graph) -> int:

@@ -1,0 +1,134 @@
+"""The triples grammar Turtle and SPARQL share: error positions and parse
+results pinned across the shared lexer and parser base."""
+
+import hashlib
+import re
+from pathlib import Path
+
+import pytest
+
+import plexflow
+from plexflow.cq import query_text
+from plexflow.query import QueryParseError, parse_query
+from plexflow.rdf import serialize_ntriples
+from plexflow.turtle import TurtleParseError, parse_turtle
+
+from conftest import DATA_DIR, load_listing
+
+LANG_STRING = "<http://www.w3.org/1999/02/22-rdf-syntax-ns#langString>"
+EX = "@prefix ex: <urn:e#> .\n"
+W = "SELECT ?s WHERE { "
+
+# (id, document, error class, line, col, earlier answer). The last field is
+# None where the answer is the one the two separate parsers gave, and says
+# what they gave where the shared grammar changes it on purpose.
+ERRORS = [
+    ("ttl-base", "@base <urn:b/> .", TurtleParseError, 1, 1, None),
+    ("ttl-anon", EX + "ex:s ex:p [ ex:q ex:o ] .", TurtleParseError, 2, 11, None),
+    ("ttl-unknown-prefix", "nope:s nope:p nope:o .", TurtleParseError, 1, 1, None),
+    ("ttl-missing-object", EX + "ex:s ex:p .", TurtleParseError, 2, 11, None),
+    ("ttl-relative-iri", "<urn:s> <urn:p>\n  <relative> .", TurtleParseError, 2, 3, None),
+    ("ttl-unterminated-string", '<urn:s> <urn:p> "abc', TurtleParseError, 1, 17, None),
+    ("ttl-bad-langtag", '<urn:s> <urn:p> "x"@ .', TurtleParseError, 1, 20, None),
+    ("ttl-bad-escape", '<urn:s> <urn:p>\n "a\\q" .', TurtleParseError, 2, 2, None),
+    ("ttl-malformed-iri", "<urn:s> <urn:p> <urn:a b> .", TurtleParseError, 1, 17, None),
+    ("ttl-blank-predicate", "<urn:s> _:b <urn:o> .", TurtleParseError, 1, 9, None),
+    ("ttl-literal-subject", '"x" <urn:p> <urn:o> .', TurtleParseError, 1, 1, None),
+    ("ttl-missing-dot", "<urn:s> <urn:p> <urn:o>", TurtleParseError, 1, 24, None),
+    ("ttl-prefix-with-local", "@prefix ex:foo <urn:e#> .", TurtleParseError, 1, 9, None),
+    ("ttl-prefix-without-iri", "@prefix ex: ex:foo .", TurtleParseError, 1, 13, None),
+    ("ttl-datatype-missing", '<urn:s> <urn:p> "x"^^"y" .', TurtleParseError, 1, 22, None),
+    ("ttl-unknown-word", "<urn:s> <urn:p> foo .", TurtleParseError, 1, 17, None),
+    ("ttl-bad-blank-label", "_:! <urn:p> <urn:o> .", TurtleParseError, 1, 1, None),
+    ("ttl-langstring-iriref", f'<urn:s> <urn:p>\n  "x"^^{LANG_STRING} .',
+     TurtleParseError, 2, 3, "RdfError without a position"),
+    ("ttl-langstring-pname",
+     "@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .\n"
+     '<urn:s> <urn:p> "x"^^rdf:langString .',
+     TurtleParseError, 2, 17, "RdfError without a position"),
+    ("rq-nested-group", W + "{ ?s ?p ?o } }", QueryParseError, 1, 19, None),
+    ("rq-parameter", W + "$workflow ?p ?s }", QueryParseError, 1, 19, None),
+    ("rq-unknown-prefix", W + "?s ex:p ?o }", QueryParseError, 1, 22, None),
+    ("rq-prefix-without-colon", "PREFIX ex <urn:e#>\n" + W + "?s ?p ?o }",
+     QueryParseError, 1, 8, None),
+    ("rq-prefix-without-iri", "PREFIX ex: ex:x\n" + W + "?s ?p ?o }",
+     QueryParseError, 1, 12, None),
+    ("rq-blank-node", W + "_:b ?p ?s }", QueryParseError, 1, 19, None),
+    ("rq-literal-predicate", W + '?s "p" ?o }', QueryParseError, 1, 22, None),
+    ("rq-plus-on-variable", W + "?s ?p+ ?o }", QueryParseError, 1, 24, None),
+    ("rq-langstring", W + f'?s ?p\n  "x"^^{LANG_STRING} }}', QueryParseError, 2, 3, None),
+    ("rq-relative-datatype", W + '?s ?p "x"^^<relative> }', QueryParseError, 1, 30, None),
+    ("rq-datatype-missing", W + '?s ?p "x"^^?v }', QueryParseError, 1, 30, None),
+    ("rq-unterminated-group", W + "?s ?p ?o ", QueryParseError, 1, 28, None),
+    ("rq-bad-iri-escape", W + "?s ?p <urn:x\\uZZZZ> }", QueryParseError, 1, 25, None),
+    ("rq-union", W + "{ ?s ?p ?o } UNION { ?s ?q ?o } }", QueryParseError, 1, 32,
+     "(1, 19), the '{' of the first group: UNION is now named where it stands"),
+    ("rq-grammar-before-lexical", W + '?s ?p }\n"unterminated', QueryParseError, 1, 25,
+     "(2, 1), the later lexical error: the whole query was cut before parsing"),
+    ("rq-grammar-before-escape", W + "?s ?p }\n<urn:\\uZZZZ>", QueryParseError, 1, 25,
+     "(2, 1), the later lexical error: the whole query was cut before parsing"),
+]
+
+
+@pytest.mark.parametrize("doc, error, line, col",
+                         [case[1:5] for case in ERRORS], ids=[case[0] for case in ERRORS])
+def test_malformed_input_error_and_position(doc, error, line, col):
+    parse = parse_turtle if error is TurtleParseError else parse_query
+    with pytest.raises(error) as err:
+        parse(doc)
+    assert (err.value.line, err.value.col) == (line, col)
+
+
+# SHA-256 prefixes of the parse results, recorded before Turtle and SPARQL
+# shared one triples grammar: each query's AST repr with its parameters bound
+# to <urn:param:NAME>, and each listing as canonical N-Triples.
+QUERY_DIGESTS = {
+    "cq1_1.rq": "4b92951fb1fea317",
+    "cq1_2.rq": "aba489ee004036ce",
+    "cq1_3.rq": "bfdbc86af5f22f64",
+    "cq1_4.rq": "d7552a245c6c005d",
+    "cq2_1.rq": "e8d28ebadf3dad87",
+    "cq2_2_main.rq": "d3fbdc1ce495cdaf",
+    "cq2_2_sub.rq": "29e06ab91a2e4b45",
+    "cq2_3.rq": "dafc8ea82b41efa1",
+    "cq3_1.rq": "5ba337fdc4e9461a",
+    "cq3_2_added_main.rq": "239d2715bdd39d3f",
+    "cq3_2_added_sub.rq": "bdd9dfa6bde08994",
+    "cq3_2_changed.rq": "3063e677c9e62776",
+    "cq3_2_removed_main.rq": "a13fb13633ffc7d6",
+    "cq3_2_removed_sub.rq": "440c2dfdedb18b07",
+    "cq3_3.rq": "4bcd7d30bd252c01",
+    "cq3_4_added_main.rq": "5fe4f30b82da8ddd",
+    "cq3_4_added_sub.rq": "fd640af6481f4cfb",
+    "cq3_4_changed.rq": "9869b1fdbe431dae",
+    "cq3_4_removed_main.rq": "155ce776d12d1a0f",
+    "cq3_4_removed_sub.rq": "58a80793926b0324",
+    "cq3_5.rq": "2510872970148b76",
+}
+LISTING_DIGESTS = {
+    "prospective.ttl": "313204ba23eb1960",
+    "retrospective.ttl": "bb97a161af49779f",
+    "versioning.ttl": "e688ec79978ba578",
+}
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_every_template_and_listing_is_pinned():
+    queries = Path(plexflow.__file__).parent / "queries"
+    assert sorted(p.name for p in queries.glob("*.rq")) == sorted(QUERY_DIGESTS)
+    assert sorted(p.name for p in DATA_DIR.glob("*.ttl")) == sorted(LISTING_DIGESTS)
+
+
+@pytest.mark.parametrize("name, digest", QUERY_DIGESTS.items())
+def test_template_parses_to_pinned_ast(name, digest):
+    text = re.sub(r"\$(\w+)", r"<urn:param:\1>", query_text(name))
+    assert _digest(repr(parse_query(text))) == digest
+
+
+@pytest.mark.parametrize("name, digest", LISTING_DIGESTS.items())
+def test_listing_parses_to_pinned_graph(name, digest):
+    graph = parse_turtle(load_listing(name))
+    assert _digest(serialize_ntriples(graph)) == digest

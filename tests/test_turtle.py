@@ -80,6 +80,17 @@ def test_relative_iri_rejected():
         parse_turtle("<relative> <urn:p> <urn:o> .")
 
 
+@pytest.mark.parametrize("datatype", [
+    "<http://www.w3.org/1999/02/22-rdf-syntax-ns#langString>", "rdf:langString"])
+def test_ill_formed_literal_is_a_parse_error_at_the_literal(datatype):
+    doc = ("@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .\n"
+           f'<urn:s> <urn:p>\n  "x"^^{datatype} .\n')
+    with pytest.raises(TurtleParseError) as err:
+        parse_turtle(doc)
+    assert (err.value.line, err.value.col) == (3, 3)
+    assert "rdf:langString literal requires a language tag" in str(err.value)
+
+
 def test_local_names_with_dots_and_dashes():
     g = parse_turtle(
         "@prefix ex: <urn:e#> .\n"

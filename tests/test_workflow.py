@@ -13,7 +13,7 @@ from plexflow.workflow import (
     emit_triples, instruction_kind, load_workflow, step_order, validate,
 )
 
-from conftest import load_listing
+from conftest import k_copy_graph, load_listing
 
 
 def _mini_workflow_ttl(extra: str = "") -> str:
@@ -66,6 +66,26 @@ def test_fixture_views_load_and_validate(fixture_graph):
         manual = [s for s in main if view.steps[s].kind == MANUAL]
         assert len(manual) == manual_expected
         assert validate(view) == []
+
+
+def test_load_cost_follows_the_workflow_not_the_graph(monkeypatch):
+    one, four = k_copy_graph(1), k_copy_graph(4)
+    calls = []
+    match = Graph.match
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return match(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "match", counted)
+    counts, views = [], []
+    for g in (one, four):
+        calls.clear()
+        views.append(load_workflow(g, V01))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+    assert views[0] == views[1]
+    assert views[0].datasets and views[0].associations and views[0].shapes
 
 
 def test_step_with_two_instructions_flagged():
