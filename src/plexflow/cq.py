@@ -6,12 +6,12 @@ more query templates shipped as inspectable ``.rq`` assets under
 / ``$to`` placeholders, substituted textually before parsing so the IRI is
 a constant everywhere (MINUS blocks included).
 
-Where a question needs several queries (the version-delta questions run
-separate removed / changed / added queries; step counting covers direct
-and sub-plan attachment separately), the catalogue runs them all and
-combines the tables with set union, concatenation, or - for the main-chain
-question - an ordering derived from closure predecessor counts. Anything
-beyond that (counting rows, grouping) is left to the caller.
+Each template answers one part of its question; a step attached directly
+or through one sub-plan is a UNION inside that template. The version-delta
+questions run one removed, one changed and one added query and tag their
+rows; the main-chain question orders its rows by closure predecessor
+counts. Anything beyond that (counting rows, grouping) is left to the
+caller.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ class CqEntry:
     title: str
     params: tuple[str, ...]
     files: tuple[str, ...]
-    combine: str  # single | concat | chain | delta
+    combine: str  # single | chain | delta
 
 
 CATALOGUE: dict[str, CqEntry] = {e.id: e for e in (
@@ -49,21 +49,19 @@ CATALOGUE: dict[str, CqEntry] = {e.id: e for e in (
     CqEntry("CQ2.1", "main step chain of a workflow, in execution order",
             ("workflow",), ("cq2_1.rq",), "chain"),
     CqEntry("CQ2.2", "all steps belonging to one version and their instructions",
-            ("workflow",), ("cq2_2_main.rq", "cq2_2_sub.rq"), "concat"),
+            ("workflow",), ("cq2_2.rq",), "single"),
     CqEntry("CQ2.3", "which higher-level instruction describes which implementation",
             (), ("cq2_3.rq",), "single"),
     CqEntry("CQ3.1", "workflow versions, their provenance and revision links",
             (), ("cq3_1.rq",), "single"),
     CqEntry("CQ3.2", "instructions removed / changed / added between versions",
             ("from", "to"),
-            ("cq3_2_removed_main.rq", "cq3_2_removed_sub.rq", "cq3_2_changed.rq",
-             "cq3_2_added_main.rq", "cq3_2_added_sub.rq"), "delta"),
+            ("cq3_2_removed.rq", "cq3_2_changed.rq", "cq3_2_added.rq"), "delta"),
     CqEntry("CQ3.3", "steps automatized (manual to computational) between versions",
             ("from", "to"), ("cq3_3.rq",), "single"),
     CqEntry("CQ3.4", "datasets removed / changed / added between versions",
             ("from", "to"),
-            ("cq3_4_removed_main.rq", "cq3_4_removed_sub.rq", "cq3_4_changed.rq",
-             "cq3_4_added_main.rq", "cq3_4_added_sub.rq"), "delta"),
+            ("cq3_4_removed.rq", "cq3_4_changed.rq", "cq3_4_added.rq"), "delta"),
     CqEntry("CQ3.5", "executions per workflow version and what they generated",
             (), ("cq3_5.rq",), "single"),
 )}
@@ -97,17 +95,6 @@ def _run_file(filename: str, g: Graph, params: dict[str, str],
     return evaluate(parse_query(text), g)
 
 
-def _concat(tables: list[ResultTable]) -> ResultTable:
-    header = tables[0].variables
-    rows: list[tuple] = []
-    for t in tables:
-        if t.variables != header:
-            raise CqError("cannot concatenate tables with different headers")
-        rows.extend(t.rows)
-    rows.sort(key=lambda row: tuple("" if v is None else nt_term(v) for v in row))
-    return ResultTable(header, rows)
-
-
 def _chain_order(table: ResultTable) -> ResultTable:
     firsts = table.distinct_values("first")
     members = table.distinct_values("member")
@@ -123,13 +110,12 @@ def _chain_order(table: ResultTable) -> ResultTable:
 
 
 def _delta(tables: list[ResultTable]) -> ResultTable:
-    # Tables arrive as (removed-direct, removed-sub, changed, added-direct,
-    # added-sub); the removed/added ones project a single variable.
-    removed = tables[0].distinct_values(tables[0].variables[0])
-    removed |= tables[1].distinct_values(tables[1].variables[0])
-    changed = {(row[0], row[1]) for row in tables[2].rows}
-    added = tables[3].distinct_values(tables[3].variables[0])
-    added |= tables[4].distinct_values(tables[4].variables[0])
+    # Tables arrive as (removed, changed, added); the removed and added ones
+    # project a single variable.
+    removed_table, changed_table, added_table = tables
+    removed = removed_table.distinct_values(removed_table.variables[0])
+    changed = {(row[0], row[1]) for row in changed_table.rows}
+    added = added_table.distinct_values(added_table.variables[0])
     rows: list[tuple] = []
     for term in sorted(removed, key=nt_term):
         rows.append((lit("removed"), term, None))
@@ -152,8 +138,6 @@ def run_cq(cq_id: str, g: Graph, params: dict[str, str] | None = None) -> Result
     tables = [_run_file(f, g, params, cq_id) for f in entry.files]
     if entry.combine == "single":
         return tables[0]
-    if entry.combine == "concat":
-        return _concat(tables)
     if entry.combine == "chain":
         return _chain_order(tables[0])
     return _delta(tables)

@@ -8,11 +8,13 @@ The grammar is frozen to what the competency-question catalogue needs:
 - ``FILTER`` with ``= != < >`` comparisons, ``BOUND`` / ``!BOUND`` and
   ``REGEX(?var, "pattern")``;
 - ``VALUES ?var { term ... }`` inline bindings;
-- ``MINUS { ... }`` and ``OPTIONAL { ... }`` nested groups.
+- ``MINUS { ... }`` and ``OPTIONAL { ... }`` nested groups;
+- ``{ ... } UNION { ... } [UNION { ... } ...]``; a bare nested group is
+  accepted only as a UNION branch.
 
-Anything else a full SPARQL 1.1 processor would accept (UNION, BIND,
-aggregates, subqueries, property-path alternation, updates, ...) is
-rejected by name at parse time.
+Anything else a full SPARQL 1.1 processor would accept (BIND, aggregates,
+subqueries, property-path alternation, updates, ...) is rejected by name
+at parse time.
 
 The triples grammar is Turtle's: the tokens both syntaxes share are cut by
 :meth:`plexflow.lexing.Lexer._shared_token`, and the parser subclasses
@@ -23,10 +25,13 @@ is the one reported. A malformed escape, an ill-formed literal and a REGEX
 pattern that does not compile are all :class:`QueryParseError` with their
 position, never an error during evaluation.
 
-Evaluation is bag-semantics over a frozen graph: VALUES tables and triple
-patterns are joined left-deep, then OPTIONAL left-joins, then MINUS, then
-FILTERs. ``p+`` matches the transitive closure of ``p``. Type-mismatched
-FILTER comparisons evaluate to false rather than erroring. Result rows come
+Evaluation is bag-semantics over a frozen graph: VALUES tables, then
+UNIONs, then triple patterns are joined left-deep, then OPTIONAL left-joins,
+then MINUS, then FILTERs. A UNION evaluates each branch as its own group
+and concatenates the rows; joining them before any triple pattern lets
+branches anchored on a constant bound the rows the patterns start from.
+``p+`` matches the transitive closure of ``p``. Type-mismatched FILTER
+comparisons evaluate to false rather than erroring. Result rows come
 back in ORDER BY order when given, otherwise sorted by their serialized
 form, so output is deterministic.
 
@@ -44,6 +49,8 @@ form, so output is deterministic.
   with every compatible inner row, or keeps it alone when there is none.
   MINUS removes an outer row when some inner row shares at least one
   variable with it and agrees on all shared ones.
+  A UNION's rows are joined the same way: each outer row extends with every
+  compatible union row, and is dropped when there is none.
 - :func:`explain` returns the steps the evaluator took, recorded during
   the run: join order, estimates, join keys and row counts.
 """
@@ -53,7 +60,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 from .lexing import PN_PREFIX_RE, Lexer, Token
 from .rdf import XSD_NS, XSD_STRING, RDF_TYPE, Graph, IRI, Literal, Term, nt_term
@@ -67,7 +74,7 @@ _NUMERIC_DATATYPES = {
 }
 
 _UNSUPPORTED_KEYWORDS = {
-    "UNION", "BIND", "GRAPH", "SERVICE", "ASK", "CONSTRUCT", "DESCRIBE",
+    "BIND", "GRAPH", "SERVICE", "ASK", "CONSTRUCT", "DESCRIBE",
     "INSERT", "DELETE", "LOAD", "FROM", "NAMED", "REDUCED", "GROUP",
     "HAVING", "LIMIT", "OFFSET", "EXISTS", "NOT", "AS", "WITH",
 }
@@ -96,7 +103,7 @@ class Var:
         return f"?{self.name}"
 
 
-TermOrVar = Union[Term, Var]
+TermOrVar = Term | Var
 
 
 @dataclass
@@ -127,7 +134,7 @@ class RegexTest:
     negated: bool = False
 
 
-FilterExpr = Union[Comparison, BoundTest, RegexTest]
+FilterExpr = Comparison | BoundTest | RegexTest
 
 
 @dataclass
@@ -154,6 +161,11 @@ class Minus:
 @dataclass
 class OptionalGroup:
     group: Group
+
+
+@dataclass
+class Union:
+    branches: list[Group]
 
 
 @dataclass
@@ -218,7 +230,7 @@ class _Lexer(Lexer):
 class _Parser(TriplesParser):
     """SPARQL's own grammar over the shared triples grammar: variables, the
     ``+`` modifier, blank-node rejection, numbers, FILTER, VALUES, OPTIONAL,
-    MINUS, SELECT and ORDER BY."""
+    MINUS, UNION, SELECT and ORDER BY."""
 
     lexer_class = _Lexer
     error_class = QueryParseError
@@ -301,13 +313,17 @@ class _Parser(TriplesParser):
                 self._next()
                 group.elements.append(OptionalGroup(self._parse_group()))
             elif self.tok.kind == "LBRACE":
-                # A bare nested group only appears in UNION syntax here.
                 brace = self.tok
-                self._parse_group()
-                if self._is_word("UNION"):
-                    self._error("unsupported SPARQL construct: UNION")
-                self._error("nested groups are only supported after "
-                            "OPTIONAL or MINUS", brace)
+                branches = [self._parse_group()]
+                while self._is_word("UNION"):
+                    self._next()
+                    branches.append(self._parse_group())
+                if len(branches) == 1:
+                    self._error("nested groups are only supported after "
+                                "OPTIONAL or MINUS", brace)
+                group.elements.append(Union(branches))
+            elif self._is_word("UNION"):
+                self._error("UNION must follow a bare '{ ... }' group")
             else:
                 self._parse_triple_block(group)
         self._next()
@@ -326,8 +342,8 @@ class _Parser(TriplesParser):
             return RDF_TYPE
         if tok.kind == "BLANK":
             self._error("blank nodes are not allowed in query patterns")
-        if tok.kind in ("STRING", "NUMBER") and position == "predicate":
-            self._error("literal not allowed as predicate")
+        if tok.kind in ("STRING", "NUMBER") and position != "object":
+            self._error(f"literal not allowed as {position}")
         if tok.kind == "STRING":
             return self._literal()
         if tok.kind == "NUMBER":
@@ -427,6 +443,9 @@ def _group_vars_ordered(group: Group) -> list[str]:
                 names.setdefault(el.var.name)
             elif isinstance(el, (Minus, OptionalGroup)):
                 visit(el.group)
+            elif isinstance(el, Union):
+                for branch in el.branches:
+                    visit(branch)
 
     visit(group)
     return list(names)
@@ -626,10 +645,18 @@ def _show(part: TermOrVar) -> str:
     return f"?{part.name}" if isinstance(part, Var) else nt_term(part)
 
 
+def _join_stats(key: list[str], candidates: list[tuple],
+                sols: list[Solution]) -> str:
+    pairs = sum(len(rows) for _, rows in candidates)
+    names = " ".join(f"?{k}" for k in key)
+    return f"key=({names}) pairs={pairs} rows={len(sols)}"
+
+
 def _eval_group(group: Group, g: Graph, plan: Optional[list[str]] = None,
                 depth: int = 0) -> list[Solution]:
     patterns = [el for el in group.elements if isinstance(el, TriplePattern)]
     values = [el for el in group.elements if isinstance(el, Values)]
+    unions = [el for el in group.elements if isinstance(el, Union)]
     optionals = [el for el in group.elements if isinstance(el, OptionalGroup)]
     minuses = [el for el in group.elements if isinstance(el, Minus)]
     filters = [el for el in group.elements if isinstance(el, Filter)]
@@ -651,6 +678,20 @@ def _eval_group(group: Group, g: Graph, plan: Optional[list[str]] = None,
         if plan is not None:
             plan.append(f"{indent}values ?{v.var.name} terms={len(v.terms)} "
                         f"rows={len(sols)}")
+
+    for union in unions:
+        if not sols:
+            break
+        right = [row for branch in union.branches
+                 for row in _eval_group(branch, g, plan, depth + 1)]
+        key, candidates = _hash_join(sols, right)
+        sols = [{**sol, **r} for sol, rows in candidates
+                for r in rows if _compatible(sol, r)]
+        if right:
+            bound.update(set(right[0]).intersection(*right))
+        if plan is not None:
+            plan.append(f"{indent}union branches={len(union.branches)} "
+                        f"{_join_stats(key, candidates, sols)}")
 
     remaining = list(patterns)
     while remaining and sols:
@@ -683,10 +724,7 @@ def _eval_group(group: Group, g: Graph, plan: Optional[list[str]] = None,
                 sols.extend([{**sol, **r} for r in rows if _compatible(sol, r)]
                             or [sol])
         if plan is not None:
-            pairs = sum(len(rows) for _, rows in candidates)
-            names = " ".join(f"?{k}" for k in key)
-            plan.append(f"{indent}{kind} key=({names}) pairs={pairs} "
-                        f"rows={len(sols)}")
+            plan.append(f"{indent}{kind} {_join_stats(key, candidates, sols)}")
 
     for f in filters:
         sols = [sol for sol in sols if _eval_filter(f.expr, sol)]
@@ -730,6 +768,9 @@ def explain(query: SelectQuery, g: Graph) -> list[str]:
     - ``values ?v terms=N rows=R``: a VALUES table joined in;
     - ``pattern S P O estimate=E rows=R``: the next triple pattern, with the
       candidate count that chose it and the rows after joining it;
+    - ``union branches=N key=(?k ...) pairs=C rows=R``: the branches' rows,
+      concatenated and hash-joined in before the triple patterns; each
+      branch's own steps come just before it, indented one level deeper;
     - ``optional`` / ``minus key=(?k ...) pairs=C rows=R``: a hash join on
       ``key``, where ``pairs`` counts the outer/inner row pairs sharing a
       key (the pairs checked); the inner group's own steps come just before

@@ -219,10 +219,7 @@ class _Parser(TriplesParser):
                 if self.tok.kind == "DOT":
                     self._next()
                 continue
-            subject = self._term("subject")
-            # A subject with no predicate-object list states nothing.
-            if self.tok.kind != "DOT":
-                self._predicate_object_list(subject, self._add)
+            self._predicate_object_list(self._term("subject"), self._add)
             self._expect("DOT")
         return self.graph
 

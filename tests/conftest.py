@@ -27,3 +27,8 @@ def k_copy_graph(k: int) -> Graph:
     return parse_ntriples("".join(
         nt if i == 0 else nt.replace(BASE, f"{BASE}c{i}/")
         for i in range(k))).freeze()
+
+
+@pytest.fixture(scope="session")
+def sixteen_copy_graph():
+    return k_copy_graph(16)

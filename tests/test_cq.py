@@ -1,11 +1,16 @@
+import hashlib
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import plexflow
 from plexflow.cq import CATALOGUE, CqError, delta_counts, query_text, run_cq
 from plexflow.fixture import REFERENCE_ACCURACY, V01, V02
 from plexflow.query import parse_query
 from plexflow.vocab import BPMN, OPREDICT as OP
+
+from conftest import k_copy_graph
 
 
 def _kind_counts(table):
@@ -175,3 +180,55 @@ def test_cq_delta_agrees_with_diff_module(fixture_graph):
     assert removed == report.removed_instructions
     assert added == report.added_instructions
     assert changed == report.changed_instructions
+
+
+def test_every_template_file_belongs_to_the_catalogue():
+    queries = Path(plexflow.__file__).parent / "queries"
+    listed = {name for entry in CATALOGUE.values() for name in entry.files}
+    assert listed == {p.name for p in queries.glob("*.rq")}
+
+
+# SHA-256 prefixes of (to_json(), to_tsv()) for every question on the fixture
+# and on its 16-copy relabelling, with $workflow = V01 and $from/$to = V01/V02.
+# Recorded before UNION entered the query engine, when CQ2.2, CQ3.2 and CQ3.4
+# still ran a separate template for each sub-plan half and CQ2.2 concatenated
+# its two tables.
+PINNED_ANSWERS = {
+    (1, "CQ1.1"): ("91c39698425c60d5", "d61b7f234ea8666e"),
+    (1, "CQ1.2"): ("c87387fc274fd232", "3c4d0e1819866238"),
+    (1, "CQ1.3"): ("88c814c522ceb484", "92a4edd021e2a3d4"),
+    (1, "CQ1.4"): ("a82237a6544b6f43", "db23e41bd64f28d7"),
+    (1, "CQ2.1"): ("952eee1ba644b37d", "7f9ca353c6912eb1"),
+    (1, "CQ2.2"): ("00c1da5d757dcbb8", "7f905880bfc9ff2c"),
+    (1, "CQ2.3"): ("ea124b13166c4558", "4e0dadaa179d012a"),
+    (1, "CQ3.1"): ("0cabd73fb4a81bf9", "68f6aa08d0116e23"),
+    (1, "CQ3.2"): ("da01bcc3058b81cb", "b3e6a72a4fd26f09"),
+    (1, "CQ3.3"): ("fba93c7980f208d0", "aa1a1a6d3809e494"),
+    (1, "CQ3.4"): ("c29d541d53e8cd87", "089e63b9a7eade39"),
+    (1, "CQ3.5"): ("baf0a5d874bbc962", "4bb09c7808cfb31c"),
+    (16, "CQ1.1"): ("91c39698425c60d5", "d61b7f234ea8666e"),
+    (16, "CQ1.2"): ("c87387fc274fd232", "3c4d0e1819866238"),
+    (16, "CQ1.3"): ("88c814c522ceb484", "92a4edd021e2a3d4"),
+    (16, "CQ1.4"): ("a82237a6544b6f43", "db23e41bd64f28d7"),
+    (16, "CQ2.1"): ("952eee1ba644b37d", "7f9ca353c6912eb1"),
+    (16, "CQ2.2"): ("00c1da5d757dcbb8", "7f905880bfc9ff2c"),
+    (16, "CQ2.3"): ("6c62e9d3c28e6b21", "ea6e3c110ef29310"),
+    (16, "CQ3.1"): ("c122721a57bf7512", "27861e388e2172ce"),
+    (16, "CQ3.2"): ("da01bcc3058b81cb", "b3e6a72a4fd26f09"),
+    (16, "CQ3.3"): ("fba93c7980f208d0", "aa1a1a6d3809e494"),
+    (16, "CQ3.4"): ("c29d541d53e8cd87", "089e63b9a7eade39"),
+    (16, "CQ3.5"): ("2a3fe2e74084909b", "ccc5105ee3539409"),
+}
+
+
+def test_cq_answers_are_pinned(sixteen_copy_graph):
+    params = {"workflow": V01, "from": V01, "to": V02}
+    graphs = {1: k_copy_graph(1), 16: sixteen_copy_graph}
+    answers = {}
+    for (copies, cq_id) in PINNED_ANSWERS:
+        table = run_cq(cq_id, graphs[copies],
+                       {n: params[n] for n in CATALOGUE[cq_id].params})
+        answers[copies, cq_id] = tuple(
+            hashlib.sha256(text.encode()).hexdigest()[:16]
+            for text in (table.to_json(), table.to_tsv()))
+    assert answers == PINNED_ANSWERS

@@ -10,7 +10,8 @@ import random
 
 from plexflow.query import (
     BoundTest, Comparison, Filter, Group, Minus, OptionalGroup, RegexTest,
-    SelectQuery, TriplePattern, Values, Var, evaluate, parse_query, run_query,
+    SelectQuery, TriplePattern, Union, Values, Var, evaluate, parse_query,
+    run_query,
 )
 from plexflow.rdf import Graph, IRI, Literal, Triple, iri, lit, nt_term
 
@@ -112,9 +113,13 @@ def oracle_group(group: Group, g: Graph) -> list[dict]:
             sols = [ext for sol in sols for term in el.terms
                     for ext in ([dict(sol, **{el.var.name: term})]
                                 if sol.get(el.var.name) in (None, term) else [])]
-    for el in group.elements:  # patterns in textual order, nested loops
+    for el in group.elements:  # patterns and unions in textual order
         if isinstance(el, TriplePattern):
             sols = [ext for sol in sols for ext in _oracle_match(g, el, sol)]
+        elif isinstance(el, Union):
+            right = [r for branch in el.branches for r in oracle_group(branch, g)]
+            sols = [dict(sol, **r) for sol in sols for r in right
+                    if all(sol.get(k, v) == v for k, v in r.items())]
     for el in group.elements:
         if isinstance(el, OptionalGroup):
             right = oracle_group(el.group, g)
@@ -164,6 +169,9 @@ def oracle_evaluate(query: SelectQuery, g: Graph) -> list[tuple]:
                         names.append(el.var.name)
                 elif isinstance(el, (Minus, OptionalGroup)):
                     collect(el.group)
+                elif isinstance(el, Union):
+                    for branch in el.branches:
+                        collect(branch)
 
         collect(query.where)
     else:
@@ -329,6 +337,7 @@ def test_distinct_is_set_collapse_of_plain_result():
 
 JOIN_SHAPES = ("two-optionals", "nested-optionals", "optional-then-minus",
                "values-join", "closure-bound-object")
+UNION_SHAPES = ("union", "union-in-minus")
 
 
 def random_join_query(rng: random.Random, g: Graph, shape: str) -> SelectQuery:
@@ -336,7 +345,8 @@ def random_join_query(rng: random.Random, g: Graph, shape: str) -> SelectQuery:
 
     Variables ``?a``-``?d`` are shared freely across groups, so an OPTIONAL
     often binds a variable only some rows carry; ``?e`` is bound by an
-    OPTIONAL alone in the ``optional-then-minus`` shape.
+    OPTIONAL alone in the ``optional-then-minus`` shape, and by one UNION
+    branch alone in the UNION shapes.
     """
     subjects = sorted({t.s for t in g.match()}, key=nt_term)
     objects = sorted({t.o for t in g.match()}, key=nt_term)
@@ -385,6 +395,17 @@ def random_join_query(rng: random.Random, g: Graph, shape: str) -> SelectQuery:
             group.append(values(rng.choice(names)))
         kind = OptionalGroup if rng.random() < 0.6 else Minus
         elements.append(kind(Group(group)))
+    elif shape in UNION_SHAPES:
+        # Two or three branches over different variables: ?e only in the
+        # first, so a union row need not bind every branch's variables.
+        branches = [Group([pattern(s=var(), o=Var("e"))] + bgp(0, 1))]
+        branches += [Group(bgp(1, 2)) for _ in range(rng.randrange(1, 3))]
+        if shape == "union":
+            if rng.random() < 0.5:
+                elements.insert(0, values(rng.choice(names)))
+            elements.append(Union(branches))
+        else:
+            elements.append(Minus(Group([Union(branches)] + bgp(1, 1))))
     else:  # closure-bound-object
         p = rng.choice(preds)
         reached = sorted({t.o for t in g.match(p=p)}, key=nt_term)
@@ -412,6 +433,9 @@ def random_join_query(rng: random.Random, g: Graph, shape: str) -> SelectQuery:
                 in_scope.append(el.var.name)
             elif isinstance(el, (Minus, OptionalGroup)):
                 collect(el.group.elements)
+            elif isinstance(el, Union):
+                for branch in el.branches:
+                    collect(branch.elements)
 
     collect(elements)
     projected = None
@@ -432,16 +456,19 @@ def shuffle_patterns(rng: random.Random, group: Group) -> Group:
             others.append(OptionalGroup(shuffle_patterns(rng, el.group)))
         elif isinstance(el, Minus):
             others.append(Minus(shuffle_patterns(rng, el.group)))
+        elif isinstance(el, Union):
+            others.append(Union([shuffle_patterns(rng, branch)
+                                 for branch in el.branches]))
         elif not isinstance(el, TriplePattern):
             others.append(el)
     return Group(patterns + others)
 
 
-def test_join_paths_match_oracle_and_join_order_on_200_cases():
-    rng = random.Random(20261018)
-    non_empty = dict.fromkeys(JOIN_SHAPES, 0)
-    for case in range(200):
-        shape = JOIN_SHAPES[case % len(JOIN_SHAPES)]
+def check_join_shapes(seed: int, shapes: tuple, cases: int):
+    rng = random.Random(seed)
+    non_empty = dict.fromkeys(shapes, 0)
+    for case in range(cases):
+        shape = shapes[case % len(shapes)]
         g = random_graph(rng)
         query = random_join_query(rng, g, shape)
         table = evaluate(query, g)
@@ -458,3 +485,11 @@ def test_join_paths_match_oracle_and_join_order_on_200_cases():
     # The cases must reach the joins with rows on both sides, not just agree
     # on empty answers.
     assert all(count >= 15 for count in non_empty.values()), non_empty
+
+
+def test_join_paths_match_oracle_and_join_order_on_200_cases():
+    check_join_shapes(20261018, JOIN_SHAPES, 200)
+
+
+def test_union_shapes_match_oracle_and_join_order_on_80_cases():
+    check_join_shapes(20261019, UNION_SHAPES, 80)
