@@ -19,7 +19,7 @@ from . import versiondiff as diff_mod
 from . import openpredict as op_mod
 from .fixture import MODEL_TRAINING_STEP_V01, generate_fixture
 from .query import QueryError, parse_query, evaluate
-from .rdf import Graph, RdfError, parse_ntriples, serialize_ntriples
+from .rdf import IRI, Graph, RdfError, parse_ntriples, serialize_ntriples
 from .turtle import parse_turtle
 from .vocab import OPREDICT, prefixes_turtle
 from .workflow import (
@@ -72,16 +72,31 @@ def _load_graphs(paths: list[str]) -> Graph:
 
 
 def _write_output(text: str, out: str | None):
-    if out:
+    if out is None:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise _CliError(str(exc), EXIT_USAGE) from exc
+
+
+def _iri_argument(flag: str, value: str) -> str:
+    """A workflow IRI given on the command line; anything else is a usage
+    error naming the flag."""
+    try:
+        IRI(value)
+    except RdfError as exc:
+        raise _CliError(f"parameter --{flag} must be an absolute IRI: {value!r}",
+                        EXIT_USAGE) from exc
+    return value
 
 
 def _cmd_validate(args) -> int:
     g = _load_graphs(args.graphs)
-    targets = [args.workflow] if args.workflow else workflow_iris(g)
+    targets = ([_iri_argument("workflow", args.workflow)] if args.workflow
+               else workflow_iris(g))
     if not targets:
         raise _CliError("no workflow found in the input graphs", EXIT_FAILURES)
     failures = 0
@@ -146,7 +161,8 @@ def _cmd_cq(args) -> int:
 def _cmd_diff(args) -> int:
     g = _load_graphs(args.graphs)
     try:
-        report = diff_mod.diff(g, getattr(args, "from"), args.to)
+        report = diff_mod.diff(g, _iri_argument("from", getattr(args, "from")),
+                               _iri_argument("to", args.to))
     except WorkflowError as exc:
         raise _CliError(str(exc), EXIT_USAGE) from exc
     _write_output(report.to_json(), args.out)
@@ -166,11 +182,9 @@ def _cmd_audit(args) -> int:
 
 def _cmd_fixture(args) -> int:
     g = generate_fixture()
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(serialize_ntriples(g))
+    _write_output(serialize_ntriples(g), args.out)
     if args.prefixes:
-        with open(args.prefixes, "w", encoding="utf-8") as handle:
-            handle.write(prefixes_turtle())
+        _write_output(prefixes_turtle(), args.prefixes)
     print(f"wrote {len(g)} triples to {args.out}")
     return EXIT_OK
 
@@ -205,8 +219,7 @@ def _cmd_run_openpredict(args) -> int:
                 bundle, gold, scheme, workflow_graph, MODEL_TRAINING_STEP_V01,
                 OPREDICT.Agent_Joao, OPREDICT.Role_Executor,
                 folds=args.folds, repetitions=args.reps, seed=args.seed)
-            with open(args.trace, "w", encoding="utf-8") as handle:
-                handle.write(serialize_ntriples(trace_graph))
+            _write_output(serialize_ntriples(trace_graph), args.trace)
         else:
             record = op_mod.cross_validate(bundle, gold, scheme,
                                            folds=args.folds,

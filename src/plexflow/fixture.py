@@ -27,6 +27,8 @@ self-checks every structural count it promises.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .rdf import Graph, IRI, Triple, lit
 from .trace import Tracer
 from .vocab import (
@@ -69,40 +71,40 @@ REFERENCE_ACCURACY = "0.833336"
 
 _DATA_HANDLING = EDAM.operation_2409
 
-# (key, distribution local name, download URL, media type, added in v0.2)
-_DISTRIBUTIONS = (
-    ("gold",
-     "Distribution_gold_standard_drug_indications_msb201126-s4.xls",
-     "https://www.ncbi.nlm.nih.gov/pmc/articles/PMC3159979/bin/msb201126-s4.xls",
-     EDAM.format_2330, True),
-    ("mesh",
-     "Distribution_mesh_annotation_mim2mesh.tsv",
-     "http://www.paccanarolab.org/static_content/disease_similarity/mim2mesh.tsv",
-     EDAM.format_2330, True),
-    ("phenotype",
-     "Distribution_phenotype_annotation_hpoteam.tab_Build_1266",
-     "http://compbio.charite.de/jenkins/job/hpo.annotations/1266/artifact/misc/"
-     "phenotype_annotation_hpoteam.tab",
-     EDAM.format_2330, False),
-    ("pubchem",
-     "Distribution_pubchem_to_drugbank_pubchem.tsv",
-     "https://raw.githubusercontent.com/dhimmel/drugbank/"
-     "3e87872db5fca5ac427ce27464ab945c0ceb4ec6/data/mapping/pubchem.tsv",
-     EDAM.format_2330, False),
-    ("kegg",
-     "Distribution_release-4-kegg-kegg-drug.nq.gz",
-     "http://download.bio2rdf.org/files/release/4/kegg/kegg-drug.nq.gz",
-     EDAM.format_3256, False),
-    ("sider",
-     "Distribution_release-4-sider-sider-se.nq.gz",
-     "http://download.bio2rdf.org/files/release/4/sider/sider-se.nq.gz",
-     EDAM.format_3256, False),
-    ("interactome",
-     "Distribution_srep-2016-161017-srep35241-extref-srep35241-s3.txt",
-     "https://media.nature.com/full/nature-assets/srep/2016/161017/srep35241/"
-     "extref/srep35241-s3.txt",
-     EDAM.format_2330, False),
-)
+# key: (distribution local name, download URL, media type)
+_DISTRIBUTIONS = {
+    "gold": (
+        "Distribution_gold_standard_drug_indications_msb201126-s4.xls",
+        "https://www.ncbi.nlm.nih.gov/pmc/articles/PMC3159979/bin/msb201126-s4.xls",
+        EDAM.format_2330),
+    "mesh": (
+        "Distribution_mesh_annotation_mim2mesh.tsv",
+        "http://www.paccanarolab.org/static_content/disease_similarity/mim2mesh.tsv",
+        EDAM.format_2330),
+    "phenotype": (
+        "Distribution_phenotype_annotation_hpoteam.tab_Build_1266",
+        "http://compbio.charite.de/jenkins/job/hpo.annotations/1266/artifact/misc/"
+        "phenotype_annotation_hpoteam.tab",
+        EDAM.format_2330),
+    "pubchem": (
+        "Distribution_pubchem_to_drugbank_pubchem.tsv",
+        "https://raw.githubusercontent.com/dhimmel/drugbank/"
+        "3e87872db5fca5ac427ce27464ab945c0ceb4ec6/data/mapping/pubchem.tsv",
+        EDAM.format_2330),
+    "kegg": (
+        "Distribution_release-4-kegg-kegg-drug.nq.gz",
+        "http://download.bio2rdf.org/files/release/4/kegg/kegg-drug.nq.gz",
+        EDAM.format_3256),
+    "sider": (
+        "Distribution_release-4-sider-sider-se.nq.gz",
+        "http://download.bio2rdf.org/files/release/4/sider/sider-se.nq.gz",
+        EDAM.format_3256),
+    "interactome": (
+        "Distribution_srep-2016-161017-srep35241-extref-srep35241-s3.txt",
+        "https://media.nature.com/full/nature-assets/srep/2016/161017/srep35241/"
+        "extref/srep35241-s3.txt",
+        EDAM.format_2330),
+}
 
 _DATASETS = {
     "gold": ("Dataset_Gold_standard_drug_indications",
@@ -164,27 +166,42 @@ _SPEC_SCORES = OP.Plan_Specification_Compute_pair_similarity_scores
 _SPEC_TRAIN = OP.Plan_Specification_Train_and_evaluate_classifier
 
 
-def _label_from_local(local: str) -> str:
+def _label(iri: str) -> str:
+    """A label from an IRI's local name, without its leading type word."""
+    local = iri.rsplit("/", 1)[-1]
     body = local.split("_", 1)[1] if "_" in local else local
     return body.replace("_", " ")
 
 
 class _Builder:
+    """The records of both versions: each version's steps, and one pool of
+    everything else, which v0.2 shares with v0.1 by IRI."""
+
     def __init__(self):
+        self.steps: dict[str, dict[str, StepDef]] = {V01: {}, V02: {}}
         self.instructions: dict[str, Instruction] = {}
         self.variables: dict[str, VariableDef] = {}
         self.usages: dict[str, UsageBinding] = {}
         self.distributions: dict[str, DistributionDef] = {}
 
+    def step(self, version: str, iri: str, kind: str, instruction: str,
+             plan: str = "", precedes=(), inputs=(), outputs=(),
+             op_class=None) -> str:
+        self.steps[version][iri] = StepDef(
+            iri=iri, plan=plan or version, kind=kind, instruction=instruction,
+            precedes=frozenset(precedes), input_vars=frozenset(inputs),
+            output_vars=frozenset(outputs), operation_class=op_class,
+            label=_label(iri))
+        return iri
+
     def instruction(self, iri: str, language: str, described_by=None,
                     revision_of=None, usages=(), extra_types=(),
                     first_step: str = "", description: str = "") -> str:
-        local = iri.rsplit("/", 1)[-1]
         self.instructions[iri] = Instruction(
             iri=iri,
             language=(language,),
-            description=description or _label_from_local(local),
-            label=_label_from_local(local),
+            description=description or _label(iri),
+            label=_label(iri),
             described_by=described_by,
             revision_of=revision_of,
             qualified_usages=frozenset(usages),
@@ -194,39 +211,24 @@ class _Builder:
         return iri
 
     def variable(self, iri: str) -> str:
-        local = iri.rsplit("/", 1)[-1]
-        self.variables.setdefault(iri, VariableDef(iri, _label_from_local(local)))
+        self.variables.setdefault(iri, VariableDef(iri, _label(iri)))
         return iri
 
     def usage(self, iri: str, entities: tuple[str, ...]) -> str:
-        local = iri.rsplit("/", 1)[-1]
-        self.usages[iri] = UsageBinding(iri, frozenset(entities),
-                                        _label_from_local(local))
+        self.usages[iri] = UsageBinding(iri, frozenset(entities), _label(iri))
         return iri
 
     def distribution(self, key: str) -> str:
-        for k, local, url, media, _added in _DISTRIBUTIONS:
-            if k == key:
-                iri = OP[local]
-                self.distributions[iri] = DistributionDef(
-                    iri=iri, download_url=url, media_type=media,
-                    label=local.removeprefix("Distribution_"))
-                return iri
-        raise KeyError(key)
-
-
-def _build_v01(b: _Builder) -> WorkflowView:
-    steps: dict[str, StepDef] = {}
-
-    def step(iri, kind, instruction, plan=V01, precedes=(), inputs=(), outputs=(),
-             op_class=None):
-        local = iri.rsplit("/", 1)[-1]
-        steps[iri] = StepDef(
-            iri=iri, plan=plan, kind=kind, instruction=instruction,
-            precedes=frozenset(precedes), input_vars=frozenset(inputs),
-            output_vars=frozenset(outputs), operation_class=op_class,
-            label=_label_from_local(local))
+        local, url, media = _DISTRIBUTIONS[key]
+        iri = OP[local]
+        self.distributions[iri] = DistributionDef(
+            iri=iri, download_url=url, media_type=media,
+            label=local.removeprefix("Distribution_"))
         return iri
+
+
+def _build_v01(b: _Builder) -> WorkflowDef:
+    step = partial(b.step, V01)
 
     # Spine: the only chain reachable from the first step.
     spine_iris = [OP[local] for local, _, _ in _SPINE_V01]
@@ -370,28 +372,16 @@ def _build_v01(b: _Builder) -> WorkflowView:
                        (_SPEC_TRAIN, "Train the classifier and evaluate it")):
         b.instruction(spec, LANGUAGE_ENGLISH, description=desc)
 
-    wf = WorkflowDef(
+    return WorkflowDef(
         iri=V01, version="0.1", created="2018-11-27", modified="2019-05-15",
         creator=AGENT_REMZI, attributed_to=AGENT_REMZI,
         first_step=OP.Step_Prepare_Input_Data_Files,
         label="Main Protocol v.0.1", description="OpenPREDICT Main Protocol v.0.1",
         language=LANGUAGE_ENGLISH, license=LICENSE)
-    view = WorkflowView(workflow=wf, steps=steps)
-    return view
 
 
-def _build_v02(b: _Builder) -> WorkflowView:
-    steps: dict[str, StepDef] = {}
-
-    def step(iri, kind, instruction, precedes=(), inputs=(), outputs=(),
-             op_class=None):
-        local = iri.rsplit("/", 1)[-1]
-        steps[iri] = StepDef(
-            iri=iri, plan=V02, kind=kind, instruction=instruction,
-            precedes=frozenset(precedes), input_vars=frozenset(inputs),
-            output_vars=frozenset(outputs), operation_class=op_class,
-            label=_label_from_local(local))
-        return iri
+def _build_v02(b: _Builder) -> WorkflowDef:
+    step = partial(b.step, V02)
 
     # Revised instructions: the three manual procedures that became scripts.
     instr_prepare = b.instruction(
@@ -491,26 +481,27 @@ def _build_v02(b: _Builder) -> WorkflowView:
          outputs=(OP.Variable_Triplestore_endpoint_for_input_data,),
          op_class=_DATA_HANDLING)
 
-    wf = WorkflowDef(
+    return WorkflowDef(
         iri=V02, version="0.2", created="2019-05-15", modified="2019-07-03",
         creator=AGENT_REMZI, attributed_to=AGENT_REMZI,
         first_step=spine[0],
         label="Main Protocol v.0.2", description="OpenPREDICT Main Protocol v.0.2",
         language=LANGUAGE_ENGLISH, license=LICENSE, revision_of=V01)
-    view = WorkflowView(workflow=wf, steps=steps)
-    return view
 
 
-def _shared_metadata(b: _Builder, view02: WorkflowView):
-    for key, local, url, media, _added in _DISTRIBUTIONS:
-        b.distribution(key)
+def _datasets(b: _Builder) -> dict[str, DatasetRecord]:
+    """Every dataset, each with its one distribution, which this adds to
+    the pool whether or not a version binds it."""
+    out = {}
     for key, (ds_local, label, description) in _DATASETS.items():
-        dist_iri = next(OP[local] for k, local, *_ in _DISTRIBUTIONS if k == key)
-        view02.datasets[OP[ds_local]] = DatasetRecord(
-            iri=OP[ds_local], distributions=frozenset({dist_iri}),
+        out[OP[ds_local]] = DatasetRecord(
+            iri=OP[ds_local], distributions=frozenset({b.distribution(key)}),
             label=label, description=description, license=LICENSE)
+    return out
 
-    view02.agents = {
+
+def _agents() -> dict[str, AgentDef]:
+    return {
         AGENT_REMZI: AgentDef(AGENT_REMZI, "Remzi"),
         AGENT_AHMED: AgentDef(AGENT_AHMED, "Ahmed"),
         AGENT_JOAO: AgentDef(AGENT_JOAO, "Joao"),
@@ -539,9 +530,8 @@ def _associations(all_instructions: dict[str, Instruction]) -> dict[str, AgentAs
              ahmed_plans),
             (OP.Association_Joao_executor, AGENT_JOAO, ROLE_EXECUTOR,
              frozenset({V01, V02}))):
-        local = iri.rsplit("/", 1)[-1]
         out[iri] = AgentAssociation(iri=iri, agent=agent, role=role, plans=plans,
-                                    label=_label_from_local(local))
+                                    label=_label(iri))
     return out
 
 
@@ -582,8 +572,7 @@ def _raw_metadata(g: Graph):
         lit("OpenPREDICT input data triplestore"))
     for measure in MEASURES.values():
         add(measure, RDF.type, IRI(MLS.EvaluationMeasure))
-        add(measure, RDFS.label,
-            lit(_label_from_local(measure.rsplit("/", 1)[-1])))
+        add(measure, RDFS.label, lit(_label(measure)))
 
 
 _REFERENCE_EVALUATIONS = (
@@ -687,40 +676,20 @@ def _check_counts(view01: WorkflowView, view02: WorkflowView):
 def generate_fixture() -> Graph:
     """Build the example graph; the result is frozen and deterministic."""
     b = _Builder()
-    view01 = _build_v01(b)
-    b01_instr = dict(b.instructions)
-    view01.instructions = b01_instr
-    view01.variables = dict(b.variables)
-    view01.usages = dict(b.usages)
-    view01.distributions = dict(b.distributions)
-
-    b2 = _Builder()
-    view02 = _build_v02(b2)
-    # v0.2 builds only its new instructions; reused ones and shared
-    # variables come over from the v0.1 pool by IRI.
-    view02.instructions = dict(b2.instructions)
-    for step in view02.steps.values():
-        if step.instruction in b01_instr:
-            view02.instructions[step.instruction] = b01_instr[step.instruction]
-    view02.variables = dict(b2.variables)
-    for step in view02.steps.values():
-        for var in step.input_vars | step.output_vars:
-            if var not in view02.variables:
-                view02.variables[var] = view01.variables[var]
-    view02.usages = dict(b2.usages)
-    _shared_metadata(b2, view02)
-    view02.distributions = dict(b2.distributions)
-
-    all_instructions = {**view01.instructions, **view02.instructions}
-    view02.associations = _associations(all_instructions)
+    head01, head02 = _build_v01(b), _build_v02(b)
+    # v0.1's view carries every shared record and v0.2's only its head and
+    # steps; the graph is the union of both emissions.
     shape = _shape()
-    view01.shapes = {shape.iri: shape}
-
+    view01 = WorkflowView(
+        workflow=head01, steps=b.steps[V01], instructions=b.instructions,
+        variables=b.variables, usages=b.usages, datasets=_datasets(b),
+        distributions=b.distributions, agents=_agents(),
+        associations=_associations(b.instructions), shapes={shape.iri: shape})
+    view02 = WorkflowView(workflow=head02, steps=b.steps[V02])
     _check_counts(view01, view02)
 
     g = emit_triples(view01)
-    for t in emit_triples(view02):
-        g.add(t)
+    g.add_all(emit_triples(view02))
     _raw_metadata(g)
     _record_executions(g)
     return g.freeze()

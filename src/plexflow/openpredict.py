@@ -82,6 +82,8 @@ class SimilarityBundle:
         return len(self.disease_ids)
 
     def validate(self, tol: float = 1e-12) -> None:
+        if not (self.n_drugs and self.n_diseases):
+            raise PipelineError("the bundle needs at least one drug and one disease")
         if self.drug_sims.shape != (N_DRUG_MEASURES, self.n_drugs, self.n_drugs):
             raise PipelineError("drug similarity tensor has the wrong shape")
         if self.disease_sims.shape != (N_DISEASE_MEASURES, self.n_diseases,
@@ -219,7 +221,6 @@ class Hyper:
     learning_rate: float = 0.1
     iterations: int = 2000
     l2: float = 1e-4
-    seed: int = 0
 
 
 @dataclass
@@ -442,7 +443,7 @@ def cross_validate(bundle: SimilarityBundle, gold: GoldStandard, scheme: str,
         raise PipelineError("at least 1 repetition is required")
     bundle.validate()
     gold.validate(bundle.n_drugs, bundle.n_diseases)
-    hyper = hyper or Hyper(seed=seed)
+    hyper = hyper or Hyper()
 
     records: list[MetricsRecord] = []
     for rep in range(repetitions):
@@ -522,10 +523,12 @@ def _fold_metrics(bundle, gold, train_gold, train_neg, test_pairs, hyper,
 # ---------------------------------------------------------------------------
 # Synthetic data
 
+_CLUSTERS = 5        # matching drug and disease clusters
+_PAIRS_PER_DRUG = 3  # gold associations drawn per drug, at most
+
 
 def generate_bundle(n_drugs: int, n_diseases: int, seed: int,
-                    n_clusters: int = 5, planted: bool = True,
-                    pairs_per_drug: int = 3) -> tuple[SimilarityBundle, GoldStandard]:
+                    planted: bool = True) -> tuple[SimilarityBundle, GoldStandard]:
     """Block-structured similarity bundle with (optionally) a planted signal.
 
     Drugs and diseases are assigned to matching clusters; similarities are
@@ -535,8 +538,8 @@ def generate_bundle(n_drugs: int, n_diseases: int, seed: int,
     noise and nothing is learnable.
     """
     rng = np.random.default_rng([seed])
-    drug_cluster = rng.integers(0, n_clusters, size=n_drugs)
-    disease_cluster = rng.integers(0, n_clusters, size=n_diseases)
+    drug_cluster = rng.integers(0, _CLUSTERS, size=n_drugs)
+    disease_cluster = rng.integers(0, _CLUSTERS, size=n_diseases)
 
     def cluster_sims(cluster: np.ndarray, count: int) -> np.ndarray:
         size = len(cluster)
@@ -561,7 +564,7 @@ def generate_bundle(n_drugs: int, n_diseases: int, seed: int,
             pool = np.arange(n_diseases)
         if len(pool) == 0:
             continue
-        count = min(pairs_per_drug, len(pool))
+        count = min(_PAIRS_PER_DRUG, len(pool))
         chosen = rng.choice(pool, size=count, replace=False)
         pairs.update((d, int(s)) for s in chosen)
     bundle = SimilarityBundle(
@@ -678,8 +681,8 @@ def run_and_trace(bundle: SimilarityBundle, gold: GoldStandard, scheme: str,
                   workflow_graph: Graph, step: str, agent: str, role: str,
                   folds: int = 10, repetitions: int = 1, seed: int = 0,
                   hyper: Optional[Hyper] = None,
-                  weights: tuple[float, float] = (0.5, 0.5),
-                  at: Optional[int] = None) -> tuple[CrossValRecord, Graph]:
+                  weights: tuple[float, float] = (0.5, 0.5)
+                  ) -> tuple[CrossValRecord, Graph]:
     """Run cross-validation and record it as an execution of ``step``.
 
     The activity generates six model-evaluation artifacts (accuracy,
@@ -691,7 +694,7 @@ def run_and_trace(bundle: SimilarityBundle, gold: GoldStandard, scheme: str,
                             weights=weights)
     # A deterministic timestamp: fixed base plus the seed, so identical
     # invocations emit identical graphs.
-    moment = at if at is not None else 1_560_000_000 + seed
+    moment = 1_560_000_000 + seed
     tracer = Tracer(workflow_graph)
     activity = tracer.begin_activity(step, agent, role, moment)
     mean = record.mean

@@ -100,9 +100,6 @@ class Tracer:
     def activities(self) -> list[ActivityRecord]:
         return [self._activities[a] for a in sorted(self._activities)]
 
-    def artifacts_of(self, activity_iri: str) -> list[ArtifactRecord]:
-        return list(self._artifacts.get(activity_iri, []))
-
     def _fresh_activity_iri(self, step: str, at) -> str:
         step_local = _local_name(step).removeprefix("Step_")
         epoch = _epoch_seconds(at)

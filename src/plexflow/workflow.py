@@ -14,6 +14,17 @@ into dataclasses, ``validate`` reports profile violations as data,
 ``step_order`` topologically sorts one plan's steps, and ``emit_triples``
 writes a view back out so that load(emit(view)) round-trips.
 
+Which predicate holds which field is written once, in ``_FIELDS``: a
+(field, predicate, encoding) row per mapped field of each record class,
+which loading reads through ``_read`` and emission writes through
+``_write``. Only what is not one predicate's objects is hand-written: a
+step's kind and operation class, an instruction's extra types and an
+agent's software flag come from ``rdf:type``; a step's plan and instruction
+are set by the walk, with their anomalies; a distribution's download URL
+counts only literal objects, for ``E_DIST_URL``; a shape's query text sits
+on its constraint node, and only a ``sh:NodeShape`` whose first
+``sh:targetClass`` is a loaded usage is kept.
+
 Instructions deliberately carry no manual/computational flag of their own;
 that classification is derived from the instruction language, so a Python
 instruction may well sit behind a manual step (run by hand, cell by cell).
@@ -23,7 +34,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import vocab
 from .rdf import RDF_TYPE, Graph, IRI, Literal, Term, Triple, lit
@@ -167,23 +178,121 @@ class WorkflowView:
     agents: dict[str, AgentDef] = field(default_factory=dict)
     associations: dict[str, AgentAssociation] = field(default_factory=dict)
     shapes: dict[str, QueryShape] = field(default_factory=dict)
-    anomalies: list[Violation] = field(default_factory=list)
-    revision_target_present: Optional[bool] = None
+    anomalies: list[Violation] = field(default_factory=list, compare=False)
+    revision_target_present: Optional[bool] = field(default=None, compare=False)
 
     def main_step_ids(self) -> list[str]:
         wf = self.workflow.iri
         return sorted(s for s, step in self.steps.items() if step.plan == wf)
 
-    def __eq__(self, other):
-        if not isinstance(other, WorkflowView):
-            return NotImplemented
-        mine = (self.workflow, self.steps, self.instructions, self.variables,
-                self.usages, self.distributions, self.datasets, self.agents,
-                self.associations, self.shapes)
-        theirs = (other.workflow, other.steps, other.instructions, other.variables,
-                  other.usages, other.distributions, other.datasets, other.agents,
-                  other.associations, other.shapes)
-        return mine == theirs
+
+# -- the profile table ----------------------------------------------------------
+
+
+class _Encoding(NamedTuple):
+    """How a field's value is read from its predicate's objects, and the
+    object terms a non-empty value is written as."""
+
+    read: Callable[[Graph, IRI, str], object]
+    terms: Callable[[object], Iterable[Term]]
+
+
+_STR = _Encoding(Graph.str_value, lambda v: (lit(v),))
+_DATE = _Encoding(Graph.str_value, lambda v: (lit(v, XSD.date),))
+_IRI = _Encoding(Graph.iri_value, lambda v: (IRI(v),))
+_IRI_OR_NONE = _Encoding(lambda g, s, p: g.iri_value(s, p) or None, _IRI.terms)
+_IRI_SET = _Encoding(lambda g, s, p: frozenset(g.iri_objects(s, p)),
+                     lambda v: map(IRI, v))
+_IRI_TUPLE = _Encoding(lambda g, s, p: tuple(sorted(g.iri_objects(s, p))),
+                       _IRI_SET.terms)
+
+# (field, predicate, encoding) per record class: the one place that says
+# which predicate holds which field, for loading and emission alike.
+_FIELDS: dict[type, tuple[tuple[str, str, _Encoding], ...]] = {
+    WorkflowDef: (
+        ("version", DC.hasVersion, _STR),
+        ("created", DC.created, _DATE),
+        ("modified", DC.modified, _DATE),
+        ("creator", DC.creator, _IRI),
+        ("attributed_to", PROV.wasAttributedTo, _IRI),
+        ("first_step", PWO.hasFirstStep, _IRI),
+        ("label", RDFS.label, _STR),
+        ("description", DC.description, _STR),
+        ("language", DC.language, _IRI),
+        ("license", DC.license, _IRI),
+        ("revision_of", PROV.wasRevisionOf, _IRI_OR_NONE),
+    ),
+    StepDef: (
+        ("precedes", DUL.precedes, _IRI_SET),
+        ("input_vars", PPLAN.hasInputVar, _IRI_SET),
+        ("output_vars", PPLAN.hasOutputVar, _IRI_SET),
+        ("label", RDFS.label, _STR),
+    ),
+    Instruction: (
+        ("language", DC.language, _IRI_TUPLE),
+        ("description", DC.description, _STR),
+        ("label", RDFS.label, _STR),
+        ("version", DC.hasVersion, _STR),
+        ("described_by", DUL.isDescribedBy, _IRI_OR_NONE),
+        ("revision_of", PROV.wasRevisionOf, _IRI_OR_NONE),
+        ("qualified_usages", PROV.qualifiedUsage, _IRI_SET),
+        ("first_step", PWO.hasFirstStep, _IRI),
+    ),
+    VariableDef: (
+        ("label", RDFS.label, _STR),
+    ),
+    UsageBinding: (
+        ("entities", PROV.entity, _IRI_SET),
+        ("label", RDFS.label, _STR),
+    ),
+    DistributionDef: (
+        ("media_type", DCAT.mediaType, _IRI),
+        ("label", RDFS.label, _STR),
+    ),
+    DatasetRecord: (
+        ("distributions", DCAT.distribution, _IRI_SET),
+        ("label", RDFS.label, _STR),
+        ("description", DC.description, _STR),
+        ("license", DC.license, _IRI),
+    ),
+    AgentDef: (
+        ("label", RDFS.label, _STR),
+        ("version", DC.hasVersion, _STR),
+    ),
+    AgentAssociation: (
+        ("agent", PROV.agent, _IRI),
+        ("role", PROV.hadRole, _IRI),
+        ("plans", PROV.hadPlan, _IRI_SET),
+        ("label", RDFS.label, _STR),
+    ),
+    QueryShape: (
+        ("constraint_iri", SH.sparql, _IRI),
+        ("target_usage", SH.targetClass, _IRI),  # only the first one counts
+    ),
+}
+
+
+def _read(g: Graph, cls: type, iri_: str, **fixed):
+    """A ``cls`` record for ``iri_``: its mapped fields read from ``g``, its
+    hand-written ones given as ``fixed``."""
+    node = IRI(iri_)
+    return cls(iri=iri_, **fixed, **{name: encoding.read(g, node, predicate)
+                                     for name, predicate, encoding in _FIELDS[cls]})
+
+
+def _write(g: Graph, record, *types: str):
+    """Emit ``record``'s ``rdf:type`` values and every non-empty mapped field."""
+    for t in types:
+        _add(g, record.iri, RDF.type, IRI(t))
+    for name, predicate, encoding in _FIELDS[type(record)]:
+        value = getattr(record, name)
+        if value:
+            for term in encoding.terms(value):
+                _add(g, record.iri, predicate, term)
+
+
+def _add(g: Graph, s: str, p: str, o: Term):
+    g.add(Triple(IRI(s), IRI(p), o))
 
 
 # -- language registry ------------------------------------------------------
@@ -253,41 +362,23 @@ def _load_step(g: Graph, step_iri: str, plan_iri: str,
         anomalies.append(Violation("E_STEP_MULTI_INSTR", step_iri,
                                    f"step has {len(instructions)} instructions"))
     op_classes = sorted(t for t in types if t not in _STEP_TYPE_SKIP)
-    return StepDef(
-        iri=step_iri,
-        plan=plan_iri,
-        kind=MANUAL if manual else SCRIPT,
-        instruction=instructions[0] if instructions else "",
-        precedes=frozenset(g.iri_objects(node, DUL.precedes)),
-        input_vars=frozenset(g.iri_objects(node, PPLAN.hasInputVar)),
-        output_vars=frozenset(g.iri_objects(node, PPLAN.hasOutputVar)),
-        operation_class=op_classes[0] if op_classes else None,
-        label=g.str_value(node, RDFS.label),
-    )
+    return _read(g, StepDef, step_iri, plan=plan_iri,
+                 kind=MANUAL if manual else SCRIPT,
+                 instruction=instructions[0] if instructions else "",
+                 operation_class=op_classes[0] if op_classes else None)
 
 
 def _load_instruction(g: Graph, instr_iri: str) -> Instruction:
-    node = IRI(instr_iri)
-    types = g.types(node)
-    extra = frozenset(t for t in types if t != PPLAN.Plan)
-    return Instruction(
-        iri=instr_iri,
-        language=tuple(sorted(g.iri_objects(node, DC.language))),
-        description=g.str_value(node, DC.description),
-        label=g.str_value(node, RDFS.label),
-        version=g.str_value(node, DC.hasVersion),
-        described_by=g.iri_value(node, DUL.isDescribedBy) or None,
-        revision_of=g.iri_value(node, PROV.wasRevisionOf) or None,
-        qualified_usages=frozenset(g.iri_objects(node, PROV.qualifiedUsage)),
-        first_step=g.iri_value(node, PWO.hasFirstStep),
-        extra_types=extra,
-    )
+    extra = frozenset(g.types(IRI(instr_iri)) - {PPLAN.Plan})
+    return _read(g, Instruction, instr_iri, extra_types=extra)
 
 
-def _linking(g: Graph, predicate: str, targets) -> list[str]:
-    """The IRIs with a ``predicate`` link to any of ``targets``, sorted."""
+def _linking(g: Graph, cls: type, name: str, targets) -> list[str]:
+    """The IRIs whose ``name`` field of ``cls`` links to any of ``targets``,
+    sorted."""
+    predicate = IRI(next(p for f, p, _ in _FIELDS[cls] if f == name))
     return sorted({s.value for target in targets
-                   for s in g.subjects(IRI(predicate), IRI(target))
+                   for s in g.subjects(predicate, IRI(target))
                    if isinstance(s, IRI)})
 
 
@@ -304,24 +395,10 @@ def load_workflow(g: Graph, wf_iri: str) -> WorkflowView:
         raise WorkflowError(
             f"{wf_iri} is not a workflow (needs both dul:Workflow and p-plan:Plan)")
     anomalies: list[Violation] = []
-    revision_of = g.iri_value(head, PROV.wasRevisionOf) or None
-    wf = WorkflowDef(
-        iri=wf_iri,
-        version=g.str_value(head, DC.hasVersion),
-        created=g.str_value(head, DC.created),
-        modified=g.str_value(head, DC.modified),
-        creator=g.iri_value(head, DC.creator),
-        attributed_to=g.iri_value(head, PROV.wasAttributedTo),
-        first_step=g.iri_value(head, PWO.hasFirstStep),
-        label=g.str_value(head, RDFS.label),
-        description=g.str_value(head, DC.description),
-        language=g.iri_value(head, DC.language),
-        license=g.iri_value(head, DC.license),
-        revision_of=revision_of,
-    )
+    wf = _read(g, WorkflowDef, wf_iri)
     view = WorkflowView(workflow=wf, anomalies=anomalies)
     view.revision_target_present = (
-        None if revision_of is None else is_workflow(g, revision_of))
+        None if wf.revision_of is None else is_workflow(g, wf.revision_of))
 
     step_of = IRI(PPLAN.isStepOfPlan)
     main_steps = sorted(s.value for s in g.subjects(step_of, head)
@@ -355,58 +432,36 @@ def load_workflow(g: Graph, wf_iri: str) -> WorkflowView:
     for instr in view.instructions.values():
         usage_iris |= instr.qualified_usages
     for usage_iri in sorted(usage_iris):
-        node = IRI(usage_iri)
-        entities = frozenset(g.iri_objects(node, PROV.entity))
-        view.usages[usage_iri] = UsageBinding(
-            iri=usage_iri, entities=entities, label=g.str_value(node, RDFS.label))
-        for ent in entities:
-            if PPLAN.Variable in g.types(IRI(ent)):
+        usage = view.usages[usage_iri] = _read(g, UsageBinding, usage_iri)
+        for ent in sorted(usage.entities):
+            types = g.types(IRI(ent))
+            if PPLAN.Variable in types:
                 var_iris.add(ent)
-            if DCAT.Distribution in g.types(IRI(ent)):
+            if DCAT.Distribution in types:
                 urls = [t.lexical for t in g.objects(IRI(ent), IRI(DCAT.downloadURL))
                         if isinstance(t, Literal)]
                 if len(urls) != 1:
                     anomalies.append(Violation(
                         "E_DIST_URL", ent,
                         f"distribution has {len(urls)} dcat:downloadURL values"))
-                view.distributions[ent] = DistributionDef(
-                    iri=ent,
-                    download_url=urls[0] if urls else "",
-                    media_type=g.iri_value(IRI(ent), DCAT.mediaType),
-                    label=g.str_value(IRI(ent), RDFS.label),
-                )
+                view.distributions[ent] = _read(
+                    g, DistributionDef, ent, download_url=urls[0] if urls else "")
     for var_iri in sorted(var_iris):
-        if PPLAN.Variable not in g.types(IRI(var_iri)):
-            continue  # untyped references surface as dangling in validate
-        view.variables[var_iri] = VariableDef(
-            iri=var_iri, label=g.str_value(IRI(var_iri), RDFS.label))
+        # Untyped references surface as dangling in validate.
+        if PPLAN.Variable in g.types(IRI(var_iri)):
+            view.variables[var_iri] = _read(g, VariableDef, var_iri)
 
     # Datasets, associations and shapes are reached from what was loaded,
     # by inverse lookups, so the cost follows the workflow, not the graph.
-    for ds in _linking(g, DCAT.distribution, view.distributions):
-        if DCAT.Dataset not in g.types(IRI(ds)):
-            continue
-        view.datasets[ds] = DatasetRecord(
-            iri=ds,
-            distributions=frozenset(g.iri_objects(IRI(ds), DCAT.distribution)),
-            label=g.str_value(IRI(ds), RDFS.label),
-            description=g.str_value(IRI(ds), DC.description),
-            license=g.iri_value(IRI(ds), DC.license),
-        )
+    for ds in _linking(g, DatasetRecord, "distributions", view.distributions):
+        if DCAT.Dataset in g.types(IRI(ds)):
+            view.datasets[ds] = _read(g, DatasetRecord, ds)
 
     plan_pool = set(view.instructions) | {wf_iri}
-    for assoc in _linking(g, PROV.hadPlan, plan_pool):
-        node = IRI(assoc)
-        if PROV.Association not in g.types(node):
+    for assoc in _linking(g, AgentAssociation, "plans", plan_pool):
+        if PROV.Association not in g.types(IRI(assoc)):
             continue
-        record = AgentAssociation(
-            iri=assoc,
-            agent=g.iri_value(node, PROV.agent),
-            role=g.iri_value(node, PROV.hadRole),
-            plans=frozenset(g.iri_objects(node, PROV.hadPlan)),
-            label=g.str_value(node, RDFS.label),
-        )
-        view.associations[assoc] = record
+        record = view.associations[assoc] = _read(g, AgentAssociation, assoc)
         if not (record.agent and record.role and record.plans):
             anomalies.append(Violation("E_ASSOC_INCOMPLETE", assoc,
                                        "association needs agent, role and plans"))
@@ -414,25 +469,18 @@ def load_workflow(g: Graph, wf_iri: str) -> WorkflowView:
     agent_iris = {a.agent for a in view.associations.values() if a.agent}
     agent_iris |= {wf.creator, wf.attributed_to} - {""}
     for agent_iri in sorted(agent_iris):
-        types = g.types(IRI(agent_iri))
-        view.agents[agent_iri] = AgentDef(
-            iri=agent_iri,
-            label=g.str_value(IRI(agent_iri), RDFS.label),
-            software=PROV.SoftwareAgent in types,
-            version=g.str_value(IRI(agent_iri), DC.hasVersion),
-        )
+        software = PROV.SoftwareAgent in g.types(IRI(agent_iri))
+        view.agents[agent_iri] = _read(g, AgentDef, agent_iri, software=software)
 
-    for shape in _linking(g, SH.targetClass, view.usages):
-        node = IRI(shape)
-        # Only a shape's first sh:targetClass counts.
-        target = g.iri_value(node, SH.targetClass)
-        if SH.NodeShape not in g.types(node) or target not in view.usages:
+    for shape_iri in _linking(g, QueryShape, "target_usage", view.usages):
+        if SH.NodeShape not in g.types(IRI(shape_iri)):
             continue
-        constraint = g.iri_value(node, SH.sparql)
-        text = g.str_value(IRI(constraint), SH.select) if constraint else ""
-        view.shapes[shape] = QueryShape(
-            iri=shape, constraint_iri=constraint, sparql_text=text,
-            target_usage=target)
+        shape = _read(g, QueryShape, shape_iri)
+        if shape.target_usage not in view.usages:
+            continue
+        if shape.constraint_iri:
+            shape.sparql_text = g.str_value(IRI(shape.constraint_iri), SH.select)
+        view.shapes[shape_iri] = shape
 
     return view
 
@@ -588,145 +636,37 @@ def step_order(view: WorkflowView, plan: Optional[str] = None) -> list[str]:
 # -- emission ------------------------------------------------------------------
 
 
-def _add(g: Graph, s: str, p: str, o: Term):
-    g.add(Triple(IRI(s), IRI(p), o))
-
-
-def _add_iri(g: Graph, s: str, p: str, o: str):
-    _add(g, s, p, IRI(o))
-
-
-def _add_str(g: Graph, s: str, p: str, o: str):
-    _add(g, s, p, lit(o))
-
-
 def emit_triples(view: WorkflowView) -> Graph:
     """Write the typed view back out as triples (inverse of load)."""
     g = Graph()
-    wf = view.workflow
-    _add_iri(g, wf.iri, RDF.type, PPLAN.Plan)
-    _add_iri(g, wf.iri, RDF.type, DUL.Workflow)
-    if wf.version:
-        _add_str(g, wf.iri, DC.hasVersion, wf.version)
-    if wf.created:
-        _add(g, wf.iri, DC.created, lit(wf.created, XSD.date))
-    if wf.modified:
-        _add(g, wf.iri, DC.modified, lit(wf.modified, XSD.date))
-    if wf.creator:
-        _add_iri(g, wf.iri, DC.creator, wf.creator)
-    if wf.attributed_to:
-        _add_iri(g, wf.iri, PROV.wasAttributedTo, wf.attributed_to)
-    if wf.first_step:
-        _add_iri(g, wf.iri, PWO.hasFirstStep, wf.first_step)
-    if wf.label:
-        _add_str(g, wf.iri, RDFS.label, wf.label)
-    if wf.description:
-        _add_str(g, wf.iri, DC.description, wf.description)
-    if wf.language:
-        _add_iri(g, wf.iri, DC.language, wf.language)
-    if wf.license:
-        _add_iri(g, wf.iri, DC.license, wf.license)
-    if wf.revision_of:
-        _add_iri(g, wf.iri, PROV.wasRevisionOf, wf.revision_of)
-
+    _write(g, view.workflow, PPLAN.Plan, DUL.Workflow)
     for step in view.steps.values():
         kind_type = BPMN.ManualTask if step.kind == MANUAL else BPMN.ScriptTask
-        _add_iri(g, step.iri, RDF.type, kind_type)
-        _add_iri(g, step.iri, RDF.type, PPLAN.Step)
-        if step.operation_class:
-            _add_iri(g, step.iri, RDF.type, step.operation_class)
-        _add_iri(g, step.iri, PPLAN.isStepOfPlan, step.plan)
+        _write(g, step, kind_type, PPLAN.Step,
+               *([step.operation_class] if step.operation_class else []))
+        _add(g, step.iri, PPLAN.isStepOfPlan, IRI(step.plan))
         if step.instruction:
-            _add_iri(g, step.iri, DUL.isDescribedBy, step.instruction)
-        for target in step.precedes:
-            _add_iri(g, step.iri, DUL.precedes, target)
-        for var in step.input_vars:
-            _add_iri(g, step.iri, PPLAN.hasInputVar, var)
-        for var in step.output_vars:
-            _add_iri(g, step.iri, PPLAN.hasOutputVar, var)
-        if step.label:
-            _add_str(g, step.iri, RDFS.label, step.label)
-
+            _add(g, step.iri, DUL.isDescribedBy, IRI(step.instruction))
     for instr in view.instructions.values():
-        _add_iri(g, instr.iri, RDF.type, PPLAN.Plan)
-        for extra in instr.extra_types:
-            _add_iri(g, instr.iri, RDF.type, extra)
-        for language in instr.language:
-            _add_iri(g, instr.iri, DC.language, language)
-        if instr.description:
-            _add_str(g, instr.iri, DC.description, instr.description)
-        if instr.label:
-            _add_str(g, instr.iri, RDFS.label, instr.label)
-        if instr.version:
-            _add_str(g, instr.iri, DC.hasVersion, instr.version)
-        if instr.described_by:
-            _add_iri(g, instr.iri, DUL.isDescribedBy, instr.described_by)
-        if instr.revision_of:
-            _add_iri(g, instr.iri, PROV.wasRevisionOf, instr.revision_of)
-        if instr.first_step:
-            _add_iri(g, instr.iri, PWO.hasFirstStep, instr.first_step)
-        for usage in instr.qualified_usages:
-            _add_iri(g, instr.iri, PROV.qualifiedUsage, usage)
-
+        _write(g, instr, PPLAN.Plan, *instr.extra_types)
     for var in view.variables.values():
-        _add_iri(g, var.iri, RDF.type, PPLAN.Variable)
-        if var.label:
-            _add_str(g, var.iri, RDFS.label, var.label)
-
+        _write(g, var, PPLAN.Variable)
     for usage in view.usages.values():
-        _add_iri(g, usage.iri, RDF.type, PROV.Usage)
-        if usage.label:
-            _add_str(g, usage.iri, RDFS.label, usage.label)
-        for ent in usage.entities:
-            _add_iri(g, usage.iri, PROV.entity, ent)
-
+        _write(g, usage, PROV.Usage)
     for dist in view.distributions.values():
-        _add_iri(g, dist.iri, RDF.type, DCAT.Distribution)
-        if dist.label:
-            _add_str(g, dist.iri, RDFS.label, dist.label)
+        _write(g, dist, DCAT.Distribution)
         if dist.download_url:
-            _add_str(g, dist.iri, DCAT.downloadURL, dist.download_url)
-        if dist.media_type:
-            _add_iri(g, dist.iri, DCAT.mediaType, dist.media_type)
-
+            _add(g, dist.iri, DCAT.downloadURL, lit(dist.download_url))
     for ds in view.datasets.values():
-        _add_iri(g, ds.iri, RDF.type, DCAT.Dataset)
-        if ds.label:
-            _add_str(g, ds.iri, RDFS.label, ds.label)
-        if ds.description:
-            _add_str(g, ds.iri, DC.description, ds.description)
-        if ds.license:
-            _add_iri(g, ds.iri, DC.license, ds.license)
-        for dist in ds.distributions:
-            _add_iri(g, ds.iri, DCAT.distribution, dist)
-
+        _write(g, ds, DCAT.Dataset)
     for agent in view.agents.values():
-        _add_iri(g, agent.iri, RDF.type,
-                 PROV.SoftwareAgent if agent.software else PROV.Agent)
-        if agent.label:
-            _add_str(g, agent.iri, RDFS.label, agent.label)
-        if agent.version:
-            _add_str(g, agent.iri, DC.hasVersion, agent.version)
-
+        _write(g, agent, PROV.SoftwareAgent if agent.software else PROV.Agent)
     for assoc in view.associations.values():
-        _add_iri(g, assoc.iri, RDF.type, PROV.Association)
-        if assoc.agent:
-            _add_iri(g, assoc.iri, PROV.agent, assoc.agent)
-        if assoc.role:
-            _add_iri(g, assoc.iri, PROV.hadRole, assoc.role)
-        for plan in assoc.plans:
-            _add_iri(g, assoc.iri, PROV.hadPlan, plan)
-        if assoc.label:
-            _add_str(g, assoc.iri, RDFS.label, assoc.label)
-
+        _write(g, assoc, PROV.Association)
     for shape in view.shapes.values():
-        _add_iri(g, shape.iri, RDF.type, SH.NodeShape)
-        if shape.target_usage:
-            _add_iri(g, shape.iri, SH.targetClass, shape.target_usage)
+        _write(g, shape, SH.NodeShape)
         if shape.constraint_iri:
-            _add_iri(g, shape.iri, SH.sparql, shape.constraint_iri)
-            _add_iri(g, shape.constraint_iri, RDF.type, SH.SPARQLConstraint)
+            _add(g, shape.constraint_iri, RDF.type, IRI(SH.SPARQLConstraint))
             if shape.sparql_text:
-                _add_str(g, shape.constraint_iri, SH.select, shape.sparql_text)
-
+                _add(g, shape.constraint_iri, SH.select, lit(shape.sparql_text))
     return g

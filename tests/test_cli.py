@@ -268,3 +268,51 @@ def test_bad_openpredict_csv_input_exits_with_one_error_line(
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
     for part in parts:
         assert part in lines[0]
+
+
+_SMALL_RUN = ["run-openpredict", "--scheme", "associations", "--folds", "4",
+              "--drugs", "24", "--diseases", "18"]
+
+USAGE_ERRORS = {
+    # name: (argv, a part of the error line); FX is the fixture file and
+    # BAD a path in a directory that does not exist.
+    "validate-workflow-not-iri": (["validate", "FX", "--workflow", "foo"],
+                                  "parameter --workflow must be an absolute IRI"),
+    "diff-from-not-iri": (["diff", "--graph", "FX", "--from", "foo", "--to", "bar"],
+                          "parameter --from must be an absolute IRI"),
+    "diff-to-not-iri": (["diff", "--graph", "FX", "--from", V01, "--to", "bar"],
+                        "parameter --to must be an absolute IRI"),
+    "fixture-out": (["fixture", "--out", "BAD"], "BAD"),
+    "fixture-out-empty": (["fixture", "--out", ""], "''"),
+    "fixture-prefixes": (["fixture", "--out", "OK", "--prefixes", "BAD"], "BAD"),
+    "audit-out": (["audit", "--graph", "FX", "--out", "BAD"], "BAD"),
+    "diff-out": (["diff", "--graph", "FX", "--from", V01, "--to", V02,
+                  "--out", "BAD"], "BAD"),
+    "cq-out": (["cq", "--id", "CQ1.1", "--graph", "FX", "--workflow", V01,
+                "--out", "BAD"], "BAD"),
+    "query-out": (["query", "--graph", "FX", "--query", "RQ", "--out", "BAD"], "BAD"),
+    "run-openpredict-trace": (_SMALL_RUN + ["--trace", "BAD"], "BAD"),
+    "run-openpredict-metrics": (_SMALL_RUN + ["--metrics", "BAD"], "BAD"),
+    "run-openpredict-no-drugs": (["run-openpredict", "--scheme", "drugs",
+                                  "--drugs", "0", "--diseases", "3"],
+                                 "at least one drug and one disease"),
+    "run-openpredict-no-diseases": (["run-openpredict", "--scheme", "drugs",
+                                     "--drugs", "3", "--diseases", "0"],
+                                    "at least one drug and one disease"),
+}
+
+
+@pytest.mark.parametrize("argv, part", USAGE_ERRORS.values(),
+                         ids=USAGE_ERRORS.keys())
+def test_bad_argument_exits_2_with_one_error_line(fixture_file, tmp_path, capsys,
+                                                  argv, part):
+    query = tmp_path / "q.rq"
+    query.write_text("SELECT ?s WHERE { ?s ?p ?o }\n", encoding="utf-8")
+    paths = {"FX": str(fixture_file), "RQ": str(query),
+             "OK": str(tmp_path / "ok.nt"), "BAD": str(tmp_path / "missing" / "x")}
+    argv = [paths.get(arg, arg) for arg in argv]
+    # Any exception escaping main() would be a traceback under python -m.
+    assert main(argv) == EXIT_USAGE
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert paths.get(part, part) in lines[0]

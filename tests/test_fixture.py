@@ -1,3 +1,5 @@
+import hashlib
+
 from plexflow.fixture import (
     LICENSE, REFERENCE_ACCURACY, V01, V02, generate_fixture,
 )
@@ -6,10 +8,17 @@ from plexflow.vocab import BPMN, DC, DCAT, OPREDICT as OP, PPLAN, RDF
 from plexflow.workflow import load_workflow, validate
 
 
+# SHA-256 of the fixture's canonical N-Triples. The bytes are a gate: the
+# CQ answers, the audit and the benchmark's reference outputs all rest on
+# them, so a change to them must be deliberate.
+FIXTURE_SHA256 = "379ad7e0d0ea968057d2d87b2a988671eb60a5abd8174c98c7133faf189dd646"
+
+
 def test_generation_is_byte_deterministic():
     first = serialize_ntriples(generate_fixture())
     second = serialize_ntriples(generate_fixture())
     assert first == second
+    assert hashlib.sha256(first.encode("utf-8")).hexdigest() == FIXTURE_SHA256
 
 
 def test_fixture_roundtrips_through_ntriples(fixture_graph):

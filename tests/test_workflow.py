@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -7,8 +8,9 @@ from plexflow.rdf import Graph, IRI, isomorphic
 from plexflow.turtle import parse_turtle
 from plexflow.vocab import EDAM, OPREDICT as OP, prefixes_turtle
 from plexflow.workflow import (
-    COMPUTER_LANGUAGE, Instruction, LANGUAGE_ENGLISH, LANGUAGE_PYTHON_3_5,
-    MANUAL, NATURAL_LANGUAGE, SCRIPT, StepDef, DistributionDef, UsageBinding,
+    _FIELDS, COMPUTER_LANGUAGE, AgentAssociation, AgentDef, DatasetRecord,
+    Instruction, LANGUAGE_ENGLISH, LANGUAGE_PYTHON_3_5, MANUAL, NATURAL_LANGUAGE,
+    SCRIPT, QueryShape, StepDef, DistributionDef, UsageBinding,
     UnknownLanguageError, VariableDef, WorkflowDef, WorkflowError, WorkflowView,
     emit_triples, instruction_kind, load_workflow, step_order, validate,
 )
@@ -158,6 +160,21 @@ opredict:Step_One dul:precedes opredict:Step_Ghost ;
     view = load_workflow(g, OP.Plan_Tiny)
     codes = [v.code for v in validate(view)]
     assert codes.count("E_DANGLING_REF") >= 2
+
+
+def test_distribution_url_anomalies_come_in_iri_order():
+    # Set iteration order follows string hashes, which change from process
+    # to process; validate's output order must not.
+    dists = [OP[f"Dist_{n}"] for n in "ACBFDE"]
+    extra = f"""
+opredict:Plan_Instruction_One prov:qualifiedUsage opredict:Usage_D .
+opredict:Usage_D rdf:type prov:Usage ;
+  prov:entity {" , ".join(f"<{d}>" for d in dists)} .
+""" + "".join(f"<{d}> rdf:type dcat:Distribution .\n" for d in dists)
+    view = load_workflow(parse_turtle(_mini_workflow_ttl(extra)).freeze(),
+                         OP.Plan_Tiny)
+    flagged = [v.subject for v in view.anomalies if v.code == "E_DIST_URL"]
+    assert flagged == sorted(dists)
 
 
 def test_manual_step_with_computer_language_instruction_is_valid():
@@ -347,3 +364,96 @@ def test_emitted_graph_is_subset_of_fixture(fixture_graph):
     view = load_workflow(fixture_graph, V01)
     for t in emit_triples(view):
         assert t in fixture_graph
+
+
+def _every_field_view() -> WorkflowView:
+    """A view in which every field of every record class is set somewhere."""
+    wf, step_a, step_b, cell = (OP.Plan_Full, OP.Step_Full_A, OP.Step_Full_B,
+                                OP.Step_Full_Cell)
+    instr_a, instr_b, instr_cell, spec = (OP.Plan_Full_A, OP.Plan_Full_B,
+                                          OP.Plan_Full_Cell, OP.Plan_Full_Spec)
+    var, usage, dist, ds = (OP.Variable_Full, OP.Usage_Full, OP.Distribution_Full,
+                            OP.Dataset_Full)
+    person, tool, assoc, shape = (OP.Agent_Full, OP.Agent_Full_Tool,
+                                  OP.Association_Full, OP.Shape_Full)
+    return WorkflowView(
+        workflow=WorkflowDef(
+            iri=wf, version="1.0", created="2020-01-01", modified="2020-02-01",
+            creator=person, attributed_to=tool, first_step=step_a, label="Full",
+            description="Every field set", language=LANGUAGE_ENGLISH,
+            license=OP.License_Full, revision_of=OP.Plan_Full_Old),
+        steps={
+            step_a: StepDef(
+                iri=step_a, plan=wf, kind=MANUAL, instruction=instr_a,
+                precedes=frozenset({step_b}), input_vars=frozenset({var}),
+                output_vars=frozenset({OP.Variable_Full_Out}),
+                operation_class=EDAM.operation_2409, label="Step A"),
+            step_b: StepDef(iri=step_b, plan=wf, kind=SCRIPT, instruction=instr_b),
+            cell: StepDef(iri=cell, plan=instr_b, kind=SCRIPT,
+                          instruction=instr_cell),
+        },
+        instructions={
+            instr_a: Instruction(instr_a, (LANGUAGE_ENGLISH,)),
+            instr_b: Instruction(
+                iri=instr_b, language=tuple(sorted((LANGUAGE_PYTHON_3_5,
+                                                    LANGUAGE_ENGLISH))),
+                description="Instruction B", label="B", version="2",
+                described_by=spec, revision_of=OP.Plan_Full_B_Old,
+                qualified_usages=frozenset({usage}), first_step=cell,
+                extra_types=frozenset({OP.Notebook})),
+            instr_cell: Instruction(instr_cell, (LANGUAGE_PYTHON_3_5,)),
+            spec: Instruction(spec, (LANGUAGE_ENGLISH,), description="Spec"),
+        },
+        variables={var: VariableDef(var, "Input"),
+                   OP.Variable_Full_Out: VariableDef(OP.Variable_Full_Out)},
+        usages={usage: UsageBinding(usage, frozenset({var, dist}), "Bind")},
+        distributions={dist: DistributionDef(
+            dist, "https://example.org/data.csv", OP.Format_csv, "data.csv")},
+        datasets={ds: DatasetRecord(ds, frozenset({dist}), "Data", "A dataset",
+                                    OP.License_Full)},
+        agents={person: AgentDef(person, "Person"),
+                tool: AgentDef(tool, "Tool", software=True, version="5.7")},
+        associations={assoc: AgentAssociation(
+            assoc, tool, OP.Role_Full, frozenset({wf, instr_b}), "Runs")},
+        shapes={shape: QueryShape(shape, OP.Constraint_Full,
+                                  "SELECT ?s WHERE { ?s ?p ?o }", usage)},
+    )
+
+
+def test_load_emit_roundtrip_with_every_field_set():
+    view = _every_field_view()
+    set_fields: dict[type, set[str]] = {}
+    for record in (view.workflow, *view.steps.values(),
+                   *view.instructions.values(), *view.variables.values(),
+                   *view.usages.values(), *view.distributions.values(),
+                   *view.datasets.values(), *view.agents.values(),
+                   *view.associations.values(), *view.shapes.values()):
+        set_fields.setdefault(type(record), set()).update(
+            f.name for f in fields(record) if getattr(record, f.name))
+    assert set(set_fields) == set(_FIELDS)
+    for cls, names in set_fields.items():
+        assert names == {f.name for f in fields(cls)}, cls
+    assert load_workflow(emit_triples(view).freeze(), OP.Plan_Full) == view
+
+
+# Fields that are not one predicate's objects: derived from rdf:type, set
+# by the walk (with its anomalies), counted for E_DIST_URL, or read from
+# the shape's constraint node.
+HAND_WRITTEN = {
+    StepDef: {"plan", "kind", "instruction", "operation_class"},
+    Instruction: {"extra_types"},
+    DistributionDef: {"download_url"},
+    AgentDef: {"software"},
+    QueryShape: {"sparql_text"},
+}
+
+
+def test_every_record_field_is_a_table_row_or_hand_written():
+    assert set(_FIELDS) == {
+        WorkflowDef, StepDef, Instruction, VariableDef, UsageBinding,
+        DistributionDef, DatasetRecord, AgentDef, AgentAssociation, QueryShape}
+    for cls, rows in _FIELDS.items():
+        mapped = [name for name, _, _ in rows]
+        hand_written = HAND_WRITTEN.get(cls, set())
+        assert len(mapped) == len(set(mapped)) and not hand_written & set(mapped)
+        assert set(mapped) | hand_written | {"iri"} == {f.name for f in fields(cls)}
