@@ -205,14 +205,14 @@ def _load_openpredict_csv(args):
 
 
 def _cmd_run_openpredict(args) -> int:
-    if args.drug_sim or args.disease_sim:
-        bundle, gold = _load_openpredict_csv(args)
-    else:
-        bundle, gold = op_mod.generate_bundle(
-            args.drugs, args.diseases, seed=args.seed, planted=not args.null)
     scheme = (op_mod.HIDE_DRUGS if args.scheme == "drugs"
               else op_mod.HIDE_ASSOCIATIONS)
     try:
+        if args.drug_sim or args.disease_sim:
+            bundle, gold = _load_openpredict_csv(args)
+        else:
+            bundle, gold = op_mod.generate_bundle(
+                args.drugs, args.diseases, seed=args.seed, planted=not args.null)
         if args.trace:
             workflow_graph = generate_fixture()
             record, trace_graph = op_mod.run_and_trace(

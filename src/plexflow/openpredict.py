@@ -5,8 +5,8 @@ Feature generation follows the similarity-profile scheme: a candidate
 combination, the maximum over known associations (d', s') of the weighted
 geometric mean of drugSim_i(drug, d') and diseaseSim_j(disease, s').
 With 5 drug measures and 2 disease measures that yields 10 features, each
-in [0, 1]. A plain logistic classifier trained by full-batch gradient
-descent scores candidates, and two 10-fold cross-validation schemes
+in [0, 1]. An L2-penalized logistic classifier trained by Newton's method
+scores candidates, and two 10-fold cross-validation schemes
 evaluate it: hiding whole drugs (all their associations leave the training
 side) or hiding individual associations.
 
@@ -34,8 +34,17 @@ temporaries are bounded by the block size and the bundle, never by the
 number of candidates: at 593 x 313 with 1,779 gold pairs an 18,600-candidate
 call peaks near 30 MB instead of the pairwise tensor's 6.8 GB.
 
-Training takes gradient steps only and never evaluates the loss;
-``logistic_loss_and_grad`` adds the loss to the same ``_gradient``.
+Training minimizes the mean cross-entropy plus 0.5 * l2 * ||w||^2 (the
+bias is not penalized) by Newton's method from zero weights. Each step
+solves one (k+1) x (k+1) system, 11 x 11 for the 10 features, with the
+Hessian [X 1]^T diag(p(1-p)) [X 1] / n + diag(l2, ..., l2, 0), built from
+one weighted copy of X and never an n x n matrix. It stops at the first
+point whose step is at most ``_STEP_TOL`` times max(1, its largest
+parameter), typically after 3 to 9 steps, where the gradient's max-norm is
+below 1e-13. It never evaluates the loss; ``logistic_loss_and_grad`` adds
+the loss to the same ``_gradient``. A problem without a finite minimum
+(separable data with ``l2=0``) or with a singular Hessian raises
+``PipelineError`` rather than returning unbounded or NaN weights.
 """
 
 from __future__ import annotations
@@ -216,10 +225,14 @@ def _drop_self_column(drug_part, dpow, gd, cd, cs, hits, group_disease,
 # Logistic classifier
 
 
+# Newton's method stops once its step is this small relative to the
+# parameters; the relative form can still be met when the weights are large.
+_STEP_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class Hyper:
-    learning_rate: float = 0.1
-    iterations: int = 2000
+    iterations: int = 50  # cap on Newton steps; 3 to 9 are typical
     l2: float = 1e-4
 
 
@@ -228,6 +241,8 @@ class LogisticModel:
     weights: np.ndarray
     bias: float
     hyper: Hyper
+    iterations: int = 0          # Newton steps taken
+    gradient_norm: float = 0.0   # max |gradient| at the returned point
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -259,22 +274,60 @@ def logistic_loss_and_grad(weights: np.ndarray, bias: float, X: np.ndarray,
     return loss, grad_w, grad_b
 
 
-def train_logistic(features: FeatureMatrix, hyper: Optional[Hyper] = None) -> LogisticModel:
-    """Full-batch gradient descent from zero weights; deterministic.
+def _hessian(X: np.ndarray, z: np.ndarray, l2: float) -> np.ndarray:
+    """The (k+1, k+1) Hessian over (weights, bias) of the penalized loss:
+    [X 1]^T diag(p(1-p)) [X 1] / n + diag(l2, ..., l2, 0). The weighted
+    copy of X is the only per-row temporary."""
+    n, k = X.shape
+    p = _sigmoid(z)
+    s = p * (1.0 - p)
+    weighted = X * s[:, None]
+    H = np.empty((k + 1, k + 1))
+    H[:k, :k] = X.T @ weighted / n
+    H[:k, k] = H[k, :k] = weighted.sum(axis=0) / n
+    H[k, k] = s.sum() / n
+    H[range(k), range(k)] += l2
+    return H
 
-    The loop takes gradient steps only; it never evaluates the loss."""
+
+def train_logistic(features: FeatureMatrix, hyper: Optional[Hyper] = None) -> LogisticModel:
+    """Newton's method on the penalized loss from zero weights; deterministic.
+
+    Each step solves the Hessian system for the gradient and never
+    evaluates the loss. Training returns the first point whose Newton step
+    is at most ``_STEP_TOL`` times max(1, its largest parameter). A
+    non-finite point, gradient or Hessian, a singular Hessian, or no such
+    point within ``hyper.iterations`` steps raises ``PipelineError``.
+    """
     hyper = hyper or Hyper()
     X, y = features.X, features.y
     classes = np.unique(y)
     if len(classes) < 2:
         raise PipelineError("training data must contain both classes")
-    weights = np.zeros(X.shape[1])
-    bias = 0.0
-    for _ in range(hyper.iterations):
-        _, grad_w, grad_b = _gradient(weights, bias, X, y, hyper.l2)
-        weights -= hyper.learning_rate * grad_w
-        bias -= hyper.learning_rate * grad_b
-    return LogisticModel(weights=weights, bias=bias, hyper=hyper)
+    theta = np.zeros(X.shape[1] + 1)  # the weights, then the bias
+    steps = 0
+    while True:
+        z, grad_w, grad_b = _gradient(theta[:-1], float(theta[-1]), X, y,
+                                      hyper.l2)
+        gradient = np.append(grad_w, grad_b)
+        hessian = _hessian(X, z, hyper.l2)
+        if not all(np.all(np.isfinite(a)) for a in (theta, gradient, hessian)):
+            raise PipelineError(f"training failed: non-finite values after "
+                                f"{steps} Newton steps")
+        try:
+            step = np.linalg.solve(hessian, gradient)
+        except np.linalg.LinAlgError as exc:
+            raise PipelineError(f"training failed: singular Hessian after "
+                                f"{steps} Newton steps") from exc
+        if np.max(np.abs(step)) <= _STEP_TOL * max(1.0, np.max(np.abs(theta))):
+            return LogisticModel(weights=theta[:-1], bias=float(theta[-1]),
+                                 hyper=hyper, iterations=steps,
+                                 gradient_norm=float(np.max(np.abs(gradient))))
+        if steps >= hyper.iterations:
+            raise PipelineError(f"training did not converge in "
+                                f"{hyper.iterations} Newton steps")
+        theta = theta - step
+        steps += 1
 
 
 def predict_proba(model: LogisticModel, X: np.ndarray) -> np.ndarray:
@@ -395,9 +448,8 @@ def metrics(scores, labels, threshold: float = 0.5) -> MetricsRecord:
 # Cross-validation
 
 
-def _all_negative_candidates(n_drugs, n_diseases, gold_pairs, drug_pool=None):
-    pool = range(n_drugs) if drug_pool is None else sorted(drug_pool)
-    return [(d, s) for d in pool for s in range(n_diseases)
+def _all_negative_candidates(n_drugs, n_diseases, gold_pairs):
+    return [(d, s) for d in range(n_drugs) for s in range(n_diseases)
             if (d, s) not in gold_pairs]
 
 
@@ -435,6 +487,7 @@ def cross_validate(bundle: SimilarityBundle, gold: GoldStandard, scheme: str,
                    hyper: Optional[Hyper] = None,
                    weights: tuple[float, float] = (0.5, 0.5)) -> CrossValRecord:
     """k-fold evaluation under the hide-drugs or hide-associations scheme."""
+    _check_seed(seed)
     if scheme not in (HIDE_DRUGS, HIDE_ASSOCIATIONS):
         raise PipelineError(f"unknown scheme: {scheme!r}")
     if folds < 2:
@@ -456,9 +509,17 @@ def cross_validate(bundle: SimilarityBundle, gold: GoldStandard, scheme: str,
     return _aggregate(scheme, folds, repetitions, seed, records)
 
 
+def _check_seed(seed: int) -> None:
+    # numpy seeds only with non-negative integers.
+    if seed < 0:
+        raise PipelineError(f"the seed must not be negative: {seed}")
+
+
 def _run_hide_drugs(bundle, gold, folds, seed, rep, hyper, weights):
     rng = np.random.default_rng([seed, rep])
     drugs = list(rng.permutation(bundle.n_drugs))
+    unlabeled = _all_negative_candidates(bundle.n_drugs, bundle.n_diseases,
+                                         gold.pairs)
     records = []
     for fold, test_drugs in enumerate(_chunk(drugs, folds)):
         test_set = set(int(d) for d in test_drugs)
@@ -471,10 +532,8 @@ def _run_hide_drugs(bundle, gold, folds, seed, rep, hyper, weights):
         if not any(p in gold.pairs for p in test_pairs):
             raise PipelineError(f"fold {fold} contains no positive association")
         rng_fold = np.random.default_rng([seed, rep, fold])
-        train_drugs = [d for d in range(bundle.n_drugs) if d not in test_set]
         negatives = _sample_pairs(
-            _all_negative_candidates(bundle.n_drugs, bundle.n_diseases,
-                                     gold.pairs, drug_pool=train_drugs),
+            [p for p in unlabeled if p[0] not in test_set],
             len(train_gold.pairs), rng_fold)
         records.append(_fold_metrics(bundle, gold, train_gold, negatives,
                                      test_pairs, hyper, weights))
@@ -537,6 +596,10 @@ def generate_bundle(n_drugs: int, n_diseases: int, seed: int,
     known association predicts membership; without it they are uniform
     noise and nothing is learnable.
     """
+    if n_drugs < 0 or n_diseases < 0:
+        raise PipelineError("the numbers of drugs and diseases must not be "
+                            "negative")
+    _check_seed(seed)
     rng = np.random.default_rng([seed])
     drug_cluster = rng.integers(0, _CLUSTERS, size=n_drugs)
     disease_cluster = rng.integers(0, _CLUSTERS, size=n_diseases)

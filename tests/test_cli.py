@@ -270,6 +270,16 @@ def test_bad_openpredict_csv_input_exits_with_one_error_line(
         assert part in lines[0]
 
 
+def test_negative_seed_with_csv_input_exits_2(tmp_path, capsys):
+    argv = _write_csv_bundle(tmp_path)
+    gold_path = tmp_path / "gold.csv"
+    gold_path.write_bytes(b"D0,S0\n")
+    # Any exception escaping main() would be a traceback under python -m.
+    assert main(argv + ["--gold", str(gold_path), "--seed", "-1"]) == EXIT_USAGE
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["error: the seed must not be negative: -1"]
+
+
 _SMALL_RUN = ["run-openpredict", "--scheme", "associations", "--folds", "4",
               "--drugs", "24", "--diseases", "18"]
 
@@ -299,6 +309,14 @@ USAGE_ERRORS = {
     "run-openpredict-no-diseases": (["run-openpredict", "--scheme", "drugs",
                                      "--drugs", "3", "--diseases", "0"],
                                     "at least one drug and one disease"),
+    "run-openpredict-negative-drugs": (["run-openpredict", "--scheme", "drugs",
+                                        "--drugs", "-1", "--diseases", "3"],
+                                       "drugs and diseases must not be negative"),
+    "run-openpredict-negative-diseases": (["run-openpredict", "--scheme", "drugs",
+                                           "--drugs", "3", "--diseases", "-2"],
+                                          "drugs and diseases must not be negative"),
+    "run-openpredict-negative-seed": (_SMALL_RUN + ["--seed", "-1"],
+                                      "the seed must not be negative: -1"),
 }
 
 

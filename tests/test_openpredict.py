@@ -160,9 +160,39 @@ def _separable_toy(n=80, seed=0):
 
 def test_separable_toy_reaches_training_accuracy_one():
     fm = _separable_toy()
-    model = train_logistic(fm, Hyper(learning_rate=0.5, iterations=3000))
+    model = train_logistic(fm)
     scores = predict_proba(model, fm.X)
     assert metrics(scores, fm.y).accuracy == 1.0
+
+
+def test_separable_toy_without_penalty_raises():
+    # With l2=0 the loss has no minimum on separable data: the weights grow
+    # without bound, so training must fail instead of returning them.
+    with pytest.raises(PipelineError, match="did not converge in 50 Newton"):
+        train_logistic(_separable_toy(), Hyper(l2=0.0))
+
+
+def test_singular_hessian_raises():
+    # A constant-zero feature without a penalty leaves the Hessian singular.
+    fm = _separable_toy()
+    fm.X[:, 1] = 0.0
+    with pytest.raises(PipelineError, match="singular Hessian"):
+        train_logistic(fm, Hyper(l2=0.0))
+
+
+def test_non_finite_features_raise():
+    fm = _separable_toy()
+    fm.X[3, 0] = np.inf
+    with pytest.raises(PipelineError, match="non-finite"), \
+            np.errstate(invalid="ignore"):  # 0 * inf in the first logits
+        train_logistic(fm)
+
+
+def test_iteration_cap_is_enforced():
+    fm = _separable_toy()
+    assert train_logistic(fm).iterations > 2
+    with pytest.raises(PipelineError, match="did not converge in 2 Newton"):
+        train_logistic(fm, Hyper(iterations=2))
 
 
 def test_single_class_rejected():
@@ -172,19 +202,19 @@ def test_single_class_rejected():
         train_logistic(fm)
 
 
-def test_loss_never_increases_with_default_step():
+def test_loss_never_increases_with_gradient_step_0_1():
     fm = _separable_toy(seed=9)
-    hyper = Hyper()
+    l2 = Hyper().l2
     weights = np.zeros(fm.X.shape[1])
     bias = 0.0
     last = None
     for _ in range(200):
-        loss, gw, gb = logistic_loss_and_grad(weights, bias, fm.X, fm.y, hyper.l2)
+        loss, gw, gb = logistic_loss_and_grad(weights, bias, fm.X, fm.y, l2)
         if last is not None:
             assert loss <= last + 1e-12
         last = loss
-        weights -= hyper.learning_rate * gw
-        bias -= hyper.learning_rate * gb
+        weights -= 0.1 * gw
+        bias -= 0.1 * gb
 
 
 def test_gradient_matches_central_finite_differences():
@@ -247,6 +277,20 @@ def test_fold_count_must_be_at_least_two():
     bundle, gold = generate_bundle(20, 15, seed=1)
     with pytest.raises(PipelineError):
         cross_validate(bundle, gold, HIDE_DRUGS, folds=1)
+
+
+def test_negative_seed_rejected():
+    bundle, gold = generate_bundle(20, 15, seed=1)
+    with pytest.raises(PipelineError, match="seed must not be negative"):
+        cross_validate(bundle, gold, HIDE_DRUGS, seed=-1)
+    with pytest.raises(PipelineError, match="seed must not be negative"):
+        generate_bundle(20, 15, seed=-1)
+
+
+@pytest.mark.parametrize("n_drugs, n_diseases", [(-1, 3), (3, -1)])
+def test_negative_bundle_size_rejected(n_drugs, n_diseases):
+    with pytest.raises(PipelineError, match="must not be negative"):
+        generate_bundle(n_drugs, n_diseases, seed=1)
 
 
 def test_unknown_scheme_rejected():

@@ -1,24 +1,31 @@
 """The OpenPREDICT numeric kernels against their reference forms.
 
 ``build_features`` takes the maximum grouped by gold disease, ``_sigmoid``
-uses one branch-free expression, ``train_logistic`` never evaluates the
-loss, and the midranks and average precision find their tie blocks with
-array operations; each must agree with the direct form below bit for bit,
-so every feature, weight and metric of a run is unchanged.
+uses one branch-free expression, and the midranks and average precision
+find their tie blocks with array operations; each must agree with the
+direct form below bit for bit. ``train_logistic`` uses Newton's method,
+which gradient descent cannot match bit for bit; it must reach a
+stationary point, agree with a long gradient-descent run, and give the
+same bytes on every run and at any BLAS thread count.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import plexflow
 from plexflow.cli import EXIT_OK, main
 from plexflow.openpredict import (
-    N_FEATURES, GoldStandard, Hyper, SimilarityBundle, _ROW_BLOCK, _midranks,
-    _sigmoid, average_precision, build_features, generate_bundle,
-    train_logistic,
+    N_FEATURES, FeatureMatrix, GoldStandard, Hyper, SimilarityBundle,
+    _ROW_BLOCK, _midranks, _sigmoid, average_precision, build_features,
+    generate_bundle, logistic_loss_and_grad, train_logistic,
 )
 
 WEIGHTS = [(0.5, 0.5), (0.3, 0.7), (1.0, 0.0), (0.0, 1.0)]
@@ -54,17 +61,17 @@ def two_branch_sigmoid(z):
     return out
 
 
-def reference_train(X, y, hyper):
+def reference_train(X, y, l2, learning_rate, iterations):
     """Gradient descent with the two-branch sigmoid and ``np.mean``."""
     weights = np.zeros(X.shape[1])
     bias = 0.0
     n = X.shape[0]
-    for _ in range(hyper.iterations):
+    for _ in range(iterations):
         residual = two_branch_sigmoid(X @ weights + bias) - y
-        grad_w = X.T @ residual / n + hyper.l2 * weights
+        grad_w = X.T @ residual / n + l2 * weights
         grad_b = float(np.mean(residual))
-        weights -= hyper.learning_rate * grad_w
-        bias -= hyper.learning_rate * grad_b
+        weights -= learning_rate * grad_w
+        bias -= learning_rate * grad_b
     return weights, bias
 
 
@@ -136,17 +143,57 @@ def test_sigmoid_equals_two_branch_form_bytes():
             assert _sigmoid(arr).tobytes() == two_branch_sigmoid(arr).tobytes()
 
 
-def test_training_equals_reference_loop_bytes():
+def _training_fold():
+    """Every gold pair of a 60 x 40 bundle and every 13th unlabeled pair."""
     bundle, gold = generate_bundle(60, 40, seed=42)
     negatives = [(d, s) for d in range(60) for s in range(40)
                  if (d, s) not in gold.pairs][::13]
-    fm = build_features(bundle, gold, sorted(gold.pairs) + negatives,
-                        exclude_self=True)
-    for hyper in (Hyper(), Hyper(learning_rate=5.0, iterations=300, l2=0.0)):
+    return build_features(bundle, gold, sorted(gold.pairs) + negatives,
+                          exclude_self=True)
+
+
+def _noisy_fold():
+    """Four uniform features with labels drawn from a logistic model: not
+    separable, so the unpenalized loss has a unique minimum."""
+    rng = np.random.default_rng(4)
+    X = rng.uniform(0.0, 1.0, (200, 4))
+    p = two_branch_sigmoid(X @ np.array([2.0, -1.0, 0.5, 0.0]) - 0.5)
+    y = (rng.uniform(size=200) < p).astype(float)
+    return FeatureMatrix(tuple((i, 0) for i in range(200)), X, y)
+
+
+def test_training_reaches_a_stationary_point():
+    for fm, hyper in ((_training_fold(), Hyper()),
+                      (_training_fold(), Hyper(l2=0.03)),
+                      (_noisy_fold(), Hyper(l2=0.0))):
         model = train_logistic(fm, hyper)
-        weights, bias = reference_train(fm.X, fm.y, hyper)
-        assert model.weights.tobytes() == weights.tobytes()
-        assert np.float64(model.bias).tobytes() == np.float64(bias).tobytes()
+        _, grad_w, grad_b = logistic_loss_and_grad(model.weights, model.bias,
+                                                   fm.X, fm.y, hyper.l2)
+        norm = max(float(np.max(np.abs(grad_w))), abs(grad_b))
+        assert norm <= 1e-9, norm
+        assert model.gradient_norm == norm
+        assert 0 < model.iterations <= hyper.iterations
+
+
+def test_training_agrees_with_long_gradient_descent():
+    # Well-conditioned problems, where 5,000 steps of 1.0 bring gradient
+    # descent to within about 1e-13 of the minimum.
+    for fm, l2 in ((_training_fold(), 0.03), (_noisy_fold(), 0.0)):
+        model = train_logistic(fm, Hyper(l2=l2))
+        weights, bias = reference_train(fm.X, fm.y, l2, 1.0, 5000)
+        assert np.max(np.abs(model.weights - weights)) <= 1e-6
+        assert abs(model.bias - bias) <= 1e-6
+
+
+def test_training_is_byte_identical_across_runs():
+    fm = _training_fold()
+    runs = [train_logistic(fm) for _ in range(3)]
+    for model in runs[1:]:
+        assert model.weights.tobytes() == runs[0].weights.tobytes()
+        assert (np.float64(model.bias).tobytes()
+                == np.float64(runs[0].bias).tobytes())
+        assert model.iterations == runs[0].iterations
+        assert model.gradient_norm == runs[0].gradient_norm
 
 
 def loop_midranks(scores):
@@ -233,18 +280,36 @@ def test_paper_scale_features_stay_in_bounded_memory():
     assert peak < 256 * 2**20, f"peak {peak / 2**20:.0f} MiB"
 
 
-# SHA-256 of the metrics JSON as written by the dense feature tensor and the
-# loss-evaluating training loop; a change that moves any metric breaks them.
+# SHA-256 of the metrics JSON of a 60 x 40, 4-fold run with Newton
+# training; a change that moves any metric breaks them.
 PINNED_METRICS_SHA256 = {
-    "drugs": "a4fe05e12fb9b849a0bbcc58e66a50491d97402ab9c11ad246ba20129d1c8ee6",
-    "associations": "3f90b76d4470466abd0eb89ca09202f764d9332c156cc67d951304c0d41f2c11",
+    "drugs": "78e232387c8723b5665ba10918940f610ffe661cbbf869558a0ba5f618c660e2",
+    "associations": "4c984747a1116b222dc640efc402785911214dc6f7184d2774cca374205c62e5",
 }
+_PINNED_RUN = ["run-openpredict", "--drugs", "60", "--diseases", "40",
+               "--folds", "4", "--seed", "42"]
 
 
 def test_metrics_json_is_pinned(tmp_path):
     for scheme, digest in PINNED_METRICS_SHA256.items():
         path = tmp_path / f"{scheme}.json"
-        assert main(["run-openpredict", "--scheme", scheme, "--drugs", "60",
-                     "--diseases", "40", "--folds", "4", "--seed", "42",
-                     "--metrics", str(path)]) == EXIT_OK
+        assert main(_PINNED_RUN + ["--scheme", scheme,
+                                   "--metrics", str(path)]) == EXIT_OK
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, scheme
+
+
+def test_metrics_json_is_identical_across_blas_threads(tmp_path):
+    src = str(Path(plexflow.__file__).resolve().parents[1])
+    for scheme, digest in PINNED_METRICS_SHA256.items():
+        for threads in ("1", "2"):
+            path = tmp_path / f"{scheme}-{threads}.json"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            result = subprocess.run(
+                [sys.executable, "-m", "plexflow", *_PINNED_RUN,
+                 "--scheme", scheme, "--metrics", str(path)],
+                env=env, capture_output=True, text=True)
+            assert result.returncode == EXIT_OK, result.stderr
+            assert (hashlib.sha256(path.read_bytes()).hexdigest()
+                    == digest), (scheme, threads)
