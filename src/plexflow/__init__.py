@@ -17,7 +17,7 @@ from .query import ResultTable, evaluate, parse_query, run_query
 from .cq import run_cq
 from .workflow import emit_triples, load_workflow, step_order, validate
 from .trace import Tracer, load_activity, load_trace
-from .versiondiff import diff, diff_datasets, diff_instructions, automatized_steps
+from .versiondiff import diff
 from .fairaudit import audit
 from .fixture import generate_fixture
 
@@ -29,6 +29,5 @@ __all__ = [
     "ResultTable", "evaluate", "parse_query", "run_query", "run_cq",
     "emit_triples", "load_workflow", "step_order", "validate",
     "Tracer", "load_activity", "load_trace",
-    "diff", "diff_datasets", "diff_instructions", "automatized_steps",
-    "audit", "generate_fixture", "__version__",
+    "diff", "audit", "generate_fixture", "__version__",
 ]

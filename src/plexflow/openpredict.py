@@ -15,6 +15,16 @@ Everything is seeded and deterministic: per-fold RNG streams derive from
 change results. Negative examples are unlabeled pairs sampled uniformly at
 a 1:1 ratio to positives per fold.
 
+Inside cross-validation a pair (d, s) is the flat index d * n_diseases + s.
+Ascending indices are the pairs in (drug, disease) order, so an int64
+array of indices holds a pair set in the order a sorted list of tuples
+would. One generator, ``_folds``, yields each fold's training positives,
+training negatives and test pairs for both schemes. A negative draw takes
+``rng.choice(len(pool), count)`` positions in the fold's pool of unlabeled
+pairs, which stays in ascending order, and sorts them; the draw depends
+only on the pool's length, so the pairs drawn depend only on the seed and
+the pool, not on how the pairs are stored.
+
 A synthetic generator produces block-structured similarity bundles with a
 planted cluster signal (or none), sized for tests rather than for real
 corpora; real matrices can be loaded from CSV instead.
@@ -51,7 +61,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -151,26 +161,31 @@ def _check_weights(weights) -> tuple[float, float]:
 
 
 def build_features(bundle: SimilarityBundle, gold: GoldStandard,
-                   candidates: Iterable[tuple[int, int]],
+                   candidates: Sequence[tuple[int, int]] | np.ndarray,
                    exclude_self: bool = False,
                    weights: tuple[float, float] = (0.5, 0.5)) -> FeatureMatrix:
     """Similarity-profile features for candidate pairs against a gold standard.
 
-    ``exclude_self`` drops a candidate's own association from the maximum,
-    so a known positive cannot score against itself. The maximum is
-    grouped by gold disease; see the module docstring.
+    ``candidates`` holds (drug, disease) index pairs, as tuples or as the
+    rows of an (n, 2) integer array; a pair outside the bundle raises
+    ``PipelineError``. ``exclude_self`` drops a candidate's own association
+    from the maximum, so a known positive cannot score against itself. The
+    maximum is grouped by gold disease; see the module docstring.
     """
     w1, w2 = _check_weights(weights)
     if not gold.pairs:
         raise PipelineError("gold standard is empty")
-    pairs = tuple(candidates)
+    pairs = np.asarray(candidates, dtype=np.int64).reshape(-1, 2)
+    cd, cs = pairs[:, 0], pairs[:, 1]
+    if not (np.all((0 <= cd) & (cd < bundle.n_drugs))
+            and np.all((0 <= cs) & (cs < bundle.n_diseases))):
+        raise PipelineError("a candidate pair is out of range")
     gold_list = sorted(gold.pairs, key=lambda p: (p[1], p[0]))
     gd = np.fromiter((d for d, _ in gold_list), dtype=np.int64)
     gs = np.fromiter((s for _, s in gold_list), dtype=np.int64)
-    cd = np.fromiter((d for d, _ in pairs), dtype=np.int64, count=len(pairs))
-    cs = np.fromiter((s for _, s in pairs), dtype=np.int64, count=len(pairs))
-    y = np.fromiter((1.0 if p in gold.pairs else 0.0 for p in pairs),
-                    dtype=np.float64, count=len(pairs))
+    is_gold = np.zeros((bundle.n_drugs, bundle.n_diseases), dtype=bool)
+    is_gold[gd, gs] = True
+    y = is_gold[cd, cs].astype(np.float64)
 
     # Gold pairs sorted by disease: gold disease k spans [start[k], end[k]).
     # Every gathered axis comes first, so each gather copies contiguous runs.
@@ -201,7 +216,7 @@ def build_features(bundle: SimilarityBundle, gold: GoldStandard,
         disease_part = spow[cs[rows]]                                # (b, 2, K)
         feats = (drug_part[:, :, None] * disease_part[:, None]).max(axis=3)
         X[rows] = feats.reshape(-1, N_FEATURES)
-    return FeatureMatrix(pairs=pairs, X=X, y=y)
+    return FeatureMatrix(pairs=tuple(map(tuple, pairs.tolist())), X=X, y=y)
 
 
 def _drop_self_column(drug_part, dpow, gd, cd, cs, hits, group_disease,
@@ -448,30 +463,6 @@ def metrics(scores, labels, threshold: float = 0.5) -> MetricsRecord:
 # Cross-validation
 
 
-def _all_negative_candidates(n_drugs, n_diseases, gold_pairs):
-    return [(d, s) for d in range(n_drugs) for s in range(n_diseases)
-            if (d, s) not in gold_pairs]
-
-
-def _sample_pairs(candidates: list[tuple[int, int]], count: int,
-                  rng: np.random.Generator) -> list[tuple[int, int]]:
-    if count > len(candidates):
-        raise PipelineError("not enough unlabeled pairs to sample negatives")
-    index = rng.choice(len(candidates), size=count, replace=False)
-    return [candidates[i] for i in sorted(index)]
-
-
-def _chunk(items: list, folds: int) -> list[list]:
-    out = []
-    base, extra = divmod(len(items), folds)
-    pos = 0
-    for k in range(folds):
-        size = base + (1 if k < extra else 0)
-        out.append(items[pos:pos + size])
-        pos += size
-    return out
-
-
 def _aggregate(scheme, folds, repetitions, seed, records) -> CrossValRecord:
     arrays = {name: np.array([getattr(r, name) for r in records])
               for name in ("roc_auc", "aupr", "accuracy", "precision",
@@ -498,14 +489,12 @@ def cross_validate(bundle: SimilarityBundle, gold: GoldStandard, scheme: str,
     gold.validate(bundle.n_drugs, bundle.n_diseases)
     hyper = hyper or Hyper()
 
-    records: list[MetricsRecord] = []
-    for rep in range(repetitions):
-        if scheme == HIDE_DRUGS:
-            records.extend(_run_hide_drugs(bundle, gold, folds, seed, rep,
-                                           hyper, weights))
-        else:
-            records.extend(_run_hide_associations(bundle, gold, folds, seed, rep,
-                                                  hyper, weights))
+    labels = np.zeros(bundle.n_drugs * bundle.n_diseases)
+    labels[[d * bundle.n_diseases + s for d, s in gold.pairs]] = 1.0
+    records = [_fold_metrics(bundle, train_pos, train_neg, test, labels,
+                             hyper, weights)
+               for train_pos, train_neg, test in _folds(
+                   scheme, labels, bundle.n_diseases, folds, repetitions, seed)]
     return _aggregate(scheme, folds, repetitions, seed, records)
 
 
@@ -515,68 +504,69 @@ def _check_seed(seed: int) -> None:
         raise PipelineError(f"the seed must not be negative: {seed}")
 
 
-def _run_hide_drugs(bundle, gold, folds, seed, rep, hyper, weights):
-    rng = np.random.default_rng([seed, rep])
-    drugs = list(rng.permutation(bundle.n_drugs))
-    unlabeled = _all_negative_candidates(bundle.n_drugs, bundle.n_diseases,
-                                         gold.pairs)
-    records = []
-    for fold, test_drugs in enumerate(_chunk(drugs, folds)):
-        test_set = set(int(d) for d in test_drugs)
-        train_gold = GoldStandard(frozenset(
-            p for p in gold.pairs if p[0] not in test_set))
-        if not train_gold.pairs:
-            raise PipelineError(f"fold {fold} leaves no training associations")
-        test_pairs = [(d, s) for d in sorted(test_set)
-                      for s in range(bundle.n_diseases)]
-        if not any(p in gold.pairs for p in test_pairs):
-            raise PipelineError(f"fold {fold} contains no positive association")
-        rng_fold = np.random.default_rng([seed, rep, fold])
-        negatives = _sample_pairs(
-            [p for p in unlabeled if p[0] not in test_set],
-            len(train_gold.pairs), rng_fold)
-        records.append(_fold_metrics(bundle, gold, train_gold, negatives,
-                                     test_pairs, hyper, weights))
-    return records
+def _folds(scheme, labels, n_diseases, folds, repetitions, seed):
+    """(training positives, training negatives, test pairs) for every fold,
+    as flat pair indices ``drug * n_diseases + disease``.
+
+    ``labels`` marks the gold pairs. Hiding drugs tests every pair of the
+    fold's drugs and draws training negatives among the other drugs' pairs.
+    Hiding associations tests the fold's gold pairs plus as many drawn
+    unlabeled pairs, and draws training negatives from the rest.
+    """
+    positives = np.flatnonzero(labels)
+    unlabeled = np.flatnonzero(labels == 0)
+    n_drugs = len(labels) // n_diseases
+
+    def draw(size, count, rng):
+        """Sorted positions of ``count`` distinct draws out of ``size``."""
+        if count > size:
+            raise PipelineError("not enough unlabeled pairs to sample negatives")
+        return np.sort(rng.choice(size, size=count, replace=False))
+
+    for rep in range(repetitions):
+        rng = np.random.default_rng([seed, rep])
+        if scheme == HIDE_DRUGS:
+            hidden = rng.permutation(n_drugs)
+        else:
+            hidden = positives[rng.permutation(len(positives))]
+        for fold, chunk in enumerate(np.array_split(hidden, folds)):
+            held = np.isin(positives // n_diseases if scheme == HIDE_DRUGS
+                           else positives, chunk)
+            train_pos = positives[~held]
+            checks = [(len(train_pos), "leaves no training associations"),
+                      (held.any(), "contains no positive association")]
+            if scheme == HIDE_ASSOCIATIONS:
+                checks.reverse()  # an empty fold is reported first here
+            for passed, failure in checks:
+                if not passed:
+                    raise PipelineError(f"fold {fold} {failure}")
+            rng_fold = np.random.default_rng([seed, rep, fold])
+            if scheme == HIDE_DRUGS:
+                pool = unlabeled[~np.isin(unlabeled // n_diseases, chunk)]
+                test = (np.sort(chunk)[:, None] * n_diseases
+                        + np.arange(n_diseases)).ravel()
+            else:
+                pick = draw(len(unlabeled), len(chunk), rng_fold)
+                pool = np.delete(unlabeled, pick)
+                test = np.concatenate([positives[held], unlabeled[pick]])
+            yield train_pos, pool[draw(len(pool), len(train_pos), rng_fold)], test
 
 
-def _run_hide_associations(bundle, gold, folds, seed, rep, hyper, weights):
-    rng = np.random.default_rng([seed, rep])
-    positives = sorted(gold.pairs)
-    order = [positives[int(i)] for i in rng.permutation(len(positives))]
-    unlabeled = _all_negative_candidates(bundle.n_drugs, bundle.n_diseases,
-                                         gold.pairs)
-    records = []
-    for fold, test_pos in enumerate(_chunk(order, folds)):
-        if not test_pos:
-            raise PipelineError(f"fold {fold} contains no positive association")
-        train_gold = GoldStandard(frozenset(gold.pairs) - frozenset(test_pos))
-        if not train_gold.pairs:
-            raise PipelineError(f"fold {fold} leaves no training associations")
-        rng_fold = np.random.default_rng([seed, rep, fold])
-        test_neg = _sample_pairs(unlabeled, len(test_pos), rng_fold)
-        test_neg_set = set(test_neg)
-        remaining = [p for p in unlabeled if p not in test_neg_set]
-        train_neg = _sample_pairs(remaining, len(train_gold.pairs), rng_fold)
-        test_pairs = sorted(test_pos) + test_neg
-        records.append(_fold_metrics(bundle, gold, train_gold, train_neg,
-                                     test_pairs, hyper, weights))
-    return records
-
-
-def _fold_metrics(bundle, gold, train_gold, train_neg, test_pairs, hyper,
+def _fold_metrics(bundle, train_pos, train_neg, test, labels, hyper,
                   weights) -> MetricsRecord:
     """Train on the fold's gold pairs and sampled negatives, and score the
     test pairs against the full gold standard."""
-    train_pairs = sorted(train_gold.pairs) + train_neg
-    train = build_features(bundle, train_gold, train_pairs,
+    def pairs(flat):
+        return np.stack(np.divmod(flat, bundle.n_diseases), axis=1)
+
+    train_gold = GoldStandard(frozenset(map(tuple, pairs(train_pos).tolist())))
+    train = build_features(bundle, train_gold,
+                           pairs(np.concatenate([train_pos, train_neg])),
                            exclude_self=True, weights=weights)
-    test = build_features(bundle, train_gold, test_pairs,
-                          exclude_self=False, weights=weights)
-    test_labels = np.fromiter((1.0 if p in gold.pairs else 0.0
-                               for p in test_pairs), dtype=np.float64)
+    test_features = build_features(bundle, train_gold, pairs(test),
+                                   exclude_self=False, weights=weights)
     model = train_logistic(train, hyper)
-    return metrics(predict_proba(model, test.X), test_labels)
+    return metrics(predict_proba(model, test_features.X), labels[test])
 
 
 # ---------------------------------------------------------------------------

@@ -100,14 +100,12 @@ class Tracer:
     def activities(self) -> list[ActivityRecord]:
         return [self._activities[a] for a in sorted(self._activities)]
 
-    def _fresh_activity_iri(self, step: str, at) -> str:
-        step_local = _local_name(step).removeprefix("Step_")
-        epoch = _epoch_seconds(at)
-        candidate = f"{self._base}Activity_{step_local}_Execution_{epoch}"
-        n = 1
+    def _mint(self, stem: str) -> str:
+        """``stem``, or ``stem_<n>`` for the least n >= 2 not yet used."""
+        candidate, n = stem, 1
         while candidate in self._used_iris:
             n += 1
-            candidate = f"{self._base}Activity_{step_local}_Execution_{epoch}_{n}"
+            candidate = f"{stem}_{n}"
         return candidate
 
     def begin_activity(self, step: str, agent: str, role: str, at,
@@ -119,7 +117,9 @@ class Tracer:
         """
         if not self._graph.match(IRI(step), RDF_TYPE, IRI(PPLAN.Step)):
             raise UnknownStepError(f"not a p-plan:Step in the graph: {step}")
-        activity_iri = iri or self._fresh_activity_iri(step, at)
+        step_local = _local_name(step).removeprefix("Step_")
+        activity_iri = iri or self._mint(
+            f"{self._base}Activity_{step_local}_Execution_{_epoch_seconds(at)}")
         if activity_iri in self._used_iris:
             raise TraceError(f"activity IRI already used: {activity_iri}")
         self._used_iris.add(activity_iri)
@@ -134,9 +134,7 @@ class Tracer:
         return record
 
     def associate(self, activity: ActivityRecord, agent: str, role: str) -> None:
-        updated = activity.associations | {(agent, role)}
-        activity.associations = updated
-        self._activities[activity.iri] = activity
+        activity.associations |= {(agent, role)}
 
     def end_activity(self, activity: ActivityRecord, at) -> None:
         ended = iso_millis(at)
@@ -151,11 +149,7 @@ class Tracer:
         if found is None:
             suffix = activity.iri.rsplit("Activity_", 1)[-1]
             tail = suffix.rsplit("_Execution_", 1)[-1]
-            found = f"{self._base}Generation_Execution_{tail}"
-            n = 1
-            while found in self._used_iris:
-                n += 1
-                found = f"{self._base}Generation_Execution_{tail}_{n}"
+            found = self._mint(f"{self._base}Generation_Execution_{tail}")
             self._used_iris.add(found)
             self._generations[key] = found
         return found, stamp

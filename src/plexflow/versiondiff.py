@@ -32,13 +32,13 @@ from .workflow import MANUAL, SCRIPT, WorkflowError, is_workflow
 class DiffReport:
     from_workflow: str
     to_workflow: str
-    removed_instructions: frozenset[str] = frozenset()
-    changed_instructions: frozenset[tuple[str, str]] = frozenset()
-    added_instructions: frozenset[str] = frozenset()
-    automatized_steps: frozenset[tuple[str, str]] = frozenset()
-    removed_datasets: frozenset[str] = frozenset()
-    changed_datasets: frozenset[tuple[str, str]] = frozenset()
-    added_datasets: frozenset[str] = frozenset()
+    removed_instructions: frozenset[str]
+    changed_instructions: frozenset[tuple[str, str]]
+    added_instructions: frozenset[str]
+    automatized_steps: frozenset[tuple[str, str]]
+    removed_datasets: frozenset[str]
+    changed_datasets: frozenset[tuple[str, str]]
+    added_datasets: frozenset[str]
 
     def to_json(self) -> str:
         payload = {
@@ -107,6 +107,7 @@ def _partition(revisions: set[tuple[str, str]], a: Collection[str],
 
 def _automatized(changed: frozenset[tuple[str, str]], used_a: UsageMap,
                  used_b: UsageMap) -> frozenset[tuple[str, str]]:
+    """(old step, new step) pairs that went manual -> computational."""
     return frozenset((step_a, step_b)
                      for old, new in changed
                      for step_a, kind_a in used_a[old] if kind_a == MANUAL
@@ -114,6 +115,7 @@ def _automatized(changed: frozenset[tuple[str, str]], used_a: UsageMap,
 
 
 def _distributions(g: Graph, used: UsageMap) -> set[str]:
+    """Distributions reachable through the usage bindings of ``used``."""
     dists: set[str] = set()
     for instr in used:
         for usage in g.iri_objects(IRI(instr), PROV.qualifiedUsage):
@@ -121,46 +123,6 @@ def _distributions(g: Graph, used: UsageMap) -> set[str]:
                 if DCAT.Distribution in g.types(IRI(entity)):
                     dists.add(entity)
     return dists
-
-
-def diff_instructions(g: Graph, wf_a: str, wf_b: str) -> DiffReport:
-    """Removed / changed / added instruction sets between two versions."""
-    removed, changed, added = _partition(
-        _revision_pairs(g), used_instructions(g, wf_a), used_instructions(g, wf_b))
-    return DiffReport(
-        from_workflow=wf_a,
-        to_workflow=wf_b,
-        removed_instructions=removed,
-        changed_instructions=changed,
-        added_instructions=added,
-    )
-
-
-def automatized_steps(g: Graph, wf_a: str, wf_b: str) -> frozenset[tuple[str, str]]:
-    """(old step, new step) pairs that went manual -> computational."""
-    used_a = used_instructions(g, wf_a)
-    used_b = used_instructions(g, wf_b)
-    _, changed, _ = _partition(_revision_pairs(g), used_a, used_b)
-    return _automatized(changed, used_a, used_b)
-
-
-def reachable_distributions(g: Graph, wf: str) -> set[str]:
-    """Distributions reachable through the usage bindings of used instructions."""
-    return _distributions(g, used_instructions(g, wf))
-
-
-def diff_datasets(g: Graph, wf_a: str, wf_b: str) -> DiffReport:
-    """Removed / changed / added dataset distributions between two versions."""
-    removed, changed, added = _partition(
-        _revision_pairs(g), reachable_distributions(g, wf_a),
-        reachable_distributions(g, wf_b))
-    return DiffReport(
-        from_workflow=wf_a,
-        to_workflow=wf_b,
-        removed_datasets=removed,
-        changed_datasets=changed,
-        added_datasets=added,
-    )
 
 
 def diff(g: Graph, wf_a: str, wf_b: str) -> DiffReport:

@@ -169,9 +169,9 @@ def test_cq3_5_executions(fixture_graph):
 def test_cq_delta_agrees_with_diff_module(fixture_graph):
     # Two independent routes to the same partition: SPARQL queries here,
     # typed graph traversal in versiondiff.
-    from plexflow.versiondiff import diff_instructions
+    from plexflow.versiondiff import diff
     table = run_cq("CQ3.2", fixture_graph, {"from": V01, "to": V02})
-    report = diff_instructions(fixture_graph, V01, V02)
+    report = diff(fixture_graph, V01, V02)
     removed = {row[1].value for row in table.rows
                if row[0].lexical == "removed"}
     added = {row[2].value for row in table.rows if row[0].lexical == "added"}

@@ -123,6 +123,25 @@ def test_empty_gold_rejected():
         build_features(bundle, GoldStandard(frozenset()), [(0, 0)])
 
 
+@pytest.mark.parametrize("pair", [(-1, 0), (0, -1), (4, 0), (0, 3)])
+def test_out_of_range_candidate_rejected(pair):
+    bundle = _toy_bundle(n_drugs=4, n_diseases=3)
+    gold = GoldStandard(frozenset({(0, 0)}))
+    with pytest.raises(PipelineError, match="out of range"):
+        build_features(bundle, gold, [(1, 1), pair])
+
+
+def test_candidates_as_tuples_or_array_agree():
+    bundle, gold = generate_bundle(12, 9, seed=3)
+    candidates = [(d, s) for d in range(12) for s in range(9)][::5]
+    listed = build_features(bundle, gold, candidates, exclude_self=True)
+    stacked = build_features(bundle, gold, np.array(candidates),
+                             exclude_self=True)
+    assert listed.pairs == stacked.pairs == tuple(candidates)
+    assert listed.X.tobytes() == stacked.X.tobytes()
+    assert listed.y.tolist() == [float(p in gold.pairs) for p in candidates]
+
+
 def test_bundle_validation():
     bundle = _toy_bundle()
     bundle.drug_sims[0, 0, 1] = 1.5

@@ -6,10 +6,13 @@ find their tie blocks with array operations; each must agree with the
 direct form below bit for bit. ``train_logistic`` uses Newton's method,
 which gradient descent cannot match bit for bit; it must reach a
 stationary point, agree with a long gradient-descent run, and give the
-same bytes on every run and at any BLAS thread count.
+same bytes on every run and at any BLAS thread count. Pinned digests of
+cross-validation output close the file: any change to the draws, the folds
+or the metrics breaks them.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -23,9 +26,10 @@ from hypothesis import strategies as st
 import plexflow
 from plexflow.cli import EXIT_OK, main
 from plexflow.openpredict import (
-    N_FEATURES, FeatureMatrix, GoldStandard, Hyper, SimilarityBundle,
-    _ROW_BLOCK, _midranks, _sigmoid, average_precision, build_features,
-    generate_bundle, logistic_loss_and_grad, train_logistic,
+    HIDE_ASSOCIATIONS, HIDE_DRUGS, N_FEATURES, FeatureMatrix, GoldStandard,
+    Hyper, PipelineError, SimilarityBundle, _ROW_BLOCK, _midranks, _sigmoid,
+    average_precision, build_features, cross_validate, generate_bundle,
+    logistic_loss_and_grad, train_logistic,
 )
 
 WEIGHTS = [(0.5, 0.5), (0.3, 0.7), (1.0, 0.0), (0.0, 1.0)]
@@ -290,12 +294,61 @@ _PINNED_RUN = ["run-openpredict", "--drugs", "60", "--diseases", "40",
                "--folds", "4", "--seed", "42"]
 
 
+# The same run with uneven folds, two repetitions and no planted signal.
+PINNED_REPS_NULL_SHA256 = {
+    "drugs": "3d39b605b7fa1fd6bffbaa09ba909daaf3a22e2c48cfbbfea7446216eff82a02",
+    "associations": "a3885e6ed4f591aac1cd361a14408784e9b2b1c5c0fbb5cae55c49464a210f66",
+}
+
+
+def _metrics_digest(tmp_path, argv):
+    path = tmp_path / "metrics.json"
+    assert main(argv + ["--metrics", str(path)]) == EXIT_OK
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def test_metrics_json_is_pinned(tmp_path):
     for scheme, digest in PINNED_METRICS_SHA256.items():
-        path = tmp_path / f"{scheme}.json"
-        assert main(_PINNED_RUN + ["--scheme", scheme,
-                                   "--metrics", str(path)]) == EXIT_OK
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, scheme
+        argv = _PINNED_RUN + ["--scheme", scheme]
+        assert _metrics_digest(tmp_path, argv) == digest, scheme
+
+
+def test_metrics_json_with_repetitions_is_pinned(tmp_path):
+    for scheme, digest in PINNED_REPS_NULL_SHA256.items():
+        argv = ["run-openpredict", "--drugs", "60", "--diseases", "40",
+                "--folds", "7", "--reps", "2", "--null", "--seed", "42",
+                "--scheme", scheme]
+        assert _metrics_digest(tmp_path, argv) == digest, scheme
+
+
+# SHA-256 over 1,440 small cross-validations: every bundle size from 1 x 1
+# to 6 x 5, seeds 0-3, planted and null, both schemes, 2, 3 and 7 folds.
+# Each case adds its payload JSON or its PipelineError message, so the
+# draws, the fold sizes and each scheme's order of checks are all pinned.
+PINNED_SMALL_GRID_SHA256 = (
+    "25482cc1ef5b1edaa892d9eb02dda1bed90946a13d1a2e5e422997e79113aeaa")
+
+
+def test_small_cross_validation_grid_is_pinned():
+    digest = hashlib.sha256()
+    for n_drugs in range(1, 7):
+        for n_diseases in range(1, 6):
+            for seed in range(4):
+                for planted in (True, False):
+                    bundle, gold = generate_bundle(n_drugs, n_diseases, seed,
+                                                   planted=planted)
+                    for scheme in (HIDE_DRUGS, HIDE_ASSOCIATIONS):
+                        for folds in (2, 3, 7):
+                            try:
+                                out = json.dumps(cross_validate(
+                                    bundle, gold, scheme, folds=folds,
+                                    seed=seed).to_payload(), sort_keys=True)
+                            except PipelineError as exc:
+                                out = f"error: {exc}"
+                            digest.update(f"{n_drugs} {n_diseases} {seed} "
+                                          f"{planted} {scheme} {folds}\t"
+                                          f"{out}\n".encode())
+    assert digest.hexdigest() == PINNED_SMALL_GRID_SHA256
 
 
 def test_metrics_json_is_identical_across_blas_threads(tmp_path):

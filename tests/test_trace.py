@@ -41,6 +41,28 @@ def test_same_step_twice_gets_distinct_activities():
     assert a2.iri.endswith("_2")  # same-second collision counter
 
 
+def test_minted_iris_take_the_least_free_counter():
+    tracer = Tracer(_step_graph())
+    at = 1546302862
+    a1, a2, a3 = (tracer.begin_activity(OP.Step_Train, AGENT, ROLE, at)
+                  for _ in range(3))
+    stem = f"{OP.base}Activity_Train_Execution_{at}"
+    assert [a1.iri, a2.iri, a3.iri] == [stem, f"{stem}_2", f"{stem}_3"]
+    with pytest.raises(TraceError, match="already used"):
+        tracer.begin_activity(OP.Step_Train, AGENT, ROLE, at, iri=a2.iri)
+    # a2's own generation takes the bare "<at>_2" stem, so a second
+    # instant of a1 has to step over it to "_3".
+    first = tracer.record_artifact(a1, "x", at)
+    second = tracer.record_artifact(a2, "y", at)
+    later = tracer.record_artifact(a1, "z", at + 1)
+    again = tracer.record_artifact(a1, "w", at)
+    generation = f"{OP.base}Generation_Execution_{at}"
+    assert [first.generation_iri, second.generation_iri,
+            later.generation_iri] == [generation, f"{generation}_2",
+                                      f"{generation}_3"]
+    assert again.generation_iri == first.generation_iri
+
+
 def test_record_evaluation_requires_measure():
     tracer = Tracer(_step_graph())
     activity = tracer.begin_activity(OP.Step_Train, AGENT, ROLE, 1546302862)

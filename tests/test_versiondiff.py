@@ -4,10 +4,7 @@ import pytest
 
 from plexflow.fixture import V01, V02
 from plexflow.turtle import parse_turtle
-from plexflow.versiondiff import (
-    automatized_steps, diff, diff_datasets, diff_instructions,
-    reachable_distributions, used_instructions,
-)
+from plexflow.versiondiff import diff, used_instructions
 from plexflow.vocab import OPREDICT as OP, prefixes_turtle
 from plexflow.workflow import WorkflowError
 
@@ -56,7 +53,7 @@ opredict:Plan_I_fresh rdf:type p-plan:Plan ;
 
 def test_toy_one_of_each():
     g = parse_turtle(_toy()).freeze()
-    report = diff_instructions(g, OP.Plan_A, OP.Plan_B)
+    report = diff(g, OP.Plan_A, OP.Plan_B)
     assert report.removed_instructions == {OP.Plan_I_gone}
     assert report.changed_instructions == {(OP.Plan_I_old, OP.Plan_I_new)}
     assert report.added_instructions == {OP.Plan_I_fresh}
@@ -64,7 +61,7 @@ def test_toy_one_of_each():
 
 def test_toy_automatized_pair():
     g = parse_turtle(_toy()).freeze()
-    pairs = automatized_steps(g, OP.Plan_A, OP.Plan_B)
+    pairs = diff(g, OP.Plan_A, OP.Plan_B).automatized_steps
     assert pairs == {(OP.Step_A3, OP.Step_B2)}
 
 
@@ -77,11 +74,9 @@ opredict:Plan_I_manual2 rdf:type p-plan:Plan ;
   dc:language opredict:LinguisticSystem_English ;
   prov:wasRevisionOf opredict:Plan_I_gone .
 """
-    g = parse_turtle(_toy(extra)).freeze()
-    pairs = automatized_steps(g, OP.Plan_A, OP.Plan_B)
-    assert pairs == {(OP.Step_A3, OP.Step_B2)}
+    report = diff(parse_turtle(_toy(extra)).freeze(), OP.Plan_A, OP.Plan_B)
+    assert report.automatized_steps == {(OP.Step_A3, OP.Step_B2)}
     # ... but the revision does count as changed, not removed.
-    report = diff_instructions(g, OP.Plan_A, OP.Plan_B)
     assert (OP.Plan_I_gone, OP.Plan_I_manual2) in report.changed_instructions
     assert OP.Plan_I_gone not in report.removed_instructions
 
@@ -100,7 +95,7 @@ def test_identity_diff_is_empty(fixture_graph):
 
 def test_unknown_workflow_rejected(fixture_graph):
     with pytest.raises(WorkflowError):
-        diff_instructions(fixture_graph, OP.Plan_Nope, V02)
+        diff(fixture_graph, OP.Plan_Nope, V02)
 
 
 def test_fixture_counts(fixture_graph):
@@ -121,7 +116,7 @@ def test_fixture_counts(fixture_graph):
 def test_used_partition_identity(fixture_graph):
     used_a = set(used_instructions(fixture_graph, V01))
     used_b = set(used_instructions(fixture_graph, V02))
-    report = diff_instructions(fixture_graph, V01, V02)
+    report = diff(fixture_graph, V01, V02)
     olds = {old for old, _ in report.changed_instructions}
     news = {new for _, new in report.changed_instructions}
     reused = used_a & used_b
@@ -144,8 +139,14 @@ def test_automatized_is_projection_of_changed(fixture_graph):
 
 
 def test_dataset_reachability(fixture_graph):
-    assert len(reachable_distributions(fixture_graph, V01)) == 5
-    assert len(reachable_distributions(fixture_graph, V02)) == 7
+    # A workflow without steps reaches nothing, so every distribution a
+    # version reaches is removed going to it and added coming from it.
+    g = fixture_graph.copy()
+    g.add_all(parse_turtle(prefixes_turtle() + """
+opredict:Plan_Empty rdf:type p-plan:Plan , dul:Workflow .
+"""))
+    assert len(diff(g, V01, OP.Plan_Empty).removed_datasets) == 5
+    assert len(diff(g, OP.Plan_Empty, V02).added_datasets) == 7
 
 
 def test_changed_dataset_via_revision_link():
@@ -164,7 +165,7 @@ opredict:Dist_new rdf:type dcat:Distribution ;
 opredict:Variable_X rdf:type p-plan:Variable .
 """
     g = parse_turtle(_toy(extra)).freeze()
-    report = diff_datasets(g, OP.Plan_A, OP.Plan_B)
+    report = diff(g, OP.Plan_A, OP.Plan_B)
     assert report.changed_datasets == {(OP.Dist_old, OP.Dist_new)}
     assert not report.removed_datasets
     assert not report.added_datasets
