@@ -5,6 +5,10 @@ Every subcommand is a pure pipeline: the same inputs, flags and seed
 produce byte-identical output. Exit codes: 0 success, 1 validation or
 audit failures found, 2 usage error, 3 input parse error. Diagnostics go
 to stderr with stable ``error:`` / ``warning:`` prefixes.
+
+Each subcommand imports the modules it uses when it runs, so a process
+loads only what its subcommand needs; only ``run-openpredict`` loads
+numpy.
 """
 
 from __future__ import annotations
@@ -13,18 +17,7 @@ import argparse
 import json
 import sys
 
-from . import fairaudit as audit_mod
-from . import cq as cq_mod
-from . import versiondiff as diff_mod
-from . import openpredict as op_mod
-from .fixture import MODEL_TRAINING_STEP_V01, generate_fixture
-from .query import QueryError, parse_query, evaluate
 from .rdf import IRI, Graph, RdfError, parse_ntriples, serialize_ntriples
-from .turtle import parse_turtle
-from .vocab import OPREDICT, prefixes_turtle
-from .workflow import (
-    WorkflowError, load_workflow, validate as validate_view, workflow_iris,
-)
 
 EXIT_OK = 0
 EXIT_FAILURES = 1
@@ -62,6 +55,7 @@ def _load_graphs(paths: list[str]) -> Graph:
         text = _read_input(path)
         try:
             if path.endswith(".ttl"):
+                from .turtle import parse_turtle
                 parsed = parse_turtle(text)
             else:
                 parsed = parse_ntriples(text)
@@ -94,6 +88,10 @@ def _iri_argument(flag: str, value: str) -> str:
 
 
 def _cmd_validate(args) -> int:
+    from .workflow import (
+        WorkflowError, load_workflow, validate as validate_view, workflow_iris,
+    )
+
     g = _load_graphs(args.graphs)
     targets = ([_iri_argument("workflow", args.workflow)] if args.workflow
                else workflow_iris(g))
@@ -117,6 +115,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_query(args) -> int:
+    from .query import QueryError, evaluate, parse_query
+
     g = _load_graphs(args.graphs)
     text = _read_input(args.query)
     plan = [] if args.explain else None
@@ -143,6 +143,8 @@ def _cq_params(args) -> dict[str, str]:
 
 
 def _cmd_cq(args) -> int:
+    from . import cq as cq_mod
+
     g = _load_graphs(args.graphs)
     try:
         table = cq_mod.run_cq(args.id, g, _cq_params(args))
@@ -159,6 +161,9 @@ def _cmd_cq(args) -> int:
 
 
 def _cmd_diff(args) -> int:
+    from . import versiondiff as diff_mod
+    from .workflow import WorkflowError
+
     g = _load_graphs(args.graphs)
     try:
         report = diff_mod.diff(g, _iri_argument("from", getattr(args, "from")),
@@ -170,6 +175,8 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    from . import fairaudit as audit_mod
+
     g = _load_graphs(args.graphs)
     report = audit_mod.audit(g)
     _write_output(report.to_json(), args.out)
@@ -181,6 +188,9 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_fixture(args) -> int:
+    from .fixture import generate_fixture
+    from .vocab import prefixes_turtle
+
     g = generate_fixture()
     _write_output(serialize_ntriples(g), args.out)
     if args.prefixes:
@@ -192,6 +202,8 @@ def _cmd_fixture(args) -> int:
 def _load_openpredict_csv(args):
     """Bundle and gold standard from CSV files: a file that cannot be opened
     exits 2, malformed content exits 3."""
+    from . import openpredict as op_mod
+
     try:
         bundle = op_mod.load_bundle_csv(args.drug_sim, args.disease_sim)
         if not args.gold:
@@ -205,6 +217,8 @@ def _load_openpredict_csv(args):
 
 
 def _cmd_run_openpredict(args) -> int:
+    from . import openpredict as op_mod
+
     scheme = (op_mod.HIDE_DRUGS if args.scheme == "drugs"
               else op_mod.HIDE_ASSOCIATIONS)
     try:
@@ -214,6 +228,8 @@ def _cmd_run_openpredict(args) -> int:
             bundle, gold = op_mod.generate_bundle(
                 args.drugs, args.diseases, seed=args.seed, planted=not args.null)
         if args.trace:
+            from .fixture import MODEL_TRAINING_STEP_V01, generate_fixture
+            from .vocab import OPREDICT
             workflow_graph = generate_fixture()
             record, trace_graph = op_mod.run_and_trace(
                 bundle, gold, scheme, workflow_graph, MODEL_TRAINING_STEP_V01,

@@ -32,7 +32,8 @@ from functools import partial
 from .rdf import Graph, IRI, Triple, lit
 from .trace import Tracer
 from .vocab import (
-    DC, EDAM, FABIO, MLS, OPREDICT as OP, PROV, RDF, RDFS, REPROD, SCHEMA,
+    DC, EDAM, FABIO, MEASURES, MLS, OPREDICT as OP, PROV, RDF, RDFS, REPROD,
+    SCHEMA,
 )
 from .workflow import (
     MANUAL, SCRIPT, AgentAssociation, AgentDef, DatasetRecord, DistributionDef,
@@ -53,15 +54,6 @@ ROLE_CREATOR = OP.Role_Creator
 ROLE_DEVELOPER = OP.Role_Developer
 ROLE_EXECUTOR = OP.Role_Executor
 ROLE_ENVIRONMENT = OP.Role_Execution_environment
-
-MEASURES = {
-    "accuracy": OP.EvaluationMeasure_PredictiveAccuracy,
-    "average_precision": OP.EvaluationMeasure_AveragePrecision,
-    "f1": OP.EvaluationMeasure_F1,
-    "precision": OP.EvaluationMeasure_Precision,
-    "recall": OP.EvaluationMeasure_Recall,
-    "roc_auc": OP.EvaluationMeasure_RocAuc,
-}
 
 MODEL_TRAINING_STEP_V01 = OP[
     "Step_Model_preparation_train_and_evaluation_Workflow_OpenPREDCIT_-_ML_ipynb"]

@@ -67,7 +67,7 @@ import numpy as np
 
 from .rdf import Graph
 from .trace import Tracer
-from .fixture import MEASURES
+from .vocab import MEASURES
 
 HIDE_DRUGS = "drugs"
 HIDE_ASSOCIATIONS = "associations"
@@ -135,7 +135,7 @@ class GoldStandard:
 
 @dataclass
 class FeatureMatrix:
-    pairs: tuple[tuple[int, int], ...]
+    pairs: np.ndarray  # (n, 2) int64 rows of (drug, disease)
     X: np.ndarray  # (n, 10), column order (drug measure i, disease measure j)
     y: np.ndarray  # (n,) in {0, 1}
 
@@ -168,21 +168,21 @@ def build_features(bundle: SimilarityBundle, gold: GoldStandard,
 
     ``candidates`` holds (drug, disease) index pairs, as tuples or as the
     rows of an (n, 2) integer array; a pair outside the bundle raises
-    ``PipelineError``. ``exclude_self`` drops a candidate's own association
+    ``PipelineError``. The result's ``pairs`` is a copy of them as an
+    (n, 2) int64 array. ``exclude_self`` drops a candidate's own association
     from the maximum, so a known positive cannot score against itself. The
     maximum is grouped by gold disease; see the module docstring.
     """
     w1, w2 = _check_weights(weights)
     if not gold.pairs:
         raise PipelineError("gold standard is empty")
-    pairs = np.asarray(candidates, dtype=np.int64).reshape(-1, 2)
+    pairs = np.array(candidates, dtype=np.int64).reshape(-1, 2)
     cd, cs = pairs[:, 0], pairs[:, 1]
     if not (np.all((0 <= cd) & (cd < bundle.n_drugs))
             and np.all((0 <= cs) & (cs < bundle.n_diseases))):
         raise PipelineError("a candidate pair is out of range")
-    gold_list = sorted(gold.pairs, key=lambda p: (p[1], p[0]))
-    gd = np.fromiter((d for d, _ in gold_list), dtype=np.int64)
-    gs = np.fromiter((s for _, s in gold_list), dtype=np.int64)
+    gold_pairs = np.array(list(gold.pairs), dtype=np.int64)
+    gd, gs = gold_pairs[np.lexsort(gold_pairs.T)].T   # by disease, then drug
     is_gold = np.zeros((bundle.n_drugs, bundle.n_diseases), dtype=bool)
     is_gold[gd, gs] = True
     y = is_gold[cd, cs].astype(np.float64)
@@ -190,7 +190,7 @@ def build_features(bundle: SimilarityBundle, gold: GoldStandard,
     # Gold pairs sorted by disease: gold disease k spans [start[k], end[k]).
     # Every gathered axis comes first, so each gather copies contiguous runs.
     group_disease, start = np.unique(gs, return_index=True)
-    end = np.append(start[1:], len(gold_list))
+    end = np.append(start[1:], len(gold_pairs))
     # dpow[d', d, i] = drug_sims[i, d, d'] ** w1 (d' on the gold side);
     # spow[s, j, k] = disease_sims[j, s, group_disease[k]] ** w2.
     dpow = np.ascontiguousarray((bundle.drug_sims ** w1).transpose(2, 1, 0))
@@ -216,7 +216,7 @@ def build_features(bundle: SimilarityBundle, gold: GoldStandard,
         disease_part = spow[cs[rows]]                                # (b, 2, K)
         feats = (drug_part[:, :, None] * disease_part[:, None]).max(axis=3)
         X[rows] = feats.reshape(-1, N_FEATURES)
-    return FeatureMatrix(pairs=tuple(map(tuple, pairs.tolist())), X=X, y=y)
+    return FeatureMatrix(pairs=pairs, X=X, y=y)
 
 
 def _drop_self_column(drug_part, dpow, gd, cd, cs, hits, group_disease,

@@ -86,6 +86,19 @@ RDF = Namespace(NAMESPACES["rdf"])
 RDFS = Namespace(NAMESPACES["rdfs"])
 XSD = Namespace(NAMESPACES["xsd"])
 
+# The six evaluation measures of the OpenPREDICT example workflow
+# (instances of mls:EvaluationMeasure, ML-Schema: Publio et al.,
+# arXiv:1807.05351), minted in the example-workflow namespace. The fixture
+# declares them and the traced pipeline records its means against them.
+MEASURES: dict[str, str] = {
+    "accuracy": OPREDICT.EvaluationMeasure_PredictiveAccuracy,
+    "average_precision": OPREDICT.EvaluationMeasure_AveragePrecision,
+    "f1": OPREDICT.EvaluationMeasure_F1,
+    "precision": OPREDICT.EvaluationMeasure_Precision,
+    "recall": OPREDICT.EvaluationMeasure_Recall,
+    "roc_auc": OPREDICT.EvaluationMeasure_RocAuc,
+}
+
 # Profile vocabulary: every class, property and controlled term the toolkit
 # emits or queries, keyed by CURIE. Instance-level IRIs (steps, activities,
 # datasets of a particular workflow) are data, not catalog entries.

@@ -75,7 +75,7 @@ def test_features_match_scalar_brute_force():
     candidates = [(d, s) for d in range(n_drugs) for s in range(n_diseases)]
     fm = build_features(bundle, gold, candidates, exclude_self=True,
                         weights=(0.3, 0.7))
-    for row, (d, s) in enumerate(fm.pairs):
+    for row, (d, s) in enumerate(fm.pairs.tolist()):
         for i in range(5):
             for j in range(2):
                 best = 0.0
@@ -137,7 +137,9 @@ def test_candidates_as_tuples_or_array_agree():
     listed = build_features(bundle, gold, candidates, exclude_self=True)
     stacked = build_features(bundle, gold, np.array(candidates),
                              exclude_self=True)
-    assert listed.pairs == stacked.pairs == tuple(candidates)
+    assert listed.pairs.dtype == stacked.pairs.dtype == np.int64
+    assert listed.pairs.tolist() == stacked.pairs.tolist() == [
+        list(p) for p in candidates]
     assert listed.X.tobytes() == stacked.X.tobytes()
     assert listed.y.tolist() == [float(p in gold.pairs) for p in candidates]
 
