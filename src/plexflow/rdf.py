@@ -8,10 +8,15 @@ Design notes:
   ``"1"^^xsd:int`` are different terms.
 - IRI validation is purely syntactic (a scheme followed by ``:``); nothing
   is ever resolved over the network.
-- :class:`Graph` keeps a triple set plus subject-, predicate- and
-  object-major indexes, so pattern matching scans only the smallest
-  candidate set; :meth:`Graph.bucket_size` reports that set's size without
-  a scan, for the query planner. Insertion is idempotent (set semantics).
+- :class:`Graph` keeps a triple set plus two-level indexes in the manner
+  of Hexastore (Weiss, Karras & Bernstein, VLDB 2008): subject → predicate
+  → bucket, object → predicate → bucket, and predicate → bucket. A pattern
+  with ``(s, p)``, ``(p, o)`` or only ``p`` bound is one bucket, read
+  without a scan or a term comparison; other shapes filter the smallest
+  candidate set. On a frozen graph each bucket is sorted into canonical
+  order once, on its first read. :meth:`Graph.bucket_size` reports the
+  smallest one-position bucket's size for the query planner. Insertion is
+  idempotent (set semantics).
 - Serialization is canonical: statements sorted by their serialized
   (subject, predicate, object) forms, one per line, ``\\n`` endings. Byte
   identity of output is therefore a pure function of the triple set.
@@ -198,6 +203,18 @@ def _triple_key(t: Triple) -> tuple[str, str, str]:
 # ---------------------------------------------------------------------------
 # Graph
 
+# A list while the graph is built; a canonically sorted tuple once a frozen
+# graph has read it.
+Bucket = Union[list[Triple], tuple[Triple, ...]]
+
+
+def _append(by_p: "dict[Term, Bucket]", p: Term, t: Triple) -> None:
+    bucket = by_p.get(p)
+    if bucket is None:
+        by_p[p] = [t]
+    else:
+        bucket.append(t)
+
 
 class Graph:
     """Indexed set of triples with deterministic iteration order."""
@@ -207,9 +224,9 @@ class Graph:
 
     def __init__(self, triples: Iterable[Triple] = ()):
         self._triples: set[Triple] = set()
-        self._by_s: dict[Term, set[Triple]] = {}
-        self._by_p: dict[Term, set[Triple]] = {}
-        self._by_o: dict[Term, set[Triple]] = {}
+        self._by_s: dict[Term, dict[Term, Bucket]] = {}
+        self._by_p: dict[Term, Bucket] = {}
+        self._by_o: dict[Term, dict[Term, Bucket]] = {}
         self._frozen = False
         self._blank_labels: set[str] = set()
         self._blank_counter = 0
@@ -223,13 +240,20 @@ class Graph:
         """Insert a triple; returns False when it was already present."""
         if self._frozen:
             raise FrozenGraphError("graph is frozen")
-        if t in self._triples:
+        triples = self._triples
+        size = len(triples)
+        triples.add(t)
+        if len(triples) == size:
             return False
-        self._triples.add(t)
-        self._by_s.setdefault(t.s, set()).add(t)
-        self._by_p.setdefault(t.p, set()).add(t)
-        self._by_o.setdefault(t.o, set()).add(t)
-        for term in (t.s, t.o):
+        s, p, o = t
+        for index, term in ((self._by_s, s), (self._by_o, o)):
+            by_p = index.get(term)
+            if by_p is None:
+                index[term] = {p: [t]}
+            else:
+                _append(by_p, p, t)
+        _append(self._by_p, p, t)
+        for term in (s, o):
             if isinstance(term, BlankNode):
                 self._blank_labels.add(term.label)
         return True
@@ -284,19 +308,34 @@ class Graph:
               o: Optional[Term] = None) -> list[Triple]:
         """All triples matching the pattern; None is a wildcard.
 
-        Results come back in canonical (sorted serialization) order.
+        Results come back in canonical (sorted serialization) order, as a
+        new list the caller may change.
         """
-        candidates: Optional[set[Triple]] = None
-        for term, index in ((s, self._by_s), (p, self._by_p), (o, self._by_o)):
-            if term is None:
-                continue
-            bucket = index.get(term)
-            if not bucket:
-                return []
-            if candidates is None or len(bucket) < len(candidates):
-                candidates = bucket
-        if candidates is None:
-            candidates = self._triples
+        if p is not None and (s is None or o is None):
+            # (s, p), (p, o) or p alone: exactly one bucket.
+            if s is not None:
+                by_p = self._by_s.get(s)
+            elif o is not None:
+                by_p = self._by_o.get(o)
+            else:
+                by_p = self._by_p
+            return list(self._canonical(by_p, p)) if by_p else []
+        if s is None and o is None:
+            candidates: Iterable[Triple] = self._triples
+        else:
+            # s or o bound, p too or not: the smaller position's buckets.
+            chosen: Optional[tuple[int, list[Bucket]]] = None
+            for term, index in ((s, self._by_s), (o, self._by_o)):
+                if term is None:
+                    continue
+                by_p = index.get(term)
+                if by_p is None:
+                    return []
+                buckets = list(by_p.values()) if p is None else [by_p.get(p, ())]
+                size = sum(map(len, buckets))
+                if chosen is None or size < chosen[0]:
+                    chosen = size, buckets
+            candidates = [t for bucket in chosen[1] for t in bucket]
         out = [t for t in candidates
                if (s is None or t.s == s)
                and (p is None or t.p == p)
@@ -304,6 +343,18 @@ class Graph:
         if len(out) > 1:
             out.sort(key=_triple_key)
         return out
+
+    def _canonical(self, by_p: "dict[Term, Bucket]", p: Term) -> Bucket:
+        """``by_p[p]`` in canonical order (empty when absent). A frozen
+        graph keeps the sorted tuple in place of the list; the list itself
+        is never sorted in place, so concurrent readers of it stay safe."""
+        bucket = by_p.get(p, ())
+        if isinstance(bucket, tuple):
+            return bucket
+        ordered = tuple(sorted(bucket, key=_triple_key))
+        if self._frozen:
+            by_p[p] = ordered
+        return ordered
 
     def objects(self, s: Term, p: Term) -> list[Term]:
         return [t.o for t in self.match(s, p, None)]
@@ -341,14 +392,18 @@ class Graph:
 
     def bucket_size(self, s: Optional[Term] = None, p: Optional[Term] = None,
                     o: Optional[Term] = None) -> int:
-        """The size of the smallest index bucket among the bound positions:
-        an upper bound on ``len(self.match(s, p, o))`` that costs no scan.
-        The whole graph when nothing is bound, 0 when a bound term is absent.
+        """The size of the smallest one-position index bucket among the
+        bound positions: an upper bound on ``len(self.match(s, p, o))`` that
+        costs no scan. A subject's or an object's size sums its predicates'
+        buckets. The whole graph when nothing is bound, 0 when a bound term
+        is absent.
         """
         size = len(self._triples)
-        for term, index in ((s, self._by_s), (p, self._by_p), (o, self._by_o)):
+        if p is not None:
+            size = min(size, len(self._by_p.get(p, ())))
+        for term, index in ((s, self._by_s), (o, self._by_o)):
             if term is not None:
-                size = min(size, len(index.get(term, ())))
+                size = min(size, sum(map(len, index.get(term, {}).values())))
         return size
 
     def closure_pairs(self, p: IRI) -> "dict[Term, set[Term]]":

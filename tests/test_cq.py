@@ -1,4 +1,6 @@
 import hashlib
+import sys
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -6,7 +8,7 @@ import pytest
 
 import plexflow
 from plexflow.cq import CATALOGUE, CqError, delta_counts, query_text, run_cq
-from plexflow.fixture import REFERENCE_ACCURACY, V01, V02
+from plexflow.fixture import REFERENCE_ACCURACY, V01, V02, generate_fixture
 from plexflow.query import parse_query
 from plexflow.vocab import BPMN, OPREDICT as OP
 
@@ -232,3 +234,45 @@ def test_cq_answers_are_pinned(sixteen_copy_graph):
             hashlib.sha256(text.encode()).hexdigest()[:16]
             for text in (table.to_json(), table.to_tsv()))
     assert answers == PINNED_ANSWERS
+
+
+def test_concurrent_readers_of_a_freshly_frozen_graph_agree():
+    # Four threads race on the first reads of a frozen graph, which replace
+    # its buckets with sorted copies. They ask each question in lockstep, so
+    # they read the same buckets at once; each must see what one thread
+    # alone sees. A race shows only now and then, hence several fresh graphs.
+    params = {"workflow": V01, "from": V01, "to": V02}
+    ids = list(CATALOGUE)
+
+    def answer(cq_id, g):
+        wanted = {n: params[n] for n in CATALOGUE[cq_id].params}
+        return run_cq(cq_id, g, wanted).to_json()
+
+    reference = generate_fixture()
+    want = {cq_id: answer(cq_id, reference) for cq_id in ids}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(4):
+            shared = generate_fixture()
+            barrier = threading.Barrier(4)
+            got = {i: {} for i in range(4)}
+
+            def reader(i):
+                try:
+                    for cq_id in ids:
+                        barrier.wait(timeout=60)
+                        got[i][cq_id] = answer(cq_id, shared)
+                except Exception:
+                    barrier.abort()   # release the others instead of a 60 s wait
+                    raise
+
+            threads = [threading.Thread(target=reader, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+            assert got == {i: want for i in range(4)}
+    finally:
+        sys.setswitchinterval(interval)

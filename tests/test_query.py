@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import pytest
@@ -343,15 +344,21 @@ def test_estimate_uses_the_buckets_of_the_values_bound():
     assert plan[2] == "pattern ?s <urn:p> ?o estimate=3 rows=1"
 
 
-def plan_work(cq_id: str, g: Graph) -> int:
-    """Rows after every step plus join pairs, over a question's queries."""
-    total = 0
+def cq_plan(cq_id: str, g: Graph) -> list[str]:
+    """The explain lines of a question's queries, with $workflow = V01 and
+    $from/$to = V01/V02."""
+    lines = []
     for name in CATALOGUE[cq_id].files:
         text = query_text(name).replace("$workflow", f"<{V01}>")
         text = text.replace("$from", f"<{V01}>").replace("$to", f"<{V02}>")
-        for line in explain(parse_query(text), g):
-            total += sum(map(int, re.findall(r"\b(?:rows|pairs)=(\d+)", line)))
-    return total
+        lines += explain(parse_query(text), g)
+    return lines
+
+
+def plan_work(cq_id: str, g: Graph) -> int:
+    """Rows after every step plus join pairs, over a question's queries."""
+    return sum(int(n) for line in cq_plan(cq_id, g)
+               for n in re.findall(r"\b(?:rows|pairs)=(\d+)", line))
 
 
 def test_plan_work_grows_linearly_with_copies():
@@ -373,3 +380,42 @@ def test_plan_work_of_one_version_questions_stays_flat_with_copies(
         base = plan_work(cq_id, one)
         scaled = plan_work(cq_id, sixteen_copy_graph)
         assert scaled <= 1.5 * base, (cq_id, base, scaled)
+
+
+# SHA-256 prefixes of every question's explain text on the fixture and on
+# its 16-copy relabelling. A change to the store or the planner that moves
+# a join order, an estimate or a row count shows here; re-pin on purpose.
+PINNED_PLANS = {
+    (1, "CQ1.1"): "cf2f887d86c9e965",
+    (1, "CQ1.2"): "b3dbbb964bcaddad",
+    (1, "CQ1.3"): "6f1281a72d4b89ea",
+    (1, "CQ1.4"): "cb5d43e76fecceda",
+    (1, "CQ2.1"): "506f564019681836",
+    (1, "CQ2.2"): "c82ff49a0b52af9e",
+    (1, "CQ2.3"): "b407042ca5edabb3",
+    (1, "CQ3.1"): "cf5d585cf235858a",
+    (1, "CQ3.2"): "5b63cb9a62cd19a2",
+    (1, "CQ3.3"): "0cf9b245c9efbcc7",
+    (1, "CQ3.4"): "d7fa66f3eeed4f1c",
+    (1, "CQ3.5"): "91004d88ebb47240",
+    (16, "CQ1.1"): "08235df9392326d1",
+    (16, "CQ1.2"): "bf259402db748d93",
+    (16, "CQ1.3"): "8f6ed59421cae364",
+    (16, "CQ1.4"): "eedbbfa6b9e3014e",
+    (16, "CQ2.1"): "1e435ad3b1f8e501",
+    (16, "CQ2.2"): "c82ff49a0b52af9e",
+    (16, "CQ2.3"): "dd37364985085a4c",
+    (16, "CQ3.1"): "96454b3e33b668fe",
+    (16, "CQ3.2"): "47db6c31e382ed44",
+    (16, "CQ3.3"): "c8f39d9855989f90",
+    (16, "CQ3.4"): "ea404ca904159626",
+    (16, "CQ3.5"): "cf3ea2b7812330f5",
+}
+
+
+def test_every_cq_plan_is_pinned(sixteen_copy_graph):
+    graphs = {1: k_copy_graph(1), 16: sixteen_copy_graph}
+    plans = {(copies, cq_id): hashlib.sha256(
+                 "\n".join(cq_plan(cq_id, graphs[copies])).encode()).hexdigest()[:16]
+             for copies in graphs for cq_id in CATALOGUE}
+    assert plans == PINNED_PLANS

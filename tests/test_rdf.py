@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,9 +7,11 @@ from hypothesis import strategies as st
 
 from plexflow.rdf import (
     BlankBudgetError, BlankNode, FrozenGraphError, Graph, IRI, Literal,
-    NTriplesParseError, RdfError, Triple, XSD_STRING, RDF_LANG_STRING,
+    NTriplesParseError, RdfError, Triple, XSD_NS, XSD_STRING, RDF_LANG_STRING,
     bnode, iri, isomorphic, lit, nt_term, parse_ntriples, serialize_ntriples,
 )
+
+XSD_INTEGER = XSD_NS + "integer"
 
 
 # -- terms -------------------------------------------------------------------
@@ -83,24 +86,55 @@ def test_match_is_exact_and_sorted():
     assert g.match(s=iri("urn:zzz")) == []
 
 
+def _every_shape(rng, subjects, preds, objects):
+    """One random (s, p, o) query for each of the 8 bound/unbound shapes."""
+    return [tuple(rng.choice(pool) if bound else None
+                  for bound, pool in zip(shape, (subjects, preds, objects)))
+            for shape in itertools.product((False, True), repeat=3)]
+
+
 def test_match_agrees_with_linear_scan_randomized():
+    # Each graph is read unfrozen, frozen, and frozen again, once the first
+    # frozen round has replaced its buckets with sorted copies.
     rng = random.Random(7)
-    nodes = [f"urn:n{i}" for i in range(12)]
-    preds = [f"urn:p{i}" for i in range(4)]
+    subjects = [iri(f"urn:n{i}") for i in range(12)] + [bnode("b1"), bnode("b2")]
+    objects = subjects + [lit("x"), lit("x", lang="en"), lit("1", XSD_INTEGER)]
+    preds = [iri(f"urn:p{i}") for i in range(4)]
+    absent = [iri("urn:absent")]
     for _ in range(100):
         g = Graph()
         for _ in range(rng.randrange(0, 200)):
-            g.add(_triple(rng.choice(nodes), rng.choice(preds), rng.choice(nodes)))
+            g.add(Triple(rng.choice(subjects), rng.choice(preds), rng.choice(objects)))
         all_triples = list(g)
-        for _ in range(10):
-            s = iri(rng.choice(nodes)) if rng.random() < 0.5 else None
-            p = iri(rng.choice(preds)) if rng.random() < 0.5 else None
-            o = iri(rng.choice(nodes)) if rng.random() < 0.5 else None
-            expected = [t for t in all_triples
-                        if (s is None or t.s == s)
-                        and (p is None or t.p == p)
-                        and (o is None or t.o == o)]
-            assert g.match(s, p, o) == expected
+        queries = [query for _ in range(3) for query in
+                   _every_shape(rng, subjects + absent, preds + absent, objects + absent)]
+        for state in ("unfrozen", "frozen", "frozen, buckets sorted"):
+            if state == "frozen":
+                g.freeze()
+            for s, p, o in queries:
+                expected = [t for t in all_triples
+                            if (s is None or t.s == s)
+                            and (p is None or t.p == p)
+                            and (o is None or t.o == o)]
+                assert g.match(s, p, o) == expected, (state, s, p, o)
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+def test_match_returns_a_fresh_list(frozen):
+    nodes = [iri(f"urn:n{i}") for i in range(3)]
+    preds = [iri("urn:p"), iri("urn:q")]
+    g = Graph(Triple(s, p, o) for s in nodes for p in preds for o in nodes)
+    if frozen:
+        g.freeze()
+    extra = _triple("urn:x", "urn:x", "urn:x")
+    mutations = (lambda found: found.append(extra), list.clear, list.reverse)
+    for query in _every_shape(random.Random(3), nodes, preds, nodes):
+        before, size = g.match(*query), g.bucket_size(*query)
+        assert before
+        for mutate in mutations:
+            mutate(g.match(*query))
+            assert g.match(*query) == before, (query, mutate)
+            assert g.bucket_size(*query) == size, (query, mutate)
 
 
 def test_freeze_blocks_mutation():
