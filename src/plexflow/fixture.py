@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from functools import partial
 
-from .rdf import Graph, IRI, Triple, lit
+from .rdf import Graph, IRI, lit
 from .trace import Tracer
 from .vocab import (
     DC, EDAM, FABIO, MEASURES, MLS, OPREDICT as OP, PROV, RDF, RDFS, REPROD,
@@ -38,7 +38,7 @@ from .vocab import (
 from .workflow import (
     MANUAL, SCRIPT, AgentAssociation, AgentDef, DatasetRecord, DistributionDef,
     Instruction, LANGUAGE_ENGLISH, LANGUAGE_PYTHON_3_5, QueryShape, StepDef,
-    UsageBinding, VariableDef, WorkflowDef, WorkflowView, emit_triples,
+    UsageBinding, VariableDef, WorkflowDef, WorkflowView, _add, emit_triples,
 )
 
 V01 = OP.Plan_Main_Protocol_v01
@@ -543,28 +543,25 @@ def _shape() -> QueryShape:
 
 
 def _raw_metadata(g: Graph):
-    def add(s, p, o):
-        g.add(Triple(IRI(s), IRI(p), o))
-
     english = OP.LinguisticSystem_English
-    add(english, RDF.type, IRI(DC.LinguisticSystem))
-    add(english, RDFS.label, lit("English"))
+    _add(g, english, RDF.type, IRI(DC.LinguisticSystem))
+    _add(g, english, RDFS.label, lit("English"))
     python = OP.LinguisticSystem_Python_3_5
-    add(python, RDF.type, IRI(SCHEMA.ComputerLanguage))
-    add(python, RDF.type, IRI(DC.LinguisticSystem))
-    add(python, RDFS.label, lit("Python 3.5"))
-    add(python, DC.hasVersion, lit("3.5"))
+    _add(g, python, RDF.type, IRI(SCHEMA.ComputerLanguage))
+    _add(g, python, RDF.type, IRI(DC.LinguisticSystem))
+    _add(g, python, RDFS.label, lit("Python 3.5"))
+    _add(g, python, DC.hasVersion, lit("3.5"))
     for role, label in ((ROLE_CREATOR, "Creator"), (ROLE_DEVELOPER, "Developer"),
                         (ROLE_EXECUTOR, "Executor"),
                         (ROLE_ENVIRONMENT, "Execution environment")):
-        add(role, RDF.type, IRI(PROV.Role))
-        add(role, RDFS.label, lit(label))
-    add(OP.Triplestore_OpenPREDICT_input_data, RDF.type, IRI(FABIO.Triplestore))
-    add(OP.Triplestore_OpenPREDICT_input_data, RDFS.label,
-        lit("OpenPREDICT input data triplestore"))
+        _add(g, role, RDF.type, IRI(PROV.Role))
+        _add(g, role, RDFS.label, lit(label))
+    store = OP.Triplestore_OpenPREDICT_input_data
+    _add(g, store, RDF.type, IRI(FABIO.Triplestore))
+    _add(g, store, RDFS.label, lit("OpenPREDICT input data triplestore"))
     for measure in MEASURES.values():
-        add(measure, RDF.type, IRI(MLS.EvaluationMeasure))
-        add(measure, RDFS.label, lit(_label(measure)))
+        _add(g, measure, RDF.type, IRI(MLS.EvaluationMeasure))
+        _add(g, measure, RDFS.label, lit(_label(measure)))
 
 
 _REFERENCE_EVALUATIONS = (

@@ -66,7 +66,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .rdf import Graph
-from .trace import Tracer
 from .vocab import MEASURES
 
 HIDE_DRUGS = "drugs"
@@ -742,6 +741,8 @@ def run_and_trace(bundle: SimilarityBundle, gold: GoldStandard, scheme: str,
     average precision, F1, precision, recall, ROC AUC), each holding the
     cross-validation mean formatted to six decimals.
     """
+    from .trace import Tracer
+
     record = cross_validate(bundle, gold, scheme, folds=folds,
                             repetitions=repetitions, seed=seed, hyper=hyper,
                             weights=weights)

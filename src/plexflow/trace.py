@@ -11,17 +11,28 @@ same instant by the same activity share one generation node.
 
 Activity IRIs follow the ``<step-local>_Execution_<epoch-seconds>`` naming
 scheme; a counter suffix disambiguates same-second collisions.
+
+The records, ``ActivityRecord`` and ``ArtifactRecord``, live on the
+workflow profile's field table (``plexflow.workflow._FIELDS``), so
+``Tracer.emit`` writes and ``load_activity`` reads them through the same
+rows; each ``(agent, role)`` pair is a ``prov:Association`` written and read
+as a workflow ``AgentAssociation``. Hand-written are only the minted IRIs
+and the association numbering, the shared generation node and its time,
+the artifact kind (read from ``rdf:type``), the step checks and the
+``prov:generated`` and ``prov:qualifiedAssociation`` links.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Optional
 
 from . import vocab
-from .rdf import RDF_TYPE, Graph, IRI, Triple, lit
-from .vocab import DC, MLS, OPMW, PPLAN, PROV, RDF, XSD
+from .rdf import RDF_TYPE, Graph, IRI, lit
+from .vocab import MLS, OPMW, PPLAN, PROV, RDF, XSD
+from .workflow import (
+    ActivityRecord, AgentAssociation, ArtifactRecord, _add, _read, _write,
+)
 
 GENERIC_ARTIFACT = "generic-artifact"
 MODEL_EVALUATION = "model-evaluation"
@@ -35,47 +46,28 @@ class UnknownStepError(TraceError):
     """Activity refers to a step the workflow graph does not contain."""
 
 
-@dataclass
-class ActivityRecord:
-    iri: str
-    step: str
-    started: str = ""
-    ended: str = ""
-    associations: frozenset[tuple[str, str]] = frozenset()  # (agent, role)
-
-
-@dataclass
-class ArtifactRecord:
-    iri: str
-    activity: str
-    kind: str  # GENERIC_ARTIFACT or MODEL_EVALUATION
-    value: str = ""
-    measure: Optional[str] = None
-    generation_iri: str = ""
-    generated_at: str = ""
+def _utc(at: "datetime | float | int | str") -> datetime:
+    """``at`` as an aware UTC datetime: a number is epoch seconds, a string
+    is ISO-8601, and a naive time is taken to be UTC."""
+    if isinstance(at, (int, float)):
+        return datetime.fromtimestamp(at, tz=timezone.utc)
+    if isinstance(at, str):
+        try:  # Python 3.10's parser takes no "Z" suffix
+            at = datetime.fromisoformat(at[:-1] + "+00:00" if at.endswith("Z") else at)
+        except ValueError:
+            raise TraceError(f"not an ISO-8601 time: {at!r}") from None
+    if at.tzinfo is None:
+        return at.replace(tzinfo=timezone.utc)
+    return at.astimezone(timezone.utc)
 
 
 def iso_millis(at: "datetime | float | int | str") -> str:
-    """Normalize a timestamp to ISO-8601 with millisecond precision."""
-    if isinstance(at, str):
-        return at
-    if isinstance(at, (int, float)):
-        at = datetime.fromtimestamp(at, tz=timezone.utc)
-    if at.tzinfo is not None:
-        at = at.astimezone(timezone.utc).replace(tzinfo=None)
-    return at.isoformat(timespec="milliseconds")
+    """Normalize a timestamp to naive UTC ISO-8601 with millisecond precision."""
+    return _utc(at).replace(tzinfo=None).isoformat(timespec="milliseconds")
 
 
 def _epoch_seconds(at: "datetime | float | int | str") -> int:
-    if isinstance(at, (int, float)):
-        return int(at)
-    if isinstance(at, str):
-        moment = datetime.fromisoformat(at)
-    else:
-        moment = at
-    if moment.tzinfo is None:
-        moment = moment.replace(tzinfo=timezone.utc)
-    return int(moment.timestamp())
+    return int(_utc(at).timestamp())
 
 
 def _local_name(iri_: str) -> str:
@@ -142,17 +134,21 @@ class Tracer:
             raise TraceError("activity cannot end before it started")
         activity.ended = ended
 
-    def _generation_for(self, activity: ActivityRecord, at) -> tuple[str, str]:
+    def _attach(self, activity: ActivityRecord, at,
+                record: ArtifactRecord) -> ArtifactRecord:
+        """File ``record`` under ``activity`` with the generation of instant
+        ``at``, which the activity's artifacts of that instant share."""
         stamp = iso_millis(at)
         key = (activity.iri, stamp)
-        found = self._generations.get(key)
-        if found is None:
+        if key not in self._generations:
             suffix = activity.iri.rsplit("Activity_", 1)[-1]
             tail = suffix.rsplit("_Execution_", 1)[-1]
-            found = self._mint(f"{self._base}Generation_Execution_{tail}")
-            self._used_iris.add(found)
-            self._generations[key] = found
-        return found, stamp
+            generation = self._mint(f"{self._base}Generation_Execution_{tail}")
+            self._used_iris.add(generation)
+            self._generations[key] = generation
+        record.generation_iri, record.generated_at = self._generations[key], stamp
+        self._artifacts[activity.iri].append(record)
+        return record
 
     def record_evaluation(self, activity: ActivityRecord, measure: str,
                           value: str, at,
@@ -160,68 +156,43 @@ class Tracer:
         """Attach one model-evaluation artifact to an activity."""
         if not measure:
             raise TraceError("model evaluation requires an mls:EvaluationMeasure")
-        generation, stamp = self._generation_for(activity, at)
         if artifact_iri is None:
             tail = activity.iri.rsplit("_Execution_", 1)[-1]
             measure_local = _local_name(measure).removeprefix("EvaluationMeasure_")
             artifact_iri = (f"{self._base}ModelEvaluation_{measure_local}"
                             f"_Execution_{tail}")
-        record = ArtifactRecord(
-            iri=artifact_iri, activity=activity.iri, kind=MODEL_EVALUATION,
-            value=value, measure=measure, generation_iri=generation,
-            generated_at=stamp)
-        self._artifacts[activity.iri].append(record)
-        return record
+        return self._attach(activity, at, ArtifactRecord(
+            artifact_iri, activity.iri, MODEL_EVALUATION, value, measure))
 
     def record_artifact(self, activity: ActivityRecord, value: str, at,
                         artifact_iri: Optional[str] = None) -> ArtifactRecord:
         """Attach one generic execution artifact to an activity."""
-        generation, stamp = self._generation_for(activity, at)
         if artifact_iri is None:
             tail = activity.iri.rsplit("_Execution_", 1)[-1]
             n = len(self._artifacts[activity.iri]) + 1
             artifact_iri = f"{self._base}Artifact_{n:02d}_Execution_{tail}"
-        record = ArtifactRecord(
-            iri=artifact_iri, activity=activity.iri, kind=GENERIC_ARTIFACT,
-            value=value, measure=None, generation_iri=generation,
-            generated_at=stamp)
-        self._artifacts[activity.iri].append(record)
-        return record
+        return self._attach(activity, at, ArtifactRecord(
+            artifact_iri, activity.iri, GENERIC_ARTIFACT, value))
 
     def emit(self, g: Optional[Graph] = None) -> Graph:
         """Write all recorded activities and artifacts as triples."""
         g = g if g is not None else Graph()
-
-        def add(s, p, o):
-            g.add(Triple(IRI(s), IRI(p), o))
-
         for activity in self.activities:
-            add(activity.iri, RDF.type, IRI(PPLAN.Activity))
-            add(activity.iri, PPLAN.correspondsToStep, IRI(activity.step))
-            if activity.started:
-                add(activity.iri, PROV.startedAtTime,
-                    lit(activity.started, XSD.dateTime))
-            if activity.ended:
-                add(activity.iri, PROV.endedAtTime, lit(activity.ended, XSD.dateTime))
+            _write(g, activity, PPLAN.Activity)
             for n, (agent, role) in enumerate(sorted(activity.associations), start=1):
-                assoc = f"{self._base}Association_{_local_name(activity.iri)}_{n}"
-                add(activity.iri, PROV.qualifiedAssociation, IRI(assoc))
-                add(assoc, RDF.type, IRI(PROV.Association))
-                add(assoc, PROV.agent, IRI(agent))
-                add(assoc, PROV.hadRole, IRI(role))
+                assoc = AgentAssociation(
+                    f"{self._base}Association_{_local_name(activity.iri)}_{n}",
+                    agent, role)
+                _add(g, activity.iri, PROV.qualifiedAssociation, IRI(assoc.iri))
+                _write(g, assoc, PROV.Association)
             for artifact in self._artifacts[activity.iri]:
-                add(activity.iri, PROV.generated, IRI(artifact.iri))
-                add(artifact.iri, RDF.type, IRI(OPMW.WorkflowExecutionArtifact))
-                if artifact.kind == MODEL_EVALUATION:
-                    add(artifact.iri, RDF.type, IRI(MLS.ModelEvaluation))
-                    add(artifact.iri, MLS.specifiedBy, IRI(artifact.measure))
-                if artifact.value:
-                    add(artifact.iri, DC.description, lit(artifact.value))
-                add(artifact.iri, PROV.qualifiedGeneration,
-                    IRI(artifact.generation_iri))
-                add(artifact.generation_iri, RDF.type, IRI(PROV.Generation))
-                add(artifact.generation_iri, PROV.atTime,
-                    lit(artifact.generated_at, XSD.dateTime))
+                _add(g, activity.iri, PROV.generated, IRI(artifact.iri))
+                evaluation = artifact.kind == MODEL_EVALUATION
+                _write(g, artifact, OPMW.WorkflowExecutionArtifact,
+                       *([MLS.ModelEvaluation] if evaluation else []))
+                _add(g, artifact.generation_iri, RDF.type, IRI(PROV.Generation))
+                _add(g, artifact.generation_iri, PROV.atTime,
+                     lit(artifact.generated_at, XSD.dateTime))
         return g
 
 
@@ -231,40 +202,25 @@ def load_activity(g: Graph, activity_iri: str,
     node = IRI(activity_iri)
     if not g.match(node, RDF_TYPE, IRI(PPLAN.Activity)):
         raise TraceError(f"not a p-plan:Activity: {activity_iri}")
-    steps = g.iri_objects(node, PPLAN.correspondsToStep)
-    if len(steps) != 1:
+    steps = g.objects(node, IRI(PPLAN.correspondsToStep))
+    if len(steps) != 1 or not isinstance(steps[0], IRI):
         raise TraceError(f"activity {activity_iri} must correspond to exactly "
-                         f"one step, found {len(steps)}")
-    if check_steps and not g.match(IRI(steps[0]), RDF_TYPE, IRI(PPLAN.Step)):
-        raise UnknownStepError(f"dangling step reference: {steps[0]}")
-    associations = set()
-    for assoc in g.iri_objects(node, PROV.qualifiedAssociation):
-        agent = g.iri_value(IRI(assoc), PROV.agent)
-        role = g.iri_value(IRI(assoc), PROV.hadRole)
-        if agent and role:
-            associations.add((agent, role))
-    record = ActivityRecord(
-        iri=activity_iri,
-        step=steps[0],
-        started=g.str_value(node, PROV.startedAtTime),
-        ended=g.str_value(node, PROV.endedAtTime),
-        associations=frozenset(associations),
-    )
+                         f"one step IRI, found {len(steps)} objects")
+    if check_steps and not g.match(steps[0], RDF_TYPE, IRI(PPLAN.Step)):
+        raise UnknownStepError(f"dangling step reference: {steps[0].value}")
+    associations = [_read(g, AgentAssociation, assoc)
+                    for assoc in g.iri_objects(node, PROV.qualifiedAssociation)]
+    record = _read(g, ActivityRecord, activity_iri, associations=frozenset(
+        (a.agent, a.role) for a in associations if a.agent and a.role))
     artifacts = []
-    for target in g.objects(node, IRI(PROV.generated)):
-        if not isinstance(target, IRI):
-            continue
-        kinds = g.types(target)
-        generation = g.iri_value(target, PROV.qualifiedGeneration)
-        artifacts.append(ArtifactRecord(
-            iri=target.value,
-            activity=activity_iri,
-            kind=MODEL_EVALUATION if MLS.ModelEvaluation in kinds else GENERIC_ARTIFACT,
-            value=g.str_value(target, DC.description),
-            measure=g.iri_value(target, MLS.specifiedBy) or None,
-            generation_iri=generation,
-            generated_at=g.str_value(IRI(generation), PROV.atTime) if generation else "",
-        ))
+    for target in g.iri_objects(node, PROV.generated):
+        kind = (MODEL_EVALUATION if MLS.ModelEvaluation in g.types(IRI(target))
+                else GENERIC_ARTIFACT)
+        artifact = _read(g, ArtifactRecord, target, activity=activity_iri, kind=kind)
+        if artifact.generation_iri:
+            artifact.generated_at = g.str_value(IRI(artifact.generation_iri),
+                                                PROV.atTime)
+        artifacts.append(artifact)
     artifacts.sort(key=lambda a: a.iri)
     return record, artifacts
 

@@ -17,13 +17,17 @@ writes a view back out so that load(emit(view)) round-trips.
 Which predicate holds which field is written once, in ``_FIELDS``: a
 (field, predicate, encoding) row per mapped field of each record class,
 which loading reads through ``_read`` and emission writes through
-``_write``. Only what is not one predicate's objects is hand-written: a
-step's kind and operation class, an instruction's extra types and an
-agent's software flag come from ``rdf:type``; a step's plan and instruction
-are set by the walk, with their anomalies; a distribution's download URL
+``_write``. The table also holds the retrospective records that
+``plexflow.trace`` loads and emits, ``ActivityRecord`` and
+``ArtifactRecord``; a trace's associations are ``AgentAssociation``
+records. Only what is not one predicate's objects is hand-written: a step's
+kind and operation class, an instruction's extra types and an agent's
+software flag come from ``rdf:type``; a step's plan and instruction are
+set by the walk, with their anomalies; a distribution's download URL
 counts only literal objects, for ``E_DIST_URL``; a shape's query text sits
 on its constraint node, and only a ``sh:NodeShape`` whose first
-``sh:targetClass`` is a loaded usage is kept.
+``sh:targetClass`` is a loaded usage is kept. The trace's hand-written
+parts are listed in ``plexflow.trace``.
 
 Instructions deliberately carry no manual/computational flag of their own;
 that classification is derived from the instruction language, so a Python
@@ -38,7 +42,7 @@ from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import vocab
 from .rdf import RDF_TYPE, Graph, IRI, Literal, Term, Triple, lit
-from .vocab import BPMN, DC, DCAT, DUL, PPLAN, PROV, PWO, RDF, RDFS, SH, XSD
+from .vocab import BPMN, DC, DCAT, DUL, MLS, PPLAN, PROV, PWO, RDF, RDFS, SH, XSD
 
 MANUAL = "manual"
 SCRIPT = "script"
@@ -186,6 +190,29 @@ class WorkflowView:
         return sorted(s for s, step in self.steps.items() if step.plan == wf)
 
 
+# The retrospective records, loaded and emitted by ``plexflow.trace``.
+
+
+@dataclass
+class ActivityRecord:
+    iri: str
+    step: str
+    started: str = ""
+    ended: str = ""
+    associations: frozenset[tuple[str, str]] = frozenset()  # (agent, role)
+
+
+@dataclass
+class ArtifactRecord:
+    iri: str
+    activity: str
+    kind: str  # trace.GENERIC_ARTIFACT or trace.MODEL_EVALUATION
+    value: str = ""
+    measure: Optional[str] = None
+    generation_iri: str = ""
+    generated_at: str = ""
+
+
 # -- the profile table ----------------------------------------------------------
 
 
@@ -199,6 +226,7 @@ class _Encoding(NamedTuple):
 
 _STR = _Encoding(Graph.str_value, lambda v: (lit(v),))
 _DATE = _Encoding(Graph.str_value, lambda v: (lit(v, XSD.date),))
+_DATETIME = _Encoding(Graph.str_value, lambda v: (lit(v, XSD.dateTime),))
 _IRI = _Encoding(Graph.iri_value, lambda v: (IRI(v),))
 _IRI_OR_NONE = _Encoding(lambda g, s, p: g.iri_value(s, p) or None, _IRI.terms)
 _IRI_SET = _Encoding(lambda g, s, p: frozenset(g.iri_objects(s, p)),
@@ -268,6 +296,16 @@ _FIELDS: dict[type, tuple[tuple[str, str, _Encoding], ...]] = {
     QueryShape: (
         ("constraint_iri", SH.sparql, _IRI),
         ("target_usage", SH.targetClass, _IRI),  # only the first one counts
+    ),
+    ActivityRecord: (
+        ("step", PPLAN.correspondsToStep, _IRI),
+        ("started", PROV.startedAtTime, _DATETIME),
+        ("ended", PROV.endedAtTime, _DATETIME),
+    ),
+    ArtifactRecord: (
+        ("value", DC.description, _STR),
+        ("measure", MLS.specifiedBy, _IRI_OR_NONE),
+        ("generation_iri", PROV.qualifiedGeneration, _IRI),
     ),
 }
 

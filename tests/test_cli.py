@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -168,6 +169,8 @@ def test_run_openpredict_trace_output(tmp_path):
                  "--seed", "7", "--drugs", "24", "--diseases", "18",
                  "--trace", str(trace), "--metrics", str(metrics_path)])
     assert code == EXIT_OK
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == (
+        "6a7bd9e6a5b51393bd0f3785e7d4fafd54e8273082c12bef7a55292a9ed387b5")
     g = parse_ntriples(trace.read_text(encoding="utf-8"))
     from plexflow.trace import load_trace
     ((_, artifacts),) = load_trace(g.freeze(), check_steps=False)

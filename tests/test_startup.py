@@ -98,4 +98,4 @@ def test_run_openpredict_loads_numpy_but_not_the_fixture(workdir):
             "--diseases", "9", "--folds", "2", "--metrics", "metrics.json"]
     loaded = _loaded_after(_main(argv), workdir)
     assert {"numpy", "plexflow.openpredict"} <= loaded
-    assert "plexflow.fixture" not in loaded
+    assert not {"plexflow.fixture", "plexflow.trace", "plexflow.workflow"} & loaded

@@ -3,7 +3,7 @@ import pytest
 from plexflow.fixture import (
     MEASURES, MODEL_TRAINING_STEP_V01, REFERENCE_ACTIVITY, REFERENCE_ACCURACY,
 )
-from plexflow.rdf import Graph, IRI, Triple
+from plexflow.rdf import Graph, IRI, Triple, lit
 from plexflow.trace import (
     GENERIC_ARTIFACT, MODEL_EVALUATION, TraceError, Tracer, UnknownStepError,
     iso_millis, load_activity, load_trace,
@@ -79,6 +79,11 @@ def test_end_before_start_rejected():
     activity = tracer.begin_activity(OP.Step_Train, AGENT, ROLE, 1546302862)
     with pytest.raises(TraceError):
         tracer.end_activity(activity, 1546302000)
+    # Strings are compared as times, not as text: "22Z" is before "22.500".
+    half = tracer.begin_activity(OP.Step_Train, AGENT, ROLE,
+                                 "2019-01-01T00:34:22.500")
+    with pytest.raises(TraceError):
+        tracer.end_activity(half, "2019-01-01T00:34:22Z")
     tracer.end_activity(activity, 1546303000)
     assert activity.ended > activity.started
 
@@ -127,6 +132,11 @@ def test_load_trace_flags_dangling_step():
         load_activity(g, activity.iri)
     record, _ = load_activity(g, activity.iri, check_steps=False)
     assert record.step == OP.Step_Train
+    # A literal beside the step IRI is a second p-plan:correspondsToStep.
+    g = tracer.emit()
+    g.add(Triple(IRI(activity.iri), IRI(PPLAN.correspondsToStep), lit("Train")))
+    with pytest.raises(TraceError, match="exactly one step IRI"):
+        load_activity(g, activity.iri, check_steps=False)
 
 
 def test_fixture_trace_reloads_14_activities(fixture_graph):
@@ -157,3 +167,8 @@ def test_reference_activity_contains_bundled_listing(fixture_graph):
 def test_iso_millis_formats():
     assert iso_millis(1546302862) == "2019-01-01T00:34:22.000"
     assert iso_millis("2019-01-01T00:02:31.011") == "2019-01-01T00:02:31.011"
+    assert iso_millis("2019-01-01T05:34:22+05:00") == "2019-01-01T00:34:22.000"
+    tracer = Tracer(_step_graph())
+    activity = tracer.begin_activity(OP.Step_Train, AGENT, ROLE, 1546302862)
+    with pytest.raises(TraceError, match="not an ISO-8601 time"):
+        tracer.record_artifact(activity, "x", "not a time")

@@ -4,11 +4,15 @@ from dataclasses import fields
 import pytest
 
 from plexflow.fixture import V01, V02
-from plexflow.rdf import Graph, IRI, isomorphic
+from plexflow.rdf import Graph, IRI, Triple, isomorphic
+from plexflow.trace import Tracer, load_activity
 from plexflow.turtle import parse_turtle
-from plexflow.vocab import EDAM, OPREDICT as OP, prefixes_turtle
+from plexflow.vocab import (
+    EDAM, MEASURES, OPREDICT as OP, PPLAN, RDF, prefixes_turtle,
+)
 from plexflow.workflow import (
-    _FIELDS, COMPUTER_LANGUAGE, AgentAssociation, AgentDef, DatasetRecord,
+    _FIELDS, COMPUTER_LANGUAGE, ActivityRecord, AgentAssociation, AgentDef,
+    ArtifactRecord, DatasetRecord,
     Instruction, LANGUAGE_ENGLISH, LANGUAGE_PYTHON_3_5, MANUAL, NATURAL_LANGUAGE,
     SCRIPT, QueryShape, StepDef, DistributionDef, UsageBinding,
     UnknownLanguageError, VariableDef, WorkflowDef, WorkflowError, WorkflowView,
@@ -420,38 +424,75 @@ def _every_field_view() -> WorkflowView:
     )
 
 
+def _every_field_trace() -> tuple[Graph, ActivityRecord, list[ArtifactRecord]]:
+    """One traced activity in which every field of both trace records is
+    set: two associations, and an evaluation and a generic artifact that
+    share one generation. The graph holds the step."""
+    g = Graph()
+    g.add(Triple(IRI(OP.Step_Full_A), IRI(RDF.type), IRI(PPLAN.Step)))
+    tracer = Tracer(g)
+    activity = tracer.begin_activity(OP.Step_Full_A, OP.Agent_Full, OP.Role_Full,
+                                     1546302862)
+    tracer.associate(activity, OP.Agent_Full_Tool, OP.Role_Full_Tool)
+    tracer.end_activity(activity, 1546302900)
+    artifacts = [tracer.record_evaluation(activity, MEASURES["f1"], "0.9",
+                                          1546302899),
+                 tracer.record_artifact(activity, "model.bin", 1546302899)]
+    tracer.emit(g)
+    return g, activity, sorted(artifacts, key=lambda a: a.iri)
+
+
+def _set_fields(*records) -> dict[type, set[str]]:
+    """The names of the fields each record class has set in ``records``."""
+    out: dict[type, set[str]] = {}
+    for record in records:
+        out.setdefault(type(record), set()).update(
+            f.name for f in fields(record) if getattr(record, f.name))
+    return out
+
+
 def test_load_emit_roundtrip_with_every_field_set():
     view = _every_field_view()
-    set_fields: dict[type, set[str]] = {}
-    for record in (view.workflow, *view.steps.values(),
-                   *view.instructions.values(), *view.variables.values(),
-                   *view.usages.values(), *view.distributions.values(),
-                   *view.datasets.values(), *view.agents.values(),
-                   *view.associations.values(), *view.shapes.values()):
-        set_fields.setdefault(type(record), set()).update(
-            f.name for f in fields(record) if getattr(record, f.name))
+    _, activity, artifacts = _every_field_trace()
+    set_fields = _set_fields(
+        view.workflow, *view.steps.values(), *view.instructions.values(),
+        *view.variables.values(), *view.usages.values(),
+        *view.distributions.values(), *view.datasets.values(),
+        *view.agents.values(), *view.associations.values(),
+        *view.shapes.values(), activity, *artifacts)
     assert set(set_fields) == set(_FIELDS)
     for cls, names in set_fields.items():
         assert names == {f.name for f in fields(cls)}, cls
     assert load_workflow(emit_triples(view).freeze(), OP.Plan_Full) == view
 
 
+def test_trace_load_emit_roundtrip_with_every_field_set():
+    g, activity, artifacts = _every_field_trace()
+    assert len(activity.associations) == 2
+    assert artifacts[0].generation_iri == artifacts[1].generation_iri
+    assert load_activity(g.freeze(), activity.iri) == (activity, artifacts)
+
+
 # Fields that are not one predicate's objects: derived from rdf:type, set
-# by the walk (with its anomalies), counted for E_DIST_URL, or read from
-# the shape's constraint node.
+# by the walk (with its anomalies), counted for E_DIST_URL, read from the
+# shape's constraint node or the artifact's generation node, read through
+# association records, or the activity an artifact hangs off.
 HAND_WRITTEN = {
     StepDef: {"plan", "kind", "instruction", "operation_class"},
     Instruction: {"extra_types"},
     DistributionDef: {"download_url"},
     AgentDef: {"software"},
     QueryShape: {"sparql_text"},
+    ActivityRecord: {"associations"},
+    ArtifactRecord: {"activity", "kind", "generated_at"},
 }
 
 
 def test_every_record_field_is_a_table_row_or_hand_written():
     assert set(_FIELDS) == {
         WorkflowDef, StepDef, Instruction, VariableDef, UsageBinding,
-        DistributionDef, DatasetRecord, AgentDef, AgentAssociation, QueryShape}
+        DistributionDef, DatasetRecord, AgentDef, AgentAssociation, QueryShape,
+        ActivityRecord, ArtifactRecord}
     for cls, rows in _FIELDS.items():
         mapped = [name for name, _, _ in rows]
         hand_written = HAND_WRITTEN.get(cls, set())
