@@ -60,7 +60,7 @@ the loss to the same ``_gradient``. A problem without a finite minimum
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -364,9 +364,7 @@ class MetricsRecord:
     f1: float
 
     def as_dict(self) -> dict[str, float]:
-        return {"roc_auc": self.roc_auc, "aupr": self.aupr,
-                "accuracy": self.accuracy, "precision": self.precision,
-                "recall": self.recall, "f1": self.f1}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass
@@ -463,9 +461,8 @@ def metrics(scores, labels, threshold: float = 0.5) -> MetricsRecord:
 
 
 def _aggregate(scheme, folds, repetitions, seed, records) -> CrossValRecord:
-    arrays = {name: np.array([getattr(r, name) for r in records])
-              for name in ("roc_auc", "aupr", "accuracy", "precision",
-                           "recall", "f1")}
+    arrays = {f.name: np.array([getattr(r, f.name) for r in records])
+              for f in fields(MetricsRecord)}
     mean = MetricsRecord(**{k: float(np.mean(v)) for k, v in arrays.items()})
     std = MetricsRecord(**{k: float(np.std(v)) for k, v in arrays.items()})
     return CrossValRecord(scheme=scheme, folds=folds, repetitions=repetitions,
@@ -669,32 +666,28 @@ def load_similarity_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
     return ids, matrix
 
 
+def _load_measures(paths, kind: str) -> tuple[tuple[str, ...], np.ndarray]:
+    """The shared identifiers and the stacked matrices of one kind's files."""
+    ids, matrices = None, []
+    for path in paths:
+        path_ids, matrix = load_similarity_csv(path)
+        if ids is None:
+            ids = path_ids
+        elif path_ids != ids:
+            raise PipelineError(f"{path}: {kind} identifiers disagree across files")
+        matrices.append(matrix)
+    return ids, np.stack(matrices)
+
+
 def load_bundle_csv(drug_paths, disease_paths) -> SimilarityBundle:
     if len(drug_paths) != N_DRUG_MEASURES:
         raise PipelineError(f"expected {N_DRUG_MEASURES} drug similarity files")
     if len(disease_paths) != N_DISEASE_MEASURES:
         raise PipelineError(f"expected {N_DISEASE_MEASURES} disease similarity files")
-    drug_ids = None
-    drug_mats = []
-    for path in drug_paths:
-        ids, matrix = load_similarity_csv(path)
-        if drug_ids is None:
-            drug_ids = ids
-        elif ids != drug_ids:
-            raise PipelineError(f"{path}: drug identifiers disagree across files")
-        drug_mats.append(matrix)
-    disease_ids = None
-    disease_mats = []
-    for path in disease_paths:
-        ids, matrix = load_similarity_csv(path)
-        if disease_ids is None:
-            disease_ids = ids
-        elif ids != disease_ids:
-            raise PipelineError(f"{path}: disease identifiers disagree across files")
-        disease_mats.append(matrix)
+    drug_ids, drug_sims = _load_measures(drug_paths, "drug")
+    disease_ids, disease_sims = _load_measures(disease_paths, "disease")
     bundle = SimilarityBundle(drug_ids=drug_ids, disease_ids=disease_ids,
-                              drug_sims=np.stack(drug_mats),
-                              disease_sims=np.stack(disease_mats))
+                              drug_sims=drug_sims, disease_sims=disease_sims)
     bundle.validate()
     return bundle
 

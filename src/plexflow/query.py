@@ -2,7 +2,8 @@
 
 The grammar is frozen to what the competency-question catalogue needs:
 
-- ``SELECT [DISTINCT] ?vars|* WHERE { ... } [ORDER BY ?v ...]``
+- ``SELECT [DISTINCT] ?vars|* WHERE { ... } [ORDER BY key ...]``, where a
+  key is ``?v``, ``ASC(?v)`` or ``DESC(?v)``;
 - basic graph patterns with ``;`` / ``,`` sugar and the ``a`` keyword;
 - a one-or-more-hops closure modifier ``+`` on IRI predicates;
 - ``FILTER`` with ``= != < >`` comparisons, ``BOUND`` / ``!BOUND`` and
@@ -32,8 +33,9 @@ and concatenates the rows; joining them before any triple pattern lets
 branches anchored on a constant bound the rows the patterns start from.
 ``p+`` matches the transitive closure of ``p``. Type-mismatched FILTER
 comparisons evaluate to false rather than erroring. Result rows come
-back in ORDER BY order when given, otherwise sorted by their serialized
-form, so output is deterministic.
+back sorted by their serialized form, then stably by each ORDER BY key
+(last key first, ``DESC`` keys reversed), so output is deterministic and
+rows equal on every key keep their serialized order.
 
 - Join order is cost-based. The next pattern is the one with the fewest
   estimated candidates, ties by textual order. A pattern's estimate is the
@@ -168,13 +170,24 @@ class Union:
     branches: list[Group]
 
 
+@dataclass(frozen=True)
+class OrderKey:
+    """An ORDER BY key; an ascending one prints as its bare variable."""
+
+    var: Var
+    descending: bool = False
+
+    def __repr__(self):
+        return f"DESC({self.var!r})" if self.descending else repr(self.var)
+
+
 @dataclass
 class SelectQuery:
     prefixes: dict
     variables: Optional[list[Var]]  # None means '*'
     distinct: bool
     where: Group
-    order_by: list[Var] = field(default_factory=list)
+    order_by: list[OrderKey] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +282,12 @@ class _Parser(TriplesParser):
         if self._is_word("WHERE"):
             self._next()
         where = self._parse_group()
-        order_by: list[Var] = []
+        order_by: list[OrderKey] = []
         if self._is_word("ORDER"):
             self._next()
             self._expect_word("BY")
-            while self.tok.kind == "VAR":
-                order_by.append(Var(self._next().value))
+            while self.tok.kind == "VAR" or self._is_word("ASC", "DESC"):
+                order_by.append(self._parse_order_key())
             if not order_by:
                 self._error("expected variables after ORDER BY")
         self._check_unsupported()
@@ -287,11 +300,21 @@ class _Parser(TriplesParser):
             if v.name not in in_scope:
                 raise QueryError(
                     f"projected variable ?{v.name} does not appear in the pattern")
-        for v in order_by:
-            if v.name not in in_scope:
-                raise QueryError(
-                    f"ORDER BY variable ?{v.name} does not appear in the pattern")
+        projected = in_scope if variables is None else [v.name for v in variables]
+        for key in order_by:
+            if key.var.name not in in_scope:
+                raise QueryError(f"ORDER BY variable ?{key.var.name} does not "
+                                 "appear in the pattern")
+            if key.var.name not in projected:
+                raise QueryError(f"ORDER BY variable ?{key.var.name} is not "
+                                 "projected")
         return query
+
+    def _parse_order_key(self) -> OrderKey:
+        if self.tok.kind == "VAR":
+            return OrderKey(Var(self._next().value))
+        descending = self._next().value.upper() == "DESC"
+        return OrderKey(self._parse_call_var(), descending)
 
     def _parse_group(self) -> Group:
         self._expect("LBRACE", "expected '{'")
@@ -751,13 +774,11 @@ def evaluate(query: SelectQuery, g: Graph,
     rows = [tuple(sol.get(name) for name in header) for sol in sols]
     if query.distinct:
         rows = list(dict.fromkeys(rows))
-    if query.order_by:
-        positions = [header.index(v.name) for v in query.order_by]
-        rows.sort(key=lambda row: (
-            tuple("" if row[i] is None else nt_term(row[i]) for i in positions),
-            _row_sort_key(row)))
-    else:
-        rows.sort(key=_row_sort_key)
+    rows.sort(key=_row_sort_key)
+    for key in reversed(query.order_by):
+        i = header.index(key.var.name)
+        rows.sort(key=lambda row: "" if row[i] is None else nt_term(row[i]),
+                  reverse=key.descending)
     return ResultTable(header, rows)
 
 

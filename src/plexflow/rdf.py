@@ -372,11 +372,6 @@ class Graph:
         """The IRI objects of ``(s, p)`` as strings; other objects are skipped."""
         return [t.value for t in self.objects(s, IRI(p)) if isinstance(t, IRI)]
 
-    def iri_value(self, s: Term, p: str) -> str:
-        """The first object of ``(s, p)`` as an IRI string, or ``""``."""
-        term = self.value(s, IRI(p))
-        return term.value if isinstance(term, IRI) else ""
-
     def str_value(self, s: Term, p: str) -> str:
         """The first object of ``(s, p)`` as a lexical form, or ``""``."""
         term = self.value(s, IRI(p))

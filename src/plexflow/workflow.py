@@ -227,8 +227,10 @@ class _Encoding(NamedTuple):
 _STR = _Encoding(Graph.str_value, lambda v: (lit(v),))
 _DATE = _Encoding(Graph.str_value, lambda v: (lit(v, XSD.date),))
 _DATETIME = _Encoding(Graph.str_value, lambda v: (lit(v, XSD.dateTime),))
-_IRI = _Encoding(Graph.iri_value, lambda v: (IRI(v),))
-_IRI_OR_NONE = _Encoding(lambda g, s, p: g.iri_value(s, p) or None, _IRI.terms)
+_IRI = _Encoding(lambda g, s, p: next(iter(g.iri_objects(s, p)), ""),
+                 lambda v: (IRI(v),))
+_IRI_OR_NONE = _Encoding(lambda g, s, p: next(iter(g.iri_objects(s, p)), None),
+                         _IRI.terms)
 _IRI_SET = _Encoding(lambda g, s, p: frozenset(g.iri_objects(s, p)),
                      lambda v: map(IRI, v))
 _IRI_TUPLE = _Encoding(lambda g, s, p: tuple(sorted(g.iri_objects(s, p))),

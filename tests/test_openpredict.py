@@ -384,6 +384,23 @@ def test_csv_roundtrip(tmp_path):
     assert loaded_gold.pairs == gold.pairs
 
 
+@pytest.mark.parametrize("kind", ["drug", "disease"])
+def test_csv_identifiers_disagree_across_files(tmp_path, kind):
+    bundle, _ = generate_bundle(6, 5, seed=13)
+    paths = {"drug": [], "disease": []}
+    for name, ids, sims in (("drug", bundle.drug_ids, bundle.drug_sims),
+                            ("disease", bundle.disease_ids, bundle.disease_sims)):
+        for m, matrix in enumerate(sims):
+            path = tmp_path / f"{name}{m}.csv"
+            _write_matrix(path, ids[::-1] if (name, m) == (kind, 1) else ids,
+                          matrix)
+            paths[name].append(path)
+    bad = tmp_path / f"{kind}1.csv"
+    with pytest.raises(PipelineError) as err:
+        load_bundle_csv(paths["drug"], paths["disease"])
+    assert str(err.value) == f"{bad}: {kind} identifiers disagree across files"
+
+
 def _write_matrix(path, ids, matrix):
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("id," + ",".join(ids) + "\n")

@@ -90,10 +90,10 @@ def test_malformed_input_error_and_position(doc, error, line, col):
 
 # SHA-256 prefixes of the parse results, recorded before Turtle and SPARQL
 # shared one triples grammar: each query's AST repr with its parameters bound
-# to <urn:param:NAME>, and each listing as canonical N-Triples. The five
-# templates that hold a UNION (cq2_2 and the removed/added parts of CQ3.2 and
-# CQ3.4) were recorded when UNION entered the grammar and replaced the
-# separate sub-plan templates.
+# to <urn:param:NAME>, and each listing as canonical N-Triples. cq2_2 was
+# recorded when UNION entered the grammar and replaced the separate sub-plan
+# templates; cq3_2 and cq3_4 when each became one UNION template in place of
+# a removed, a changed and an added one.
 QUERY_DIGESTS = {
     "cq1_1.rq": "4b92951fb1fea317",
     "cq1_2.rq": "aba489ee004036ce",
@@ -103,13 +103,9 @@ QUERY_DIGESTS = {
     "cq2_2.rq": "8a311437af2b354e",
     "cq2_3.rq": "dafc8ea82b41efa1",
     "cq3_1.rq": "5ba337fdc4e9461a",
-    "cq3_2_added.rq": "c231c7e49580cbb3",
-    "cq3_2_changed.rq": "3063e677c9e62776",
-    "cq3_2_removed.rq": "44756a63d7f1b1ad",
+    "cq3_2.rq": "9857475583dec035",
     "cq3_3.rq": "4bcd7d30bd252c01",
-    "cq3_4_added.rq": "38a822dcb405afbc",
-    "cq3_4_changed.rq": "9869b1fdbe431dae",
-    "cq3_4_removed.rq": "ac69bf67fc43b1b8",
+    "cq3_4.rq": "30dfb5e640365e5e",
     "cq3_5.rq": "2510872970148b76",
 }
 LISTING_DIGESTS = {

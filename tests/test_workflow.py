@@ -4,14 +4,14 @@ from dataclasses import fields
 import pytest
 
 from plexflow.fixture import V01, V02
-from plexflow.rdf import Graph, IRI, Triple, isomorphic
+from plexflow.rdf import Graph, IRI, Triple, isomorphic, lit
 from plexflow.trace import Tracer, load_activity
 from plexflow.turtle import parse_turtle
 from plexflow.vocab import (
     EDAM, MEASURES, OPREDICT as OP, PPLAN, RDF, prefixes_turtle,
 )
 from plexflow.workflow import (
-    _FIELDS, COMPUTER_LANGUAGE, ActivityRecord, AgentAssociation, AgentDef,
+    _FIELDS, _IRI, _IRI_OR_NONE, COMPUTER_LANGUAGE, ActivityRecord, AgentAssociation, AgentDef,
     ArtifactRecord, DatasetRecord,
     Instruction, LANGUAGE_ENGLISH, LANGUAGE_PYTHON_3_5, MANUAL, NATURAL_LANGUAGE,
     SCRIPT, QueryShape, StepDef, DistributionDef, UsageBinding,
@@ -464,6 +464,14 @@ def test_load_emit_roundtrip_with_every_field_set():
     for cls, names in set_fields.items():
         assert names == {f.name for f in fields(cls)}, cls
     assert load_workflow(emit_triples(view).freeze(), OP.Plan_Full) == view
+    # A literal sorts before an IRI: an IRI field still reads the IRI beside it.
+    iri_rows = {predicate for rows in _FIELDS.values()
+                for _, predicate, encoding in rows if encoding in (_IRI, _IRI_OR_NONE)}
+    noisy = emit_triples(view)
+    for t in noisy.match(None, None, None):
+        if t.p.value in iri_rows and isinstance(t.o, IRI):
+            noisy.add(Triple(t.s, t.p, lit("Alice")))
+    assert load_workflow(noisy.freeze(), OP.Plan_Full) == view
 
 
 def test_trace_load_emit_roundtrip_with_every_field_set():
