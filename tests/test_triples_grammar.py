@@ -3,14 +3,16 @@ results pinned across the shared lexer and parser base."""
 
 import hashlib
 import re
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import pytest
 
 import plexflow
 from plexflow.cq import query_text
-from plexflow.query import QueryParseError, parse_query
-from plexflow.rdf import serialize_ntriples
+from plexflow.query import (Group, OrderKey, QueryParseError, SelectQuery, Var,
+                            parse_query)
+from plexflow.rdf import Literal, serialize_ntriples
 from plexflow.turtle import TurtleParseError, parse_turtle
 
 from conftest import DATA_DIR, load_listing
@@ -108,6 +110,28 @@ QUERY_DIGESTS = {
     "cq3_4.rq": "30dfb5e640365e5e",
     "cq3_5.rq": "2510872970148b76",
 }
+# The removed, changed and added templates that cq3_2 and cq3_4 replaced keep
+# the digests they had as files: each is now the branch of its template that
+# carries its tag, and BRANCHES says how that branch reads as the old query.
+BRANCH_DIGESTS = {
+    "cq3_2_added.rq": "c231c7e49580cbb3",
+    "cq3_2_changed.rq": "3063e677c9e62776",
+    "cq3_2_removed.rq": "44756a63d7f1b1ad",
+    "cq3_4_added.rq": "38a822dcb405afbc",
+    "cq3_4_changed.rq": "9869b1fdbe431dae",
+    "cq3_4_removed.rq": "ac69bf67fc43b1b8",
+}
+# (template, branch tag, variables the branch names otherwise, the old
+# template's projection).
+BRANCHES = {
+    "cq3_2_added.rq": ("cq3_2.rq", "added", {"new": "instruction", "prior": "old"},
+                       ["instruction"]),
+    "cq3_2_changed.rq": ("cq3_2.rq", "changed", {}, ["old", "new"]),
+    "cq3_2_removed.rq": ("cq3_2.rq", "removed", {"old": "instruction"}, ["instruction"]),
+    "cq3_4_added.rq": ("cq3_4.rq", "added", {"new": "distribution"}, ["distribution"]),
+    "cq3_4_changed.rq": ("cq3_4.rq", "changed", {}, ["old", "new"]),
+    "cq3_4_removed.rq": ("cq3_4.rq", "removed", {"old": "distribution"}, ["distribution"]),
+}
 LISTING_DIGESTS = {
     "prospective.ttl": "313204ba23eb1960",
     "retrospective.ttl": "bb97a161af49779f",
@@ -119,16 +143,43 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def _rename(node, names: dict):
+    if isinstance(node, Var):
+        return Var(names.get(node.name, node.name))
+    if isinstance(node, list):
+        return [_rename(n, names) for n in node]
+    if is_dataclass(node):
+        return replace(node, **{f.name: _rename(getattr(node, f.name), names)
+                                for f in fields(node)})
+    return node
+
+
+def _parse_template(name: str) -> SelectQuery:
+    return parse_query(re.sub(r"\$(\w+)", r"<urn:param:\1>", query_text(name)))
+
+
+def _branch_as_template(name: str) -> SelectQuery:
+    """The tagged branch that replaced `name`, without its VALUES tag, as the
+    DISTINCT query ordered by its first column that `name` was."""
+    template, tag, names, projection = BRANCHES[name]
+    query = _parse_template(template)
+    (union,) = query.where.elements
+    (branch,) = [b for b in union.branches if b.elements[0].terms == [Literal(tag)]]
+    variables = [Var(v) for v in projection]
+    return SelectQuery(query.prefixes, variables, True,
+                       Group(_rename(branch.elements[1:], names)), [OrderKey(variables[0])])
+
+
 def test_every_template_and_listing_is_pinned():
     queries = Path(plexflow.__file__).parent / "queries"
     assert sorted(p.name for p in queries.glob("*.rq")) == sorted(QUERY_DIGESTS)
     assert sorted(p.name for p in DATA_DIR.glob("*.ttl")) == sorted(LISTING_DIGESTS)
 
 
-@pytest.mark.parametrize("name, digest", QUERY_DIGESTS.items())
+@pytest.mark.parametrize("name, digest", {**QUERY_DIGESTS, **BRANCH_DIGESTS}.items())
 def test_template_parses_to_pinned_ast(name, digest):
-    text = re.sub(r"\$(\w+)", r"<urn:param:\1>", query_text(name))
-    assert _digest(repr(parse_query(text))) == digest
+    query = _parse_template(name) if name in QUERY_DIGESTS else _branch_as_template(name)
+    assert _digest(repr(query)) == digest
 
 
 @pytest.mark.parametrize("name, digest", LISTING_DIGESTS.items())
