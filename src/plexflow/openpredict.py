@@ -525,7 +525,10 @@ def _folds(scheme, labels, n_diseases, folds, repetitions, seed):
             hidden = rng.permutation(n_drugs)
         else:
             hidden = positives[rng.permutation(len(positives))]
-        for fold, chunk in enumerate(np.array_split(hidden, folds)):
+        base, extra = divmod(len(hidden), folds)
+        for fold in range(folds):  # np.array_split's chunks, one at a time
+            start = fold * base + min(fold, extra)
+            chunk = hidden[start:start + base + (fold < extra)]
             held = np.isin(positives // n_diseases if scheme == HIDE_DRUGS
                            else positives, chunk)
             train_pos = positives[~held]

@@ -24,7 +24,9 @@ IRIs, literals and the ``;`` / ``,`` lists, adding only what is SPARQL's
 own. Tokens are read one at a time, so the first error in document order
 is the one reported. A malformed escape, an ill-formed literal and a REGEX
 pattern that does not compile are all :class:`QueryParseError` with their
-position, never an error during evaluation.
+position, never an error during evaluation; so is a ``{`` that opens a group
+more than ``_MAX_GROUP_DEPTH`` deep, which keeps the parser and the
+evaluator, both recursive, within Python's recursion limit.
 
 Evaluation is bag-semantics over a frozen graph: VALUES tables, then
 UNIONs, then triple patterns are joined left-deep, then OPTIONAL left-joins,
@@ -43,16 +45,17 @@ rows equal on every key keep their serialized order.
   positions (:meth:`Graph.bucket_size`; for ``p+`` the closure maps
   :meth:`Graph.closure_pairs` and :meth:`Graph.closure_sources`), so it
   reflects the values actually bound, VALUES included.
-- OPTIONAL and MINUS evaluate their inner group on its own and hash-join it
-  to the outer rows. The key is the variables bound in every outer row and
-  in every inner row; only rows with equal keys are paired, and each pair
-  is then checked as before on the variables outside the key. An empty key
-  puts all inner rows in one bucket. An OPTIONAL row extends the outer row
-  with every compatible inner row, or keeps it alone when there is none.
-  MINUS removes an outer row when some inner row shares at least one
-  variable with it and agrees on all shared ones.
-  A UNION's rows are joined the same way: each outer row extends with every
-  compatible union row, and is dropped when there is none.
+- Outer and inner rows meet in one hash join, :func:`_join`, in the modes
+  of SPARQL's algebra (SPARQL 1.1 Query, §18.5): VALUES tables (one row
+  per term) and UNION rows join ``"inner"``, OPTIONAL groups
+  ``"optional"`` and MINUS groups ``"minus"``; each inner group is first
+  evaluated on its own. The key is the variables bound in every outer row
+  and in every inner row; only rows with equal keys are paired, and each
+  pair is then checked on the variables outside the key. An empty key puts
+  all inner rows in one bucket. An outer row extends with every compatible
+  inner row; with none, an inner join drops it and OPTIONAL keeps it alone.
+  MINUS removes an outer row when some compatible inner row shares at
+  least one variable with it.
 - :func:`explain` returns the steps the evaluator took, recorded during
   the run: join order, estimates, join keys and row counts.
 """
@@ -80,6 +83,10 @@ _UNSUPPORTED_KEYWORDS = {
     "INSERT", "DELETE", "LOAD", "FROM", "NAMED", "REDUCED", "GROUP",
     "HAVING", "LIMIT", "OFFSET", "EXISTS", "NOT", "AS", "WITH",
 }
+
+# The most groups open at once, the WHERE group included; the catalogue's
+# templates nest at most 3 deep.
+_MAX_GROUP_DEPTH = 128
 
 
 class QueryError(ValueError):
@@ -316,8 +323,11 @@ class _Parser(TriplesParser):
         descending = self._next().value.upper() == "DESC"
         return OrderKey(self._parse_call_var(), descending)
 
-    def _parse_group(self) -> Group:
-        self._expect("LBRACE", "expected '{'")
+    def _parse_group(self, depth: int = 1) -> Group:
+        brace = self._expect("LBRACE", "expected '{'")
+        if depth > _MAX_GROUP_DEPTH:
+            self._error(f"group nested deeper than {_MAX_GROUP_DEPTH} levels",
+                        brace)
         group = Group()
         while self.tok.kind != "RBRACE":
             if self.tok.kind == "EOF":
@@ -331,16 +341,16 @@ class _Parser(TriplesParser):
                 group.elements.append(self._parse_values())
             elif self._is_word("MINUS"):
                 self._next()
-                group.elements.append(Minus(self._parse_group()))
+                group.elements.append(Minus(self._parse_group(depth + 1)))
             elif self._is_word("OPTIONAL"):
                 self._next()
-                group.elements.append(OptionalGroup(self._parse_group()))
+                group.elements.append(OptionalGroup(self._parse_group(depth + 1)))
             elif self.tok.kind == "LBRACE":
                 brace = self.tok
-                branches = [self._parse_group()]
+                branches = [self._parse_group(depth + 1)]
                 while self._is_word("UNION"):
                     self._next()
-                    branches.append(self._parse_group())
+                    branches.append(self._parse_group(depth + 1))
                 if len(branches) == 1:
                     self._error("nested groups are only supported after "
                                 "OPTIONAL or MINUS", brace)
@@ -590,16 +600,12 @@ def _estimate(g: Graph, pat: TriplePattern, sols: list[Solution],
     return sum(_candidate_count(g, pat, sol) for sol in sols)
 
 
-def _hash_join(left: list[Solution],
-               right: list[Solution]) -> tuple[list[str], list[tuple]]:
-    """The join key, and each left row with the right rows that agree with it
-    on the key.
-
-    The key holds the variables bound in every row on both sides, so rows
-    outside a bucket can never be compatible; variables only some rows bind
-    are left to the caller's row check. An empty key puts every right row
-    in one bucket.
-    """
+def _join(mode: str, left: list[Solution],
+          right: list[Solution]) -> tuple[list[Solution], str]:
+    """``left`` joined with ``right`` as SPARQL's Join (``"inner"``),
+    LeftJoin (``"optional"``) or Minus (``"minus"``), hashing ``right`` on
+    the key of the module docstring; and the plan text ``key=(...) pairs=N
+    rows=R``. Rows come out in left order, then right order."""
     key: set[str] = set(left[0]) if left and right else set()
     for row in left + right:
         if not key:
@@ -609,22 +615,20 @@ def _hash_join(left: list[Solution],
     buckets: dict[tuple, list[Solution]] = {}
     for row in right:
         buckets.setdefault(tuple(row[k] for k in names), []).append(row)
-    return names, [(sol, buckets.get(tuple(sol[k] for k in names), ()))
-                   for sol in left]
-
-
-def _compatible(a: Solution, b: Solution) -> bool:
-    for k, v in b.items():
-        if k in a and a[k] != v:
-            return False
-    return True
-
-
-def _shared_agree(a: Solution, b: Solution) -> bool:
-    shared = a.keys() & b.keys()
-    if not shared:
-        return False
-    return all(a[k] == b[k] for k in shared)
+    out: list[Solution] = []
+    pairs = 0
+    for sol in left:
+        bucket = buckets.get(tuple(sol[k] for k in names), ())
+        pairs += len(bucket)
+        agree = [r for r in bucket if all(sol.get(k, v) == v for k, v in r.items())]
+        if mode == "minus":
+            if not any(sol.keys() & r.keys() for r in agree):
+                out.append(sol)
+        else:
+            out.extend([{**sol, **r} for r in agree]
+                       or ([sol] if mode == "optional" else []))
+    shown = " ".join(f"?{k}" for k in names)
+    return out, f"key=({shown}) pairs={pairs} rows={len(out)}"
 
 
 def _numeric_value(term: Term) -> Optional[float]:
@@ -668,13 +672,6 @@ def _show(part: TermOrVar) -> str:
     return f"?{part.name}" if isinstance(part, Var) else nt_term(part)
 
 
-def _join_stats(key: list[str], candidates: list[tuple],
-                sols: list[Solution]) -> str:
-    pairs = sum(len(rows) for _, rows in candidates)
-    names = " ".join(f"?{k}" for k in key)
-    return f"key=({names}) pairs={pairs} rows={len(sols)}"
-
-
 def _eval_group(group: Group, g: Graph, plan: Optional[list[str]] = None,
                 depth: int = 0) -> list[Solution]:
     patterns = [el for el in group.elements if isinstance(el, TriplePattern)]
@@ -687,34 +684,22 @@ def _eval_group(group: Group, g: Graph, plan: Optional[list[str]] = None,
 
     sols: list[Solution] = [{}]
     bound: set[str] = set()
-    for v in values:
-        joined: list[Solution] = []
-        for sol in sols:
-            for term in v.terms:
-                if v.var.name in sol and sol[v.var.name] != term:
-                    continue
-                ext = dict(sol)
-                ext[v.var.name] = term
-                joined.append(ext)
-        sols = joined
-        bound.add(v.var.name)
-        if plan is not None:
-            plan.append(f"{indent}values ?{v.var.name} terms={len(v.terms)} "
-                        f"rows={len(sols)}")
-
-    for union in unions:
-        if not sols:
+    for el in values + unions:
+        if isinstance(el, Values):
+            right = [{el.var.name: term} for term in el.terms]
+        elif not sols:
             break
-        right = [row for branch in union.branches
-                 for row in _eval_group(branch, g, plan, depth + 1)]
-        key, candidates = _hash_join(sols, right)
-        sols = [{**sol, **r} for sol, rows in candidates
-                for r in rows if _compatible(sol, r)]
+        else:
+            right = [row for branch in el.branches
+                     for row in _eval_group(branch, g, plan, depth + 1)]
+        sols, stats = _join("inner", sols, right)
         if right:
             bound.update(set(right[0]).intersection(*right))
         if plan is not None:
-            plan.append(f"{indent}union branches={len(union.branches)} "
-                        f"{_join_stats(key, candidates, sols)}")
+            plan.append(indent + (
+                f"values ?{el.var.name} terms={len(el.terms)} rows={len(sols)}"
+                if isinstance(el, Values) else
+                f"union branches={len(el.branches)} {stats}"))
 
     remaining = list(patterns)
     while remaining and sols:
@@ -734,20 +719,11 @@ def _eval_group(group: Group, g: Graph, plan: Optional[list[str]] = None,
     for nested in optionals + minuses:
         if not sols:
             break
-        right = _eval_group(nested.group, g, plan, depth + 1)
-        key, candidates = _hash_join(sols, right)
-        if isinstance(nested, Minus):
-            kind = "minus"
-            sols = [sol for sol, rows in candidates
-                    if not any(_shared_agree(sol, r) for r in rows)]
-        else:
-            kind = "optional"
-            sols = []
-            for sol, rows in candidates:
-                sols.extend([{**sol, **r} for r in rows if _compatible(sol, r)]
-                            or [sol])
+        mode = "minus" if isinstance(nested, Minus) else "optional"
+        sols, stats = _join(mode, sols,
+                            _eval_group(nested.group, g, plan, depth + 1))
         if plan is not None:
-            plan.append(f"{indent}{kind} {_join_stats(key, candidates, sols)}")
+            plan.append(f"{indent}{mode} {stats}")
 
     for f in filters:
         sols = [sol for sol in sols if _eval_filter(f.expr, sol)]

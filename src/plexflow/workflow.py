@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import vocab
 from .rdf import RDF_TYPE, Graph, IRI, Literal, Term, Triple, lit
@@ -529,28 +529,31 @@ def load_workflow(g: Graph, wf_iri: str) -> WorkflowView:
 
 
 def _precedes_cycle(steps: dict[str, StepDef], plan: str) -> Optional[str]:
+    """The first step a depth-first walk (starts and successors in sorted
+    order) reaches again on its current ``dul:precedes`` path, or None. The
+    walk keeps its own stack, so a chain of any length fits."""
     scope = {s for s, st in steps.items() if st.plan == plan}
-    color: dict[str, int] = {}
+    color: dict[str, int] = {}  # 1: on the current path, 2: done
+    stack: list[tuple[str, Iterator[str]]] = []
 
-    def dfs(node: str) -> Optional[str]:
+    def enter(node: str):
         color[node] = 1
-        for nxt in sorted(steps[node].precedes):
-            if nxt not in scope:
-                continue
-            if color.get(nxt) == 1:
-                return nxt
-            if nxt not in color:
-                found = dfs(nxt)
-                if found:
-                    return found
-        color[node] = 2
-        return None
+        stack.append((node, iter(sorted(steps[node].precedes & scope))))
 
     for start in sorted(scope):
         if start not in color:
-            found = dfs(start)
-            if found:
-                return found
+            enter(start)
+        while stack:
+            node, successors = stack[-1]
+            for nxt in successors:
+                if color.get(nxt) == 1:
+                    return nxt
+                if nxt not in color:
+                    enter(nxt)
+                    break
+            else:
+                color[node] = 2
+                stack.pop()
     return None
 
 

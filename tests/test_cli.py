@@ -198,6 +198,9 @@ MALFORMED_INPUTS = {
     "rq-bad-u-escape": ("query", "bad.rq", b'SELECT ?s WHERE { ?s ?p "\\uZZZZ" }\n'),
     "rq-bad-regex": ("query", "bad.rq",
                      b'SELECT ?o WHERE { ?s ?p ?o FILTER(REGEX(?o, "(")) }\n'),
+    "rq-nested-too-deep": ("query", "deep.rq",
+                           b"SELECT ?s WHERE { ?s ?p ?o " + b"OPTIONAL { ?s ?p ?o " * 999
+                           + b"}" * 1000 + b"\n"),
 }
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -298,6 +300,24 @@ def test_fold_count_must_be_at_least_two():
     bundle, gold = generate_bundle(20, 15, seed=1)
     with pytest.raises(PipelineError):
         cross_validate(bundle, gold, HIDE_DRUGS, folds=1)
+
+
+@pytest.mark.parametrize("scheme", [HIDE_DRUGS, HIDE_ASSOCIATIONS])
+def test_folds_beyond_the_hidden_items_fail_in_bounded_memory(scheme):
+    # One more fold than hidden drugs (or gold pairs) leaves the last fold
+    # empty; far more folds must fail the same way, without building them.
+    bundle, gold = generate_bundle(6, 5, seed=3)
+    hidden = bundle.n_drugs if scheme == HIDE_DRUGS else len(gold.pairs)
+    peaks, messages = [], []
+    for folds in (hidden + 1, 10**5):
+        tracemalloc.start()
+        with pytest.raises(PipelineError) as exc:
+            cross_validate(bundle, gold, scheme, folds=folds)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert peaks[1] < 2 * peaks[0]
 
 
 def test_negative_seed_rejected():

@@ -6,7 +6,7 @@ import pytest
 from plexflow.cq import CATALOGUE, query_text
 from plexflow.fixture import V01, V02
 from plexflow.query import (
-    Comparison, Minus, OptionalGroup, QueryError, QueryParseError, ResultTable,
+    _MAX_GROUP_DEPTH, Comparison, Minus, OptionalGroup, QueryError, QueryParseError, ResultTable,
     TriplePattern, Union, Values, Var, evaluate, explain, parse_query, run_query,
 )
 from plexflow.rdf import Graph, Literal, Triple, iri, lit
@@ -105,6 +105,36 @@ def test_parse_errors_have_position_and_prefix_check():
 def test_projection_must_be_in_scope():
     with pytest.raises(QueryError):
         parse_query("SELECT ?missing WHERE { ?s <urn:p> ?o }")
+
+
+def nested_query(depth: int, kind: str) -> str:
+    """A query whose groups nest ``depth`` deep, the WHERE group included:
+    each level is an OPTIONAL group, or a UNION with a one-pattern branch."""
+    if kind == "optional":
+        return ("SELECT ?s WHERE { ?s <urn:p> ?o "
+                + "OPTIONAL { ?s <urn:p> ?o " * (depth - 1) + "}" * depth)
+    group = "{ ?s <urn:p> ?o }"
+    for _ in range(depth - 1):
+        group = f"{{ {group} UNION {{ ?s <urn:p> ?o }} }}"
+    return f"SELECT ?s WHERE {group}"
+
+
+@pytest.mark.parametrize("kind, rows", [("optional", 1), ("union", _MAX_GROUP_DEPTH)])
+def test_groups_nested_to_the_limit_parse_evaluate_and_explain(kind, rows):
+    g = g_of(("urn:a", "urn:p", "urn:x"))
+    query = parse_query(nested_query(_MAX_GROUP_DEPTH, kind))
+    assert evaluate(query, g).rows == [(iri("urn:a"),)] * rows
+    deepest = "  " * (_MAX_GROUP_DEPTH - 1) + "pattern ?s <urn:p> ?o estimate=1 rows=1"
+    assert deepest in explain(query, g)
+
+
+@pytest.mark.parametrize("kind", ["optional", "union"])
+def test_a_group_nested_one_level_too_deep_is_a_parse_error(kind):
+    text = nested_query(_MAX_GROUP_DEPTH + 1, kind)
+    brace = [m.start() for m in re.finditer("{", text)][_MAX_GROUP_DEPTH]
+    with pytest.raises(QueryParseError, match="nested deeper than") as exc:
+        parse_query(text)
+    assert (exc.value.line, exc.value.col) == (1, brace + 1)
 
 
 # -- evaluation --------------------------------------------------------------
@@ -233,6 +263,34 @@ def test_values_restricts_bindings():
         f"PREFIX bpmn: <{BPMN}>\n"
         "SELECT ?s ?t WHERE { ?s a ?t . VALUES ?t { bpmn:ManualTask } }", g)
     assert [row[0].value for row in table.rows] == ["urn:s1"]
+
+
+def test_two_values_blocks_on_one_variable_keep_the_bag_intersection():
+    g = g_of(("urn:s", "urn:p", "urn:o"))
+    query = parse_query("SELECT ?x WHERE { VALUES ?x { <urn:a> <urn:b> <urn:b> } "
+                        "VALUES ?x { <urn:b> <urn:c> } }")
+    assert explain(query, g) == ["values ?x terms=3 rows=3",
+                                 "values ?x terms=2 rows=2"]
+    assert evaluate(query, g).rows == [(iri("urn:b"),), (iri("urn:b"),)]
+
+
+def test_values_lines_are_written_on_empty_rows_but_a_union_is_skipped():
+    g = g_of(("urn:a", "urn:p", "urn:o"))
+    query = parse_query("SELECT ?x WHERE { VALUES ?x { } "
+                        "{ ?x <urn:p> ?o } UNION { ?x <urn:q> ?o } "
+                        "VALUES ?x { <urn:a> } }")
+    assert explain(query, g) == ["values ?x terms=0 rows=0",
+                                 "values ?x terms=1 rows=0"]
+    assert evaluate(query, g).rows == []
+
+
+def test_a_values_row_that_matches_no_triple_drops_out_of_the_pattern_join():
+    g = g_of(("urn:a", "urn:p", "urn:x"), ("urn:b", "urn:p", "urn:y"))
+    query = parse_query("SELECT ?s ?o WHERE { VALUES ?s { <urn:z> <urn:a> } "
+                        "?s <urn:p> ?o }")
+    assert explain(query, g) == ["values ?s terms=2 rows=2",
+                                 "pattern ?s <urn:p> ?o estimate=1 rows=1"]
+    assert evaluate(query, g).rows == [(iri("urn:a"), iri("urn:x"))]
 
 
 def test_distinct_collapses_duplicates():

@@ -138,10 +138,27 @@ opredict:Step_One dul:precedes opredict:Step_Two .
 """
     g = parse_turtle(_mini_workflow_ttl(extra)).freeze()
     view = load_workflow(g, OP.Plan_Tiny)
-    codes = {v.code for v in validate(view)}
-    assert "E_PRECEDES_CYCLE" in codes
+    cycles = [v for v in validate(view) if v.code == "E_PRECEDES_CYCLE"]
+    assert [(v.subject, v.detail) for v in cycles] == [
+        (OP.Plan_Tiny, f"dul:precedes cycle through {OP.Step_One}")]
     with pytest.raises(WorkflowError):
         step_order(view)
+
+
+def test_long_precedes_chain_is_no_cycle():
+    # Deeper than Python's recursion limit: the cycle check walks with its
+    # own stack.
+    steps = [f"opredict:Step_Chain{n:04d}" for n in range(1500)]
+    extra = "".join(
+        f"{step} rdf:type bpmn:ManualTask , p-plan:Step ;\n"
+        "  p-plan:isStepOfPlan opredict:Plan_Tiny ;\n"
+        "  dul:isDescribedBy opredict:Plan_Instruction_One ;\n"
+        f"  dul:precedes {nxt} .\n"
+        for step, nxt in zip(steps, steps[1:] + ["opredict:Step_One"]))
+    g = parse_turtle(_mini_workflow_ttl(extra)).freeze()
+    view = load_workflow(g, OP.Plan_Tiny)
+    assert "E_PRECEDES_CYCLE" not in {v.code for v in validate(view)}
+    assert len(step_order(view)) == 1501
 
 
 def test_missing_first_step_flagged():
@@ -215,6 +232,26 @@ opredict:Constraint_Q rdf:type sh:SPARQLConstraint ;
     assert OP.Shape_Q in view.shapes
     codes = {v.code for v in validate(view)}
     assert "E_SHAPE_SPARQL" in codes
+
+
+def test_shape_with_too_deeply_nested_query_flagged():
+    select = "SELECT ?x WHERE { ?x ?p ?o " + "OPTIONAL { ?x ?p ?o " * 199 + "}" * 200
+    extra = f"""
+opredict:Plan_Instruction_One prov:qualifiedUsage opredict:Usage_Q .
+opredict:Usage_Q rdf:type prov:Usage ;
+  prov:entity opredict:Variable_V , opredict:Dist_V .
+opredict:Variable_V rdf:type p-plan:Variable .
+opredict:Step_One p-plan:hasOutputVar opredict:Variable_V .
+opredict:Shape_Q rdf:type sh:NodeShape ;
+  sh:targetClass opredict:Usage_Q ;
+  sh:sparql opredict:Constraint_Q .
+opredict:Constraint_Q rdf:type sh:SPARQLConstraint ;
+  sh:select "{select}" .
+"""
+    g = parse_turtle(_mini_workflow_ttl(extra)).freeze()
+    view = load_workflow(g, OP.Plan_Tiny)
+    (violation,) = [v for v in validate(view) if v.code == "E_SHAPE_SPARQL"]
+    assert "nested deeper than" in violation.detail
 
 
 def test_instruction_kind_registry():
