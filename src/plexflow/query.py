@@ -48,14 +48,25 @@ rows equal on every key keep their serialized order.
 - Outer and inner rows meet in one hash join, :func:`_join`, in the modes
   of SPARQL's algebra (SPARQL 1.1 Query, §18.5): VALUES tables (one row
   per term) and UNION rows join ``"inner"``, OPTIONAL groups
-  ``"optional"`` and MINUS groups ``"minus"``; each inner group is first
-  evaluated on its own. The key is the variables bound in every outer row
-  and in every inner row; only rows with equal keys are paired, and each
-  pair is then checked on the variables outside the key. An empty key puts
-  all inner rows in one bucket. An outer row extends with every compatible
-  inner row; with none, an inner join drops it and OPTIONAL keeps it alone.
-  MINUS removes an outer row when some compatible inner row shares at
-  least one variable with it.
+  ``"optional"`` and MINUS groups ``"minus"``. The key is the variables
+  bound in every outer row and in every inner row; only rows with equal
+  keys are paired, and each pair is then checked on the variables outside
+  the key. An empty key puts all inner rows in one bucket. An outer row
+  extends with every compatible inner row; with none, an inner join drops
+  it and OPTIONAL keeps it alone. MINUS removes an outer row when some
+  compatible inner row shares at least one variable with it.
+- An OPTIONAL or MINUS group is seeded from the outer rows (sideways
+  information passing, as in RDF-3X): the seed is the distinct tuples of
+  the variables that every outer row binds and the group's own triple
+  patterns bind. A group without VALUES or UNION whose seed is no larger
+  than its smallest first-step estimate starts from the seed rows;
+  otherwise the seed is joined ``"inner"`` as soon as the group's rows bind
+  every seed variable. Either way the group keeps only the rows whose
+  seed variables some outer row has. Those variables are part of the
+  outer join's key, so the dropped rows would pair with no outer row; the
+  seed holds no variable the group would not bind itself, so its FILTERs
+  see what they saw unseeded, and its distinct tuples keep every row's
+  multiplicity.
 - :func:`explain` returns the steps the evaluator took, recorded during
   the run: join order, estimates, join keys and row counts.
 """
@@ -547,9 +558,10 @@ def _match_pattern(g: Graph, pat: TriplePattern, sol: Solution) -> list[Solution
     o = _substitute(pat.o, sol)
     if pat.plus:  # the parser guarantees an IRI predicate
         parts = (pat.s, pat.o)
-        if s is not None:
-            found = [(s, t) for t in g.closure_pairs(pat.p).get(s, ())
-                     if o is None or t == o]
+        if s is not None and o is not None:
+            found = [(s, o)] if o in g.closure_pairs(pat.p).get(s, ()) else []
+        elif s is not None:
+            found = [(s, t) for t in g.closure_pairs(pat.p).get(s, ())]
         elif o is not None:
             found = [(src, o) for src in g.closure_sources(pat.p).get(o, ())]
         else:
@@ -672,8 +684,24 @@ def _show(part: TermOrVar) -> str:
     return f"?{part.name}" if isinstance(part, Var) else nt_term(part)
 
 
+def _seed(outer: list[Solution], group: Group) -> Optional[list[Solution]]:
+    """The rows an OPTIONAL or MINUS ``group`` is seeded with: the distinct
+    tuples, in first-seen order, of the variables that every ``outer`` row
+    binds and that the group's own triple patterns bind; None when there
+    are no such variables."""
+    names = {part.name for el in group.elements if isinstance(el, TriplePattern)
+             for part in (el.s, el.p, el.o) if isinstance(part, Var)}
+    names.intersection_update(*outer)
+    if not names:
+        return None
+    names = sorted(names)
+    keys = dict.fromkeys(tuple(sol[k] for k in names) for sol in outer)
+    return [dict(zip(names, key)) for key in keys]
+
+
 def _eval_group(group: Group, g: Graph, plan: Optional[list[str]] = None,
-                depth: int = 0) -> list[Solution]:
+                depth: int = 0,
+                seed: Optional[list[Solution]] = None) -> list[Solution]:
     patterns = [el for el in group.elements if isinstance(el, TriplePattern)]
     values = [el for el in group.elements if isinstance(el, Values)]
     unions = [el for el in group.elements if isinstance(el, Union)]
@@ -701,9 +729,28 @@ def _eval_group(group: Group, g: Graph, plan: Optional[list[str]] = None,
                 if isinstance(el, Values) else
                 f"union branches={len(el.branches)} {stats}"))
 
+    # A triple pattern of this group binds every seed variable, so the rows
+    # the seed keeps out would have paired with no outer row. Starting from
+    # the seed rows beside VALUES or UNION rows would cross the two.
+    seed_vars = set(seed[0]) if seed else set()
+    if seed and not values and not unions and len(seed) <= min(
+            _estimate(g, pat, sols, bound) for pat in patterns):
+        sols, bound, seed = seed, set(seed_vars), None
+        if plan is not None:
+            plan.append(f"{indent}seed start rows={len(sols)}")
+
     remaining = list(patterns)
-    while remaining and sols:
-        estimates = [_estimate(g, pat, sols, bound) for pat in remaining]
+    while sols and (remaining or seed):
+        if seed and seed_vars <= bound:
+            sols, stats = _join("inner", sols, seed)
+            seed = None
+            if plan is not None:
+                plan.append(f"{indent}seed {stats}")
+            continue
+        # With one pattern left the estimates choose nothing; only the plan
+        # shows them. Over seeded rows they cost a bucket lookup per row.
+        estimates = ([_estimate(g, pat, sols, bound) for pat in remaining]
+                     if len(remaining) > 1 or plan is not None else [0])
         best = min(range(len(remaining)), key=estimates.__getitem__)
         pat = remaining.pop(best)
         sols = [ext for sol in sols for ext in _match_pattern(g, pat, sol)]
@@ -720,8 +767,9 @@ def _eval_group(group: Group, g: Graph, plan: Optional[list[str]] = None,
         if not sols:
             break
         mode = "minus" if isinstance(nested, Minus) else "optional"
-        sols, stats = _join(mode, sols,
-                            _eval_group(nested.group, g, plan, depth + 1))
+        inner = _eval_group(nested.group, g, plan, depth + 1,
+                            _seed(sols, nested.group))
+        sols, stats = _join(mode, sols, inner)
         if plan is not None:
             plan.append(f"{indent}{mode} {stats}")
 
@@ -772,6 +820,10 @@ def explain(query: SelectQuery, g: Graph) -> list[str]:
       ``key``, where ``pairs`` counts the outer/inner row pairs sharing a
       key (the pairs checked); the inner group's own steps come just before
       it, indented one level deeper;
+    - ``seed start rows=N``: an OPTIONAL or MINUS group starts from the N
+      distinct seed rows of the outer rows;
+    - ``seed key=(?k ...) pairs=C rows=R``: the seed rows joined in, just
+      after the step that bound the last seed variable;
     - ``filter rows=R``: the rows a FILTER keeps.
     """
     plan: list[str] = []

@@ -1,6 +1,7 @@
 import hashlib
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -10,7 +11,8 @@ import plexflow
 from plexflow.cq import CATALOGUE, CqError, delta_counts, query_text, run_cq
 from plexflow.fixture import REFERENCE_ACCURACY, V01, V02, generate_fixture
 from plexflow.query import evaluate, parse_query
-from plexflow.vocab import BPMN, OPREDICT as OP
+from plexflow.rdf import Graph, Triple, iri
+from plexflow.vocab import BPMN, DUL, OPREDICT as OP, PWO
 
 from conftest import k_copy_graph
 
@@ -112,6 +114,26 @@ def test_cq2_1_main_chain_order(fixture_graph):
            "OpenPREDCIT_-_ML_ipynb"],
         OP.Step_Format_results_for_presentation,
     ]
+
+
+def test_cq2_1_on_a_long_chain_stays_small():
+    # The OPTIONAL starts from the outer (?first, ?member) rows, so it holds
+    # about n^2/2 (before, member) rows, not every ancestor of each of them:
+    # at 100 steps the peak was 36 MB before the seeding.
+    steps = [iri(f"urn:step{n:03d}") for n in range(101)]
+    g = Graph()
+    g.add(Triple(iri("urn:plan"), iri(PWO.hasFirstStep), steps[0]))
+    for step, nxt in zip(steps, steps[1:]):
+        g.add(Triple(step, iri(DUL.precedes), nxt))
+    g.freeze()
+    tracemalloc.start()
+    try:
+        table = run_cq("CQ2.1", g, {"workflow": "urn:plan"})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [step for (step,) in table.rows] == steps
+    assert peak < 10_000_000, peak
 
 
 def test_cq2_2_step_totals(fixture_graph):

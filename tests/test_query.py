@@ -400,11 +400,14 @@ def test_explain_records_join_order_estimates_and_hash_keys():
         "OPTIONAL { ?s <urn:next>+ ?t } MINUS { ?t <urn:gone> ?u } "
         "FILTER(BOUND(?t)) }")
     plan = explain(query, g)
-    # urn:c has no successor, so ?t is not a MINUS key: the key is empty.
+    # The OPTIONAL starts from the two outer ?s values. urn:c has no
+    # successor, so ?t is neither a MINUS seed nor a MINUS key: the key is
+    # empty.
     assert plan == [
         "pattern ?s <urn:name> ?n estimate=2 rows=2",
         "pattern ?s <urn:type> <urn:T> estimate=5 rows=2",
-        "  pattern ?s <urn:next>+ ?t estimate=3 rows=3",
+        "  seed start rows=2",
+        "  pattern ?s <urn:next>+ ?t estimate=2 rows=2",
         "optional key=(?s) pairs=2 rows=3",
         "  pattern ?t <urn:gone> ?u estimate=1 rows=1",
         "minus key=() pairs=3 rows=2",
@@ -412,6 +415,34 @@ def test_explain_records_join_order_estimates_and_hash_keys():
     ]
     assert evaluate(query, g).rows == [
         (iri("urn:a"), iri("urn:x"), iri("urn:c"), None)]
+
+
+def test_explain_shows_the_seed_semi_join_after_the_step_binding_its_keys():
+    # Three outer (?a, ?b) seeds, more than the smallest first-step
+    # estimate (2), so the OPTIONAL does not start from them. They join in
+    # right after the step that binds ?b, the last seed variable, and can
+    # only drop rows: here the urn:a4 row.
+    g = g_of(("urn:a1", "urn:p", "urn:b1"), ("urn:a2", "urn:p", "urn:b2"),
+             ("urn:a3", "urn:p", "urn:b3"), ("urn:a1", "urn:q", "urn:c1"),
+             ("urn:a4", "urn:q", "urn:c2"), ("urn:c1", "urn:r", "urn:b1"),
+             ("urn:c2", "urn:r", "urn:b4"), ("urn:c1", "urn:s", "urn:d1"),
+             ("urn:c2", "urn:s", "urn:d2"), ("urn:c3", "urn:s", "urn:d3"),
+             ("urn:c4", "urn:s", "urn:d4"))
+    query = parse_query("SELECT * WHERE { ?a <urn:p> ?b . "
+                        "OPTIONAL { ?a <urn:q> ?c . ?c <urn:r> ?b . ?c <urn:s> ?d } }")
+    plan = explain(query, g)
+    assert plan == [
+        "pattern ?a <urn:p> ?b estimate=3 rows=3",
+        "  pattern ?a <urn:q> ?c estimate=2 rows=2",
+        "  pattern ?c <urn:r> ?b estimate=4 rows=2",
+        "  seed key=(?a ?b) pairs=1 rows=1",
+        "  pattern ?c <urn:s> ?d estimate=2 rows=1",
+        "optional key=(?a ?b) pairs=1 rows=3",
+    ]
+    assert evaluate(query, g).rows == [
+        (iri("urn:a1"), iri("urn:b1"), iri("urn:c1"), iri("urn:d1")),
+        (iri("urn:a2"), iri("urn:b2"), None, None),
+        (iri("urn:a3"), iri("urn:b3"), None, None)]
 
 
 def test_explain_shows_union_branches_before_the_patterns():
@@ -474,7 +505,11 @@ def test_plan_work_of_one_version_questions_stays_flat_with_copies(
     # over every copy: work linear in the copies, which the 4.5x bound
     # above lets through (it measured 4.7x for CQ2.2 at 16 copies).
     one = k_copy_graph(1)
-    for cq_id in ("CQ1.2", "CQ2.2", "CQ3.2", "CQ3.4"):
+    # CQ1.3 and CQ3.3 still break the bound (83 -> 129 and 22 -> 48): at
+    # one copy their greedy order starts from a whole-graph bucket (7
+    # distributions, 4 revisions) that is no longer the smallest at 16, and
+    # the version-anchored start that wins there does more work.
+    for cq_id in ("CQ1.1", "CQ1.2", "CQ1.4", "CQ2.1", "CQ2.2", "CQ3.2", "CQ3.4"):
         base = plan_work(cq_id, one)
         scaled = plan_work(cq_id, sixteen_copy_graph)
         assert scaled <= 1.5 * base, (cq_id, base, scaled)
@@ -486,31 +521,34 @@ def test_plan_work_of_one_version_questions_stays_flat_with_copies(
 # CQ3.2 and CQ3.4 were re-pinned when their three templates became one
 # three-branch UNION: every old line reappears one level deeper with its
 # estimate and rows, next to one VALUES line per branch and the UNION line.
+# Every plan with an OPTIONAL or MINUS whose patterns bind an outer variable
+# was re-pinned when those groups were first seeded from the outer rows:
+# the groups gained their ``seed`` lines and follow the seeded estimates.
 PINNED_PLANS = {
     (1, "CQ1.1"): "cf2f887d86c9e965",
     (1, "CQ1.2"): "b3dbbb964bcaddad",
     (1, "CQ1.3"): "6f1281a72d4b89ea",
-    (1, "CQ1.4"): "cb5d43e76fecceda",
-    (1, "CQ2.1"): "506f564019681836",
+    (1, "CQ1.4"): "690664d721c10d44",
+    (1, "CQ2.1"): "909c6b1cbd51d9cd",
     (1, "CQ2.2"): "c82ff49a0b52af9e",
     (1, "CQ2.3"): "b407042ca5edabb3",
-    (1, "CQ3.1"): "cf5d585cf235858a",
-    (1, "CQ3.2"): "da80212894457aba",
+    (1, "CQ3.1"): "2ea1c3f55ebdb3ac",
+    (1, "CQ3.2"): "5246c71c82658b3e",
     (1, "CQ3.3"): "0cf9b245c9efbcc7",
-    (1, "CQ3.4"): "99b23059330e7672",
-    (1, "CQ3.5"): "91004d88ebb47240",
+    (1, "CQ3.4"): "0724c639bdfb63c3",
+    (1, "CQ3.5"): "689465a62d46a539",
     (16, "CQ1.1"): "08235df9392326d1",
     (16, "CQ1.2"): "bf259402db748d93",
     (16, "CQ1.3"): "8f6ed59421cae364",
-    (16, "CQ1.4"): "eedbbfa6b9e3014e",
-    (16, "CQ2.1"): "1e435ad3b1f8e501",
+    (16, "CQ1.4"): "6c13439abadffc64",
+    (16, "CQ2.1"): "6d568d45f5be3126",
     (16, "CQ2.2"): "c82ff49a0b52af9e",
     (16, "CQ2.3"): "dd37364985085a4c",
-    (16, "CQ3.1"): "96454b3e33b668fe",
-    (16, "CQ3.2"): "7f5c275e69efdb8b",
+    (16, "CQ3.1"): "4a4732983bf1f83c",
+    (16, "CQ3.2"): "06b2f2f85a6a84ec",
     (16, "CQ3.3"): "c8f39d9855989f90",
-    (16, "CQ3.4"): "ec2b407f8e5fefe8",
-    (16, "CQ3.5"): "cf3ea2b7812330f5",
+    (16, "CQ3.4"): "c879ece035e9fb19",
+    (16, "CQ3.5"): "f79ab2687f3c54c1",
 }
 
 

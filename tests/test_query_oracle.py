@@ -10,8 +10,8 @@ import random
 
 from plexflow.query import (
     BoundTest, Comparison, Filter, Group, Minus, OptionalGroup, RegexTest,
-    SelectQuery, TriplePattern, Union, Values, Var, evaluate, parse_query,
-    run_query,
+    SelectQuery, TriplePattern, Union, Values, Var, evaluate, explain,
+    parse_query, run_query,
 )
 from plexflow.rdf import Graph, IRI, Literal, Triple, iri, lit, nt_term
 
@@ -464,13 +464,14 @@ def shuffle_patterns(rng: random.Random, group: Group) -> Group:
     return Group(patterns + others)
 
 
-def check_join_shapes(seed: int, shapes: tuple, cases: int):
+def check_join_shapes(seed: int, shapes: tuple, cases: int,
+                      make=random_join_query):
     rng = random.Random(seed)
     non_empty = dict.fromkeys(shapes, 0)
     for case in range(cases):
         shape = shapes[case % len(shapes)]
         g = random_graph(rng)
-        query = random_join_query(rng, g, shape)
+        query = make(rng, g, shape)
         table = evaluate(query, g)
         mine = row_multiset(table.rows)
         assert mine == row_multiset(oracle_evaluate(query, g)), \
@@ -493,3 +494,86 @@ def test_join_paths_match_oracle_and_join_order_on_200_cases():
 
 def test_union_shapes_match_oracle_and_join_order_on_80_cases():
     check_join_shapes(20261019, UNION_SHAPES, 80)
+
+
+# ---------------------------------------------------------------------------
+# OPTIONAL / MINUS groups seeded from the outer rows
+
+SEED_SHAPES = ("filter-outer-var", "union-misses-seed", "nested-seed")
+
+
+def random_seed_query(rng: random.Random, g: Graph, shape: str) -> SelectQuery:
+    """A query of one shape whose OPTIONAL or MINUS group shares variables
+    with the outer rows, so the group is seeded from them.
+
+    The outer rows always bind ``?a`` and ``?b``. In ``filter-outer-var``
+    the group's patterns never bind ``?b``, and a FILTER in the group names
+    it. In ``union-misses-seed`` a UNION of branches anchored on constants
+    binds only ``?e``, and one more pattern links ``?e`` to an outer
+    variable. In ``nested-seed`` the group's own OPTIONAL shares ``?a``
+    with both levels.
+    """
+    subjects = sorted({t.s for t in g.match()}, key=nt_term)
+    objects = sorted({t.o for t in g.match()}, key=nt_term)
+    preds = sorted({t.p for t in g.match()}, key=nt_term)
+
+    def pattern(s, o, plus=None):
+        if plus is None:
+            plus = rng.random() < 0.2
+        return TriplePattern(s, rng.choice(preds), o, plus)
+
+    def var(*names):
+        return Var(rng.choice(names))
+
+    elements = [pattern(Var("a"), Var("b"))]
+    if rng.random() < 0.5:
+        elements.append(pattern(var("a", "b", "c"), var("a", "b", "c")))
+    kind = OptionalGroup if rng.random() < 0.6 else Minus
+    if shape == "filter-outer-var":
+        inner = [pattern(var("a", "c"), var("a", "c", "d"))]
+        if rng.random() < 0.5:
+            inner.append(pattern(var("a", "c", "d"), var("c", "d")))
+        inner.append(Filter(rng.choice([
+            BoundTest(Var("b"), rng.random() < 0.5),
+            Comparison(rng.choice(["=", "!="]), Var("b"), var("a", "c")),
+            Comparison(rng.choice(["=", "!="]), Var("b"), rng.choice(objects)),
+        ])))
+    elif shape == "union-misses-seed":
+        branches = [Group([pattern(rng.choice(subjects), Var("e"))
+                           if rng.random() < 0.5 else
+                           pattern(Var("e"), rng.choice(objects))])
+                    for _ in range(rng.randrange(2, 4))]
+        link = var("a", "b")
+        inner = [Union(branches),
+                 pattern(Var("e"), link) if rng.random() < 0.5
+                 else pattern(link, Var("e"))]
+    else:  # nested-seed
+        nested = [pattern(Var("a"), var("c", "d"))]
+        if rng.random() < 0.3:
+            nested.append(Minus(Group([pattern(var("a", "c"), var("b", "d"))])))
+        inner = [pattern(Var("a"), Var("c"))]
+        if rng.random() < 0.5:
+            inner.append(pattern(Var("c"), var("b", "d")))
+        inner.append(OptionalGroup(Group(nested)))
+    elements.append(kind(Group(inner)))
+    projected = None
+    if rng.random() < 0.5:
+        projected = [Var(n) for n in ("a", "b")]
+    return SelectQuery({}, projected, rng.random() < 0.3, Group(elements), [])
+
+
+def test_seeded_groups_match_oracle_and_join_order_on_90_cases():
+    check_join_shapes(20261020, SEED_SHAPES, 90, random_seed_query)
+
+
+def test_seed_shapes_reach_the_seeded_start_and_the_semi_join():
+    rng = random.Random(20261021)
+    seen = {"start": 0, "key": 0}
+    for case in range(60):
+        g = random_graph(rng)
+        query = random_seed_query(rng, g, SEED_SHAPES[case % len(SEED_SHAPES)])
+        for line in explain(query, g):
+            words = line.split()
+            if words[0] == "seed":
+                seen[words[1].split("=")[0]] += 1
+    assert seen["start"] >= 10 and seen["key"] >= 10, seen
