@@ -49,19 +49,24 @@ def _read_input(path: str) -> str:
         raise _CliError(f"{path}: {exc}", EXIT_PARSE) from exc
 
 
+def _load_graph(path: str) -> Graph:
+    text = _read_input(path)
+    try:
+        if path.endswith(".ttl"):
+            from .turtle import parse_turtle
+            return parse_turtle(text)
+        return parse_ntriples(text)
+    except RdfError as exc:
+        raise _CliError(f"{path}: {exc}", EXIT_PARSE) from exc
+
+
 def _load_graphs(paths: list[str]) -> Graph:
+    """The frozen union of the input graphs; one input is used as parsed."""
+    if len(paths) == 1:
+        return _load_graph(paths[0]).freeze()
     g = Graph()
     for path in paths:
-        text = _read_input(path)
-        try:
-            if path.endswith(".ttl"):
-                from .turtle import parse_turtle
-                parsed = parse_turtle(text)
-            else:
-                parsed = parse_ntriples(text)
-        except RdfError as exc:
-            raise _CliError(f"{path}: {exc}", EXIT_PARSE) from exc
-        g.add_all(parsed)
+        g.add_all(_load_graph(path))
     return g.freeze()
 
 

@@ -5,7 +5,13 @@ Design notes:
 - Terms are immutable dataclasses (:class:`IRI`, :class:`BlankNode`,
   :class:`Literal`). Literal identity is (lexical form, datatype, language
   tag); there is no value-space canonicalization, so ``"01"^^xsd:int`` and
-  ``"1"^^xsd:int`` are different terms.
+  ``"1"^^xsd:int`` are different terms. Each term computes its hash once,
+  when it is built, and keeps it in a slot outside the dataclass fields;
+  equality is the generated field comparison. The readers build each
+  distinct term once per parsed document and share it between statements
+  (the term dictionary of RDF-3X, Neumann & Weikum, VLDB 2008), so a
+  parsed graph holds one object per distinct term. A term built by hand
+  still equals the parsed one and has the same hash.
 - IRI validation is purely syntactic (a scheme followed by ``:``); nothing
   is ever resolved over the network.
 - :class:`Graph` keeps a triple set plus two-level indexes in the manner
@@ -30,7 +36,7 @@ Design notes:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Optional, Union
 
 from .lexing import (
@@ -65,32 +71,57 @@ class BlankBudgetError(RdfError):
     """Isomorphism check refused: too many blank nodes for exact search."""
 
 
+class _Term:
+    """Base of the term classes: a slot for the hash, which each term's
+    ``__post_init__`` computes once. The slot is not a dataclass field, so
+    ``fields()``, equality and ``replace()`` see only the public fields. It
+    holds the value the generated dataclass hash would give, so no set or
+    dict order moves. Each subclass names ``__hash__`` in its own body:
+    otherwise ``@dataclass(frozen=True)`` would generate one over it."""
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # Copies and unpickled terms go through the constructor, which
+        # checks them and computes the hash in the receiving process.
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
 @dataclass(frozen=True, slots=True)
-class IRI:
+class IRI(_Term):
     value: str
 
     def __post_init__(self):
         if not _SCHEME_RE.match(self.value):
             raise RdfError(f"not an absolute IRI: {self.value!r}")
+        object.__setattr__(self, "_hash", hash((self.value,)))
+
+    __hash__ = _Term.__hash__
 
     def __repr__(self):
         return f"<{self.value}>"
 
 
 @dataclass(frozen=True, slots=True)
-class BlankNode:
+class BlankNode(_Term):
     label: str
 
     def __post_init__(self):
         if not _BLANK_LABEL_RE.match(self.label):
             raise RdfError(f"invalid blank node label: {self.label!r}")
+        object.__setattr__(self, "_hash", hash((self.label,)))
+
+    __hash__ = _Term.__hash__
 
     def __repr__(self):
         return f"_:{self.label}"
 
 
 @dataclass(frozen=True, slots=True)
-class Literal:
+class Literal(_Term):
     lexical: str
     datatype: str = XSD_STRING
     lang: Optional[str] = None
@@ -104,6 +135,10 @@ class Literal:
             object.__setattr__(self, "datatype", RDF_LANG_STRING)
         elif self.datatype == RDF_LANG_STRING:
             raise RdfError("rdf:langString literal requires a language tag")
+        object.__setattr__(self, "_hash",
+                           hash((self.lexical, self.datatype, self.lang)))
+
+    __hash__ = _Term.__hash__
 
     def __repr__(self):
         return nt_term(self)
@@ -443,6 +478,12 @@ class Graph:
 # N-Triples parsing
 
 _SPACE_RE = re.compile(r"[ \t]*")
+# One term and the blanks after it. Group 1 is the term's raw text, with
+# the extent _read_nt_term gives it: a string followed by '@' or '^^' must
+# carry a well-formed tag or datatype.
+_NT_TERM_RE = re.compile(
+    rf"({IRIREF_RE.pattern}|{BLANK_RE.pattern}|{STRING_RE.pattern}"
+    rf"(?:{LANGTAG_RE.pattern}|\^\^{IRIREF_RE.pattern}|(?!@|\^\^)))[ \t]*")
 
 
 def _parse_iri(raw: str, line: int) -> IRI:
@@ -452,7 +493,23 @@ def _parse_iri(raw: str, line: int) -> IRI:
     return IRI(value)
 
 
-def _parse_nt_term(text: str, pos: int, line: int) -> tuple[Term, int]:
+def _parse_nt_term(text: str, pos: int, line: int,
+                   terms: "dict[str, Term]") -> tuple[Term, int]:
+    """The term at ``pos`` and the position after it and the blanks that
+    follow. ``terms`` maps the raw text of every term the document has
+    shown so far to its term, so a term is decoded and checked only where
+    it first occurs, and each distinct term is one shared object."""
+    m = _NT_TERM_RE.match(text, pos)
+    if m is not None:
+        term = terms.get(m.group(1))
+        if term is not None:
+            return term, m.end()
+    term, end = _read_nt_term(text, pos, line)
+    terms[text[pos:end]] = term
+    return term, _SPACE_RE.match(text, end).end()
+
+
+def _read_nt_term(text: str, pos: int, line: int) -> tuple[Term, int]:
     if pos >= len(text):
         raise NTriplesParseError("unexpected end of statement", line)
     ch = text[pos]
@@ -487,17 +544,14 @@ def _parse_nt_term(text: str, pos: int, line: int) -> tuple[Term, int]:
     raise NTriplesParseError(f"unexpected character {ch!r}", line)
 
 
-def _parse_statement(line: str, lineno: int) -> Triple:
+def _parse_statement(line: str, lineno: int, terms: "dict[str, Term]") -> Triple:
     space = _SPACE_RE.match
     pos = space(line).end()
-    s, pos = _parse_nt_term(line, pos, lineno)
-    pos = space(line, pos).end()
-    p, pos = _parse_nt_term(line, pos, lineno)
+    s, pos = _parse_nt_term(line, pos, lineno, terms)
+    p, pos = _parse_nt_term(line, pos, lineno, terms)
     if not isinstance(p, IRI):
         raise NTriplesParseError("predicate must be an IRI", lineno)
-    pos = space(line, pos).end()
-    o, pos = _parse_nt_term(line, pos, lineno)
-    pos = space(line, pos).end()
+    o, pos = _parse_nt_term(line, pos, lineno, terms)
     if pos >= len(line) or line[pos] != ".":
         raise NTriplesParseError("expected '.' at end of statement", lineno)
     pos = space(line, pos + 1).end()
@@ -512,16 +566,24 @@ def _parse_statement(line: str, lineno: int) -> Triple:
 def parse_ntriples(text: str) -> Graph:
     """Parse a W3C N-Triples document (one statement per line).
 
-    Blank node labels are preserved per document scope. ``#`` comment lines
-    and trailing comments after the statement dot are allowed.
+    Lines end at ``\\n``, ``\\r\\n`` or ``\\r``. Blank node labels are
+    preserved per document scope. ``#`` comment lines and trailing comments
+    after the statement dot are allowed.
     """
     g = Graph()
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
+    # rdf:type is the module's RDF_TYPE, as 'a' in a query is, so lookups
+    # of that predicate meet the same object.
+    terms: dict[str, Term] = {f"<{RDF_TYPE.value}>": RDF_TYPE}
+    # Only these end a line: str.splitlines would also break inside a
+    # literal at \x0b, \x0c, \x1c-\x1e, \x85, U+2028 and U+2029.
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, raw_line in enumerate(text.split("\n"), start=1):
         stripped = raw_line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         try:
-            g.add(_parse_statement(raw_line, lineno))
+            g.add(_parse_statement(raw_line, lineno, terms))
         except EscapeError as exc:
             raise NTriplesParseError(str(exc), lineno) from None
     return g

@@ -23,6 +23,11 @@ parsers pull one token at a time, so an error is reported where the parser
 meets it, and every error is a :class:`TurtleParseError` with its position:
 a malformed escape, and an ill-formed literal such as
 ``"x"^^rdf:langString``, at the term.
+
+Each parser builds a distinct term once and shares it, as
+:func:`plexflow.rdf.parse_ntriples` does: its term table is keyed on the
+resolved IRI, on ``(lexical, datatype, lang)`` and on the blank node
+label, and a term enters it only after its checks pass.
 """
 
 from __future__ import annotations
@@ -107,6 +112,10 @@ class TriplesParser:
         self.lexer = self.lexer_class(text)
         self.tok = self.lexer.next_token()
         self.prefixes: dict[str, str] = {}
+        # IRI string, literal key tuple or blank label -> its one term. An
+        # IRI holds a ':' and a label never does, so the keys cannot meet.
+        # 'a' reads as RDF_TYPE, so a spelled-out rdf:type shares it too.
+        self.terms: dict[object, Term] = {RDF_TYPE.value: RDF_TYPE}
 
     def _error(self, message: str, tok: Optional[Token] = None) -> NoReturn:
         tok = tok or self.tok
@@ -137,10 +146,7 @@ class TriplesParser:
             if prefix not in self.prefixes:
                 self._error(f"unknown prefix: {prefix!r}", tok)
             value = self.prefixes[prefix] + local
-        try:
-            return IRI(value)
-        except RdfError as exc:
-            self._error(str(exc), tok)
+        return self._shared(tok, value, IRI, value)
 
     def _literal(self) -> Literal:
         """``STRING [LANGTAG | ^^ iri]``, from the current STRING token; an
@@ -154,10 +160,20 @@ class TriplesParser:
             if self.tok.kind not in ("IRIREF", "PNAME"):
                 self._error("expected datatype IRI after '^^'")
             datatype = self._iri(self._next()).value
-        try:
-            return Literal(tok.value, datatype, lang)
-        except RdfError as exc:
-            self._error(str(exc), tok)
+        key = (tok.value, datatype, lang)
+        return self._shared(tok, key, Literal, *key)
+
+    def _shared(self, tok: Token, key: object, make: type, *args) -> Term:
+        """The document's one ``make(*args)``, kept under ``key``: built and
+        checked on first use, where an ill-formed term is an error at
+        ``tok``."""
+        term = self.terms.get(key)
+        if term is None:
+            try:
+                term = self.terms[key] = make(*args)
+            except RdfError as exc:
+                self._error(str(exc), tok)
+        return term
 
     def _verb(self):
         return self._term("predicate")
@@ -198,7 +214,7 @@ class _Parser(TriplesParser):
             if position == "predicate":
                 self._error("blank node not allowed as predicate")
             self._next()
-            return BlankNode(tok.value)
+            return self._shared(tok, tok.value, BlankNode, tok.value)
         if tok.kind == "A" and position == "predicate":
             self._next()
             return RDF_TYPE

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import subprocess
 import sys
 
@@ -221,6 +222,70 @@ def test_malformed_input_exits_3_with_one_error_line(tmp_path, capsys,
     assert main(argv) == EXIT_PARSE
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+# A valid first line that shares raw terms with a bad second line, so a
+# parser that shares terms between statements cannot hide the error:
+# name: (document, N-Triples message, Turtle message).
+BAD_SECOND_LINES = {
+    "bad-u-escape": ('<urn:s> <urn:p> "a" .\n<urn:s> <urn:p> "\\uZZZZ" .\n',
+                     "line 2: bad \\u escape: '\\\\uZZZZ'",
+                     "line 2, column 17: bad \\u escape: '\\\\uZZZZ'"),
+    "relative-object": ("<urn:s> <urn:p> <urn:o> .\n<urn:s> <urn:p> <o> .\n",
+                        "line 2: non-absolute IRI: 'o'",
+                        "line 2, column 17: not an absolute IRI: 'o'"),
+    "bad-lang-tag": ('<urn:s> <urn:p> "x"@en .\n<urn:s> <urn:p> "x"@1 .\n',
+                     "line 2: malformed language tag",
+                     "line 2, column 20: malformed language tag"),
+    "literal-subject": ('<urn:s> <urn:p> "x" .\n"x" <urn:p> <urn:s> .\n',
+                        "line 2: literal subject not allowed",
+                        "line 2, column 1: literal only allowed in object position"),
+}
+
+
+@pytest.mark.parametrize("suffix", [".nt", ".ttl"])
+@pytest.mark.parametrize("text, nt_message, ttl_message", BAD_SECOND_LINES.values(),
+                         ids=BAD_SECOND_LINES.keys())
+def test_malformed_second_line_reports_its_position(tmp_path, capsys, suffix, text,
+                                                    nt_message, ttl_message):
+    path = tmp_path / f"bad{suffix}"
+    path.write_text(text, encoding="utf-8")
+    assert main(["validate", str(path)]) == EXIT_PARSE
+    message = nt_message if suffix == ".nt" else ttl_message
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+def _every_answer(graph: str, capsys) -> list:
+    """Exit code, stdout and stderr of validate, diff, audit and all 12 CQs
+    on one input file."""
+    from plexflow.cq import CATALOGUE
+
+    values = {"workflow": V01, "from": V01, "to": V02}
+    argvs = [["validate", graph], ["audit", "--graph", graph],
+             ["diff", "--graph", graph, "--from", V01, "--to", V02]]
+    for entry in CATALOGUE.values():
+        argvs.append(["cq", "--id", entry.id, "--graph", graph]
+                     + [arg for name in entry.params for arg in (f"--{name}", values[name])])
+    answers = []
+    for argv in argvs:
+        code = main(argv)
+        answers.append((code, *capsys.readouterr()))
+    return answers
+
+
+def test_one_input_answers_alike_as_nt_ttl_and_shuffled_nt(fixture_file, tmp_path,
+                                                          capsys):
+    text = fixture_file.read_text(encoding="utf-8")
+    ttl = tmp_path / "fixture.ttl"
+    ttl.write_text(prefixes_turtle() + text, encoding="utf-8")
+    lines = text.splitlines(keepends=True)
+    random.Random(7).shuffle(lines)
+    shuffled = tmp_path / "shuffled.nt"
+    shuffled.write_text("".join(lines), encoding="utf-8")
+    expected = _every_answer(str(fixture_file), capsys)
+    assert len(expected) == 15 and expected[0][0] == EXIT_OK
+    assert _every_answer(str(ttl), capsys) == expected
+    assert _every_answer(str(shuffled), capsys) == expected
 
 
 def _write_csv_bundle(tmp_path, drug_cell="0.5"):

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import itertools
+import pickle
 import random
 
 import pytest
@@ -201,6 +204,34 @@ def test_parse_errors_carry_line_numbers():
         parse_ntriples("<urn:a> <urn:p> <urn:b>")  # missing dot
 
 
+# Characters str.splitlines breaks at but N-Triples does not. The serializer
+# writes the last three raw; all may appear raw inside a literal.
+NON_NT_LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                      "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("ch", NON_NT_LINE_BREAKS, ids=lambda ch: f"U+{ord(ch):04X}")
+def test_literal_with_a_non_nt_line_break_round_trips(ch):
+    g = Graph([Triple(iri("urn:s"), iri("urn:p"), lit(f"a{ch}b"))])
+    assert parse_ntriples(serialize_ntriples(g)) == g
+    raw = parse_ntriples(f'<urn:s> <urn:p> "a{ch}b" .\n<urn:s> <urn:p> "c" .\n')
+    assert {t.o.lexical for t in raw.match()} == {f"a{ch}b", "c"}
+
+
+@pytest.mark.parametrize("ch", NON_NT_LINE_BREAKS[-3:], ids=lambda ch: f"U+{ord(ch):04X}")
+def test_iri_with_a_raw_non_nt_line_break_round_trips(ch):
+    g = Graph([Triple(iri(f"urn:a{ch}b"), iri("urn:p"), iri(f"urn:o{ch}"))])
+    assert ch in serialize_ntriples(g)
+    assert parse_ntriples(serialize_ntriples(g)) == g
+
+
+def test_nt_line_ends_keep_their_line_numbers():
+    for end in ("\n", "\r\n", "\r"):
+        with pytest.raises(NTriplesParseError) as err:
+            parse_ntriples(f"<urn:a> <urn:p> <urn:b> .{end}{end}<urn:a> <urn:p> .{end}")
+        assert err.value.line == 3
+
+
 def test_serialize_empty_graph():
     assert serialize_ntriples(Graph()) == ""
 
@@ -373,6 +404,65 @@ def test_escapes_equal_character_loops_on_mixed_text(text):
 @given(st.text(alphabet=st.sampled_from(ECHARS_AND_CONTROLS + "az\u00e9\U0001F600")))
 def test_escapes_equal_character_loops_on_escape_dense_text(text):
     assert_escapes_match_loops(text)
+
+
+# -- interned terms and cached hashes ----------------------------------------
+
+def _term_objects(g: Graph) -> tuple[int, int]:
+    """(term objects, distinct terms) across the graph's triples."""
+    terms = [term for t in g.match() for term in t]
+    return len({id(term) for term in terms}), len(set(terms))
+
+
+def test_parsed_graph_holds_one_object_per_distinct_term(sixteen_copy_graph):
+    assert _term_objects(sixteen_copy_graph) == (5470, 5470)
+
+
+def test_parsed_turtle_holds_one_object_per_distinct_term(fixture_graph):
+    from plexflow.turtle import parse_turtle
+    from plexflow.vocab import prefixes_turtle
+
+    g = parse_turtle(prefixes_turtle() + serialize_ntriples(fixture_graph))
+    assert g == fixture_graph
+    assert _term_objects(g) == (640, 640)
+
+
+HAND_BUILT = [iri("urn:s"), bnode("b1"), lit("v"), lit("v", lang="en-GB"),
+              lit("1", XSD_INTEGER)]
+
+
+def test_hand_built_terms_equal_parsed_ones_with_the_same_hash():
+    text = "".join(f"<urn:s> <urn:p> {nt_term(term)} .\n" for term in HAND_BUILT)
+    parsed = [t.o for t in parse_ntriples(text).match()]
+    for term in HAND_BUILT:
+        (same,) = [other for other in parsed if other == term]
+        assert hash(same) == hash(term)
+        assert hash(term) == hash(tuple(getattr(term, f.name)
+                                        for f in dataclasses.fields(term)))
+
+
+def test_term_fields_are_only_the_public_ones():
+    assert [f.name for f in dataclasses.fields(IRI)] == ["value"]
+    assert [f.name for f in dataclasses.fields(BlankNode)] == ["label"]
+    assert [f.name for f in dataclasses.fields(Literal)] == ["lexical", "datatype", "lang"]
+
+
+def test_replace_recomputes_the_hash():
+    assert hash(dataclasses.replace(iri("urn:a"), value="urn:b")) == hash(iri("urn:b"))
+    assert hash(dataclasses.replace(bnode("a"), label="b")) == hash(bnode("b"))
+    tagged = dataclasses.replace(lit("v"), lexical="w", lang="en")
+    assert tagged == lit("w", lang="en") and hash(tagged) == hash(lit("w", lang="en"))
+    with pytest.raises(RdfError):
+        dataclasses.replace(iri("urn:a"), value="relative")
+
+
+@pytest.mark.parametrize("clone", [
+    copy.copy, copy.deepcopy, lambda term: pickle.loads(pickle.dumps(term)),
+], ids=["copy", "deepcopy", "pickle"])
+def test_copies_keep_equality_and_hash(clone):
+    for term in HAND_BUILT + [Triple(iri("urn:s"), iri("urn:p"), lit("v", lang="en"))]:
+        again = clone(term)
+        assert again == term and hash(again) == hash(term)
 
 
 # -- index statistics used by the query planner ------------------------------
