@@ -61,11 +61,9 @@ def _load_graph(path: str) -> Graph:
 
 
 def _load_graphs(paths: list[str]) -> Graph:
-    """The frozen union of the input graphs; one input is used as parsed."""
-    if len(paths) == 1:
-        return _load_graph(paths[0]).freeze()
-    g = Graph()
-    for path in paths:
+    """The frozen union of the input graphs, built on the first one."""
+    g = _load_graph(paths[0])
+    for path in paths[1:]:
         g.add_all(_load_graph(path))
     return g.freeze()
 

@@ -5,13 +5,12 @@ Design notes:
 - Terms are immutable dataclasses (:class:`IRI`, :class:`BlankNode`,
   :class:`Literal`). Literal identity is (lexical form, datatype, language
   tag); there is no value-space canonicalization, so ``"01"^^xsd:int`` and
-  ``"1"^^xsd:int`` are different terms. Each term computes its hash once,
-  when it is built, and keeps it in a slot outside the dataclass fields;
-  equality is the generated field comparison. The readers build each
-  distinct term once per parsed document and share it between statements
-  (the term dictionary of RDF-3X, Neumann & Weikum, VLDB 2008), so a
-  parsed graph holds one object per distinct term. A term built by hand
-  still equals the parsed one and has the same hash.
+  ``"1"^^xsd:int`` are different terms. The readers build each distinct
+  term once per parsed document and share it between statements (the
+  term dictionary of RDF-3X, Neumann & Weikum, VLDB 2008), so a parsed
+  graph holds one object per distinct term. Equality and hashing are the
+  generated dataclass ones, so a term built by hand equals the parsed one
+  and has the same hash.
 - IRI validation is purely syntactic (a scheme followed by ``:``); nothing
   is ever resolved over the network.
 - :class:`Graph` keeps a triple set plus two-level indexes in the manner
@@ -36,7 +35,7 @@ Design notes:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
 from .lexing import (
@@ -71,57 +70,32 @@ class BlankBudgetError(RdfError):
     """Isomorphism check refused: too many blank nodes for exact search."""
 
 
-class _Term:
-    """Base of the term classes: a slot for the hash, which each term's
-    ``__post_init__`` computes once. The slot is not a dataclass field, so
-    ``fields()``, equality and ``replace()`` see only the public fields. It
-    holds the value the generated dataclass hash would give, so no set or
-    dict order moves. Each subclass names ``__hash__`` in its own body:
-    otherwise ``@dataclass(frozen=True)`` would generate one over it."""
-
-    __slots__ = ("_hash",)
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        # Copies and unpickled terms go through the constructor, which
-        # checks them and computes the hash in the receiving process.
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
-
-
 @dataclass(frozen=True, slots=True)
-class IRI(_Term):
+class IRI:
     value: str
 
     def __post_init__(self):
         if not _SCHEME_RE.match(self.value):
             raise RdfError(f"not an absolute IRI: {self.value!r}")
-        object.__setattr__(self, "_hash", hash((self.value,)))
-
-    __hash__ = _Term.__hash__
 
     def __repr__(self):
         return f"<{self.value}>"
 
 
 @dataclass(frozen=True, slots=True)
-class BlankNode(_Term):
+class BlankNode:
     label: str
 
     def __post_init__(self):
         if not _BLANK_LABEL_RE.match(self.label):
             raise RdfError(f"invalid blank node label: {self.label!r}")
-        object.__setattr__(self, "_hash", hash((self.label,)))
-
-    __hash__ = _Term.__hash__
 
     def __repr__(self):
         return f"_:{self.label}"
 
 
 @dataclass(frozen=True, slots=True)
-class Literal(_Term):
+class Literal:
     lexical: str
     datatype: str = XSD_STRING
     lang: Optional[str] = None
@@ -135,10 +109,6 @@ class Literal(_Term):
             object.__setattr__(self, "datatype", RDF_LANG_STRING)
         elif self.datatype == RDF_LANG_STRING:
             raise RdfError("rdf:langString literal requires a language tag")
-        object.__setattr__(self, "_hash",
-                           hash((self.lexical, self.datatype, self.lang)))
-
-    __hash__ = _Term.__hash__
 
     def __repr__(self):
         return nt_term(self)

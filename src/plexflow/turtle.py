@@ -26,8 +26,8 @@ a malformed escape, and an ill-formed literal such as
 
 Each parser builds a distinct term once and shares it, as
 :func:`plexflow.rdf.parse_ntriples` does: its term table is keyed on the
-resolved IRI, on ``(lexical, datatype, lang)`` and on the blank node
-label, and a term enters it only after its checks pass.
+resolved IRI, on ``(lexical, datatype, lang)`` and on the 1-tuple of the
+blank node label, and a term enters it only after its checks pass.
 """
 
 from __future__ import annotations
@@ -112,9 +112,10 @@ class TriplesParser:
         self.lexer = self.lexer_class(text)
         self.tok = self.lexer.next_token()
         self.prefixes: dict[str, str] = {}
-        # IRI string, literal key tuple or blank label -> its one term. An
-        # IRI holds a ':' and a label never does, so the keys cannot meet.
-        # 'a' reads as RDF_TYPE, so a spelled-out rdf:type shares it too.
+        # Key -> its one term. The key kinds cannot meet, whatever the text:
+        # an IRI is keyed on its string, a literal on (lexical, datatype,
+        # lang) and a blank node on the 1-tuple (label,). 'a' reads as
+        # RDF_TYPE, so a spelled-out rdf:type shares it too.
         self.terms: dict[object, Term] = {RDF_TYPE.value: RDF_TYPE}
 
     def _error(self, message: str, tok: Optional[Token] = None) -> NoReturn:
@@ -214,7 +215,7 @@ class _Parser(TriplesParser):
             if position == "predicate":
                 self._error("blank node not allowed as predicate")
             self._next()
-            return self._shared(tok, tok.value, BlankNode, tok.value)
+            return self._shared(tok, (tok.value,), BlankNode, tok.value)
         if tok.kind == "A" and position == "predicate":
             self._next()
             return RDF_TYPE

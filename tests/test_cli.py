@@ -240,6 +240,16 @@ BAD_SECOND_LINES = {
     "literal-subject": ('<urn:s> <urn:p> "x" .\n"x" <urn:p> <urn:s> .\n',
                         "line 2: literal subject not allowed",
                         "line 2, column 1: literal only allowed in object position"),
+    # A relative IRI spelled like the blank label on the line before.
+    "blank-label-as-object": ("_:b1 <urn:p> <urn:o> .\n_:b1 <urn:p> <b1> .\n",
+                              "line 2: non-absolute IRI: 'b1'",
+                              "line 2, column 14: not an absolute IRI: 'b1'"),
+    "blank-label-as-datatype": ('_:b1 <urn:p> <urn:o> .\n_:b1 <urn:p> "x"^^<b1> .\n',
+                                "line 2: non-absolute IRI: 'b1'",
+                                "line 2, column 19: not an absolute IRI: 'b1'"),
+    "blank-label-as-predicate": ("_:b1 <urn:p> <urn:o> .\n_:b1 <b1> <urn:o> .\n",
+                                 "line 2: non-absolute IRI: 'b1'",
+                                 "line 2, column 6: not an absolute IRI: 'b1'"),
 }
 
 

@@ -1,7 +1,5 @@
-import copy
 import dataclasses
 import itertools
-import pickle
 import random
 
 import pytest
@@ -406,7 +404,7 @@ def test_escapes_equal_character_loops_on_escape_dense_text(text):
     assert_escapes_match_loops(text)
 
 
-# -- interned terms and cached hashes ----------------------------------------
+# -- interned terms ----------------------------------------------------------
 
 def _term_objects(g: Graph) -> tuple[int, int]:
     """(term objects, distinct terms) across the graph's triples."""
@@ -439,30 +437,6 @@ def test_hand_built_terms_equal_parsed_ones_with_the_same_hash():
         assert hash(same) == hash(term)
         assert hash(term) == hash(tuple(getattr(term, f.name)
                                         for f in dataclasses.fields(term)))
-
-
-def test_term_fields_are_only_the_public_ones():
-    assert [f.name for f in dataclasses.fields(IRI)] == ["value"]
-    assert [f.name for f in dataclasses.fields(BlankNode)] == ["label"]
-    assert [f.name for f in dataclasses.fields(Literal)] == ["lexical", "datatype", "lang"]
-
-
-def test_replace_recomputes_the_hash():
-    assert hash(dataclasses.replace(iri("urn:a"), value="urn:b")) == hash(iri("urn:b"))
-    assert hash(dataclasses.replace(bnode("a"), label="b")) == hash(bnode("b"))
-    tagged = dataclasses.replace(lit("v"), lexical="w", lang="en")
-    assert tagged == lit("w", lang="en") and hash(tagged) == hash(lit("w", lang="en"))
-    with pytest.raises(RdfError):
-        dataclasses.replace(iri("urn:a"), value="relative")
-
-
-@pytest.mark.parametrize("clone", [
-    copy.copy, copy.deepcopy, lambda term: pickle.loads(pickle.dumps(term)),
-], ids=["copy", "deepcopy", "pickle"])
-def test_copies_keep_equality_and_hash(clone):
-    for term in HAND_BUILT + [Triple(iri("urn:s"), iri("urn:p"), lit("v", lang="en"))]:
-        again = clone(term)
-        assert again == term and hash(again) == hash(term)
 
 
 # -- index statistics used by the query planner ------------------------------

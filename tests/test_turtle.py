@@ -80,6 +80,21 @@ def test_relative_iri_rejected():
         parse_turtle("<relative> <urn:p> <urn:o> .")
 
 
+@pytest.mark.parametrize("doc, col", [
+    ("_:b1 <urn:p> <b1> .", 14),
+    ('_:b1 <urn:p> "x"^^<b1> .', 19),
+    ("_:b1 <b1> <urn:o> .", 6),
+    ("@prefix x: <> . _:b1 <urn:p> x:b1 .", 30),
+])
+def test_relative_iri_spelled_like_an_earlier_blank_label_is_rejected(doc, col):
+    # The parser's term table must not hand the blank node _:b1 back for
+    # the IRI text 'b1'.
+    with pytest.raises(TurtleParseError) as err:
+        parse_turtle(doc)
+    assert (err.value.line, err.value.col) == (1, col)
+    assert "not an absolute IRI: 'b1'" in str(err.value)
+
+
 @pytest.mark.parametrize("datatype", [
     "<http://www.w3.org/1999/02/22-rdf-syntax-ns#langString>", "rdf:langString"])
 def test_ill_formed_literal_is_a_parse_error_at_the_literal(datatype):
