@@ -11,8 +11,9 @@ template. The version-delta questions (CQ3.2, CQ3.4) are a three-branch
 UNION whose branches tag their rows ``"removed"``, ``"changed"`` or
 ``"added"`` with VALUES, ordered ``DESC(?change)``, so running the template
 alone gives the whole answer. Only the main-chain question (CQ2.1) is
-reordered after the query, by closure predecessor counts. Anything beyond
-that (counting rows, grouping) is left to the caller.
+reordered after the query, by closure predecessor counts read from its
+direct edges. Anything beyond that (counting rows, grouping) is left to
+the caller.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 
-from .query import ResultTable, evaluate, parse_query
-from .rdf import Graph, IRI, nt_term
+from .query import ResultTable, TriplePattern, evaluate, parse_query
+from .rdf import Graph, IRI, Term, nt_term
 
 
 class CqError(ValueError):
@@ -88,17 +89,41 @@ def _substitute(template: str, params: dict[str, str], cq_id: str) -> str:
     return _PARAM_RE.sub(replace, template)
 
 
-def _chain_order(table: ResultTable) -> ResultTable:
-    firsts = table.distinct_values("first")
-    members = table.distinct_values("member")
-    member_idx = table.variables.index("member")
-    before_idx = table.variables.index("before")
-    pred_count = {m: 0 for m in members}
-    for row in table.rows:
-        if row[before_idx] is not None:
-            pred_count[row[member_idx]] += 1
-    ordered = sorted(firsts, key=nt_term)
-    ordered += sorted(members, key=lambda m: (pred_count[m], nt_term(m)))
+def _chain_order(table: ResultTable, g: Graph, precedes: IRI) -> ResultTable:
+    """CQ2.1's answer: the first steps, then the members by closure
+    predecessor count, the (first, before) pairs with ``first precedes+
+    before precedes+ member``. Paths between members hold only members, so
+    member bitsets (ints) of each first step's reach and each member's
+    ancestors carry the counts along direct edges in depth-first reverse
+    postorder: one pass on a DAG, more to a fixpoint on a cycle."""
+    bit: dict[Term, int] = {}
+    reach: dict[Term, int] = {}
+    for first, member in table.rows:
+        reach[first] = reach.get(first, 0) | bit.setdefault(member, 1 << len(bit))
+    firsts = sorted(reach, key=nt_term)
+    successors: dict[Term, list[Term]] = {}
+    postorder: list[Term] = []
+    todo = [(first, False) for first in reversed(firsts)]
+    while todo:
+        node, finished = todo.pop()
+        if finished:
+            postorder.append(node)
+        elif node not in successors:
+            successors[node] = [t.o for t in g.match(node, precedes, None) if t.o in bit]
+            todo += [(node, True)] + [(nxt, False) for nxt in successors[node]]
+    ancestors = dict.fromkeys(postorder, 0)
+    changed = True
+    while changed:
+        changed = False
+        for node in reversed(postorder):
+            carried = ancestors[node] | bit.get(node, 0)
+            for nxt in successors[node]:
+                if carried & ~ancestors[nxt]:
+                    ancestors[nxt] |= carried
+                    changed = True
+    count = {m: sum((r & ancestors[m]).bit_count() for r in reach.values() if r & b)
+             for m, b in bit.items()}
+    ordered = firsts + sorted(bit, key=lambda m: (count[m], nt_term(m)))
     return ResultTable(["step"], [(m,) for m in ordered])
 
 
@@ -111,9 +136,13 @@ def run_cq(cq_id: str, g: Graph, params: dict[str, str] | None = None) -> Result
     for name in entry.params:
         if name not in params:
             raise CqError(f"{cq_id} requires parameter --{name}")
-    text = _substitute(query_text(entry.file), params, cq_id)
-    table = evaluate(parse_query(text), g)
-    return _chain_order(table) if entry.chain else table
+    query = parse_query(_substitute(query_text(entry.file), params, cq_id))
+    table = evaluate(query, g)
+    if not entry.chain:
+        return table
+    (path,) = [el for el in query.where.elements
+               if isinstance(el, TriplePattern) and el.plus]
+    return _chain_order(table, g, path.p)
 
 
 def delta_counts(table: ResultTable) -> dict[str, int]:

@@ -33,18 +33,20 @@ UNIONs, then triple patterns are joined left-deep, then OPTIONAL left-joins,
 then MINUS, then FILTERs. A UNION evaluates each branch as its own group
 and concatenates the rows; joining them before any triple pattern lets
 branches anchored on a constant bound the rows the patterns start from.
-``p+`` matches the transitive closure of ``p``. Type-mismatched FILTER
-comparisons evaluate to false rather than erroring. Result rows come
-back sorted by their serialized form, then stably by each ORDER BY key
-(last key first, ``DESC`` keys reversed), so output is deterministic and
-rows equal on every key keep their serialized order.
+``p+`` matches the transitive closure of ``p``, walked over
+:meth:`Graph.match` from a bound end, or from each subject of ``p`` when
+neither end is bound (:func:`_walk`). Type-mismatched FILTER comparisons
+evaluate to false rather than erroring. Result rows come back sorted by
+their serialized form, then stably by each ORDER BY key (last key first,
+``DESC`` keys reversed), so output is deterministic and rows equal on
+every key keep their serialized order.
 
 - Join order is cost-based. The next pattern is the one with the fewest
   estimated candidates, ties by textual order. A pattern's estimate is the
   sum, over the current rows, of the smallest index bucket among its bound
-  positions (:meth:`Graph.bucket_size`; for ``p+`` the closure maps
-  :meth:`Graph.closure_pairs` and :meth:`Graph.closure_sources`), so it
-  reflects the values actually bound, VALUES included.
+  positions (:meth:`Graph.bucket_size`), so it reflects the values
+  actually bound, VALUES included. For ``p+`` it is the first hop's
+  bucket: an estimate, not an upper bound.
 - Outer and inner rows meet in one hash join, :func:`_join`, in the modes
   of SPARQL's algebra (SPARQL 1.1 Query, §18.5): VALUES tables (one row
   per term) and UNION rows join ``"inner"``, OPTIONAL groups
@@ -553,20 +555,37 @@ def _substitute(part: TermOrVar, sol: Solution):
     return part
 
 
+def _walk(g: Graph, p: IRI, start: Term, forward: bool,
+          stop: Optional[Term] = None) -> list[Term]:
+    """The terms one or more ``p`` hops from ``start``, forward or backward,
+    in first-reached order; with ``stop``, ``[stop]`` once reached, else ``[]``."""
+    reached: dict[Term, None] = {}
+    todo = [start]
+    while todo:
+        node = todo.pop()
+        for t in g.match(node, p, None) if forward else g.match(None, p, node):
+            nxt = t.o if forward else t.s
+            if nxt == stop:
+                return [stop]
+            if nxt not in reached:
+                reached[nxt] = None
+                todo.append(nxt)
+    return list(reached) if stop is None else []
+
+
 def _match_pattern(g: Graph, pat: TriplePattern, sol: Solution) -> list[Solution]:
     s = _substitute(pat.s, sol)
     o = _substitute(pat.o, sol)
     if pat.plus:  # the parser guarantees an IRI predicate
         parts = (pat.s, pat.o)
-        if s is not None and o is not None:
-            found = [(s, o)] if o in g.closure_pairs(pat.p).get(s, ()) else []
-        elif s is not None:
-            found = [(s, t) for t in g.closure_pairs(pat.p).get(s, ())]
+        if s is not None:
+            found = [(s, t) for t in _walk(g, pat.p, s, True, o)]
         elif o is not None:
-            found = [(src, o) for src in g.closure_sources(pat.p).get(o, ())]
+            found = [(src, o) for src in _walk(g, pat.p, o, False)]
         else:
-            found = [(src, t) for src, targets in g.closure_pairs(pat.p).items()
-                     for t in targets]
+            found = [(src, t)
+                     for src in dict.fromkeys(t.s for t in g.match(None, pat.p, None))
+                     for t in _walk(g, pat.p, src, True)]
     else:
         parts = (pat.s, pat.p, pat.o)
         found = g.match(s, _substitute(pat.p, sol), o)
@@ -587,19 +606,10 @@ def _match_pattern(g: Graph, pat: TriplePattern, sol: Solution) -> list[Solution
 
 def _candidate_count(g: Graph, pat: TriplePattern, sol: Solution) -> int:
     """The smallest index bucket among the pattern's positions bound in
-    ``sol``: the candidates :func:`_match_pattern` would look at."""
-    s = _substitute(pat.s, sol)
-    o = _substitute(pat.o, sol)
-    if not pat.plus:
-        return g.bucket_size(s, _substitute(pat.p, sol), o)
-    if s is None and o is None:
-        return sum(map(len, g.closure_pairs(pat.p).values()))
-    sizes = []
-    if s is not None:
-        sizes.append(len(g.closure_pairs(pat.p).get(s, ())))
-    if o is not None:
-        sizes.append(len(g.closure_sources(pat.p).get(o, ())))
-    return min(sizes)
+    ``sol``: the candidates :func:`_match_pattern` would look at. For
+    ``p+``, only those of the walk's first hop."""
+    return g.bucket_size(_substitute(pat.s, sol), _substitute(pat.p, sol),
+                         _substitute(pat.o, sol))
 
 
 def _estimate(g: Graph, pat: TriplePattern, sols: list[Solution],

@@ -20,8 +20,9 @@ Design notes:
   without a scan or a term comparison; other shapes filter the smallest
   candidate set. On a frozen graph each bucket is sorted into canonical
   order once, on its first read. :meth:`Graph.bucket_size` reports the
-  smallest one-position bucket's size for the query planner. Insertion is
-  idempotent (set semantics).
+  smallest one-position bucket's size for the query planner. There is no
+  closure index: the query engine answers ``p+`` by walking these buckets
+  one hop at a time. Insertion is idempotent (set semantics).
 - Serialization is canonical: statements sorted by their serialized
   (subject, predicate, object) forms, one per line, ``\\n`` endings. Byte
   identity of output is therefore a pure function of the triple set.
@@ -225,7 +226,7 @@ class Graph:
     """Indexed set of triples with deterministic iteration order."""
 
     __slots__ = ("_triples", "_by_s", "_by_p", "_by_o", "_frozen", "_blank_labels",
-                 "_blank_counter", "_closure_cache")
+                 "_blank_counter")
 
     def __init__(self, triples: Iterable[Triple] = ()):
         self._triples: set[Triple] = set()
@@ -235,7 +236,6 @@ class Graph:
         self._frozen = False
         self._blank_labels: set[str] = set()
         self._blank_counter = 0
-        self._closure_cache: dict[IRI, tuple[dict, dict]] = {}
         for t in triples:
             self.add(t)
 
@@ -405,43 +405,6 @@ class Graph:
             if term is not None:
                 size = min(size, sum(map(len, index.get(term, {}).values())))
         return size
-
-    def closure_pairs(self, p: IRI) -> "dict[Term, set[Term]]":
-        """Transitive closure (one or more hops) of the ``p`` edge relation,
-        as source -> reachable targets.
-
-        Cached per predicate; only safe to rely on once the graph is frozen.
-        """
-        return self._closure(p)[0]
-
-    def closure_sources(self, p: IRI) -> "dict[Term, set[Term]]":
-        """The inverse of :meth:`closure_pairs`: target -> sources reaching it."""
-        return self._closure(p)[1]
-
-    def _closure(self, p: IRI) -> "tuple[dict[Term, set[Term]], dict[Term, set[Term]]]":
-        cached = self._closure_cache.get(p)
-        if cached is not None and self._frozen:
-            return cached
-        adjacency: dict[Term, set[Term]] = {}
-        for t in self._by_p.get(p, ()):
-            adjacency.setdefault(t.s, set()).add(t.o)
-        reach: dict[Term, set[Term]] = {}
-        sources: dict[Term, set[Term]] = {}
-        for start in adjacency:
-            seen: set[Term] = set()
-            stack = list(adjacency[start])
-            while stack:
-                node = stack.pop()
-                if node in seen:
-                    continue
-                seen.add(node)
-                stack.extend(adjacency.get(node, ()))
-            reach[start] = seen
-            for node in seen:
-                sources.setdefault(node, set()).add(start)
-        if self._frozen:
-            self._closure_cache[p] = (reach, sources)
-        return reach, sources
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from plexflow.cli import EXIT_FAILURES, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
 from plexflow.fixture import V01, V02
 from plexflow.rdf import parse_ntriples
-from plexflow.vocab import prefixes_turtle
+from plexflow.vocab import DUL, PWO, prefixes_turtle
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +85,22 @@ def test_cq_subcommand_rows_json(fixture_file, capsys):
 def test_cq_missing_parameter(fixture_file, capsys):
     assert main(["cq", "--id", "CQ1.1", "--graph", str(fixture_file)]) == EXIT_USAGE
     assert "parameter" in capsys.readouterr().err
+
+
+def test_cq_main_chain_of_1500_steps(tmp_path):
+    # The longest chain `validate` is tested on, as N-Triples: a fresh
+    # process answers CQ2.1 with every step, in chain order.
+    steps = [f"<urn:step{i:04d}>" for i in range(1500)]
+    lines = [f"<urn:plan> <{PWO.hasFirstStep}> {steps[0]} ."]
+    lines += [f"{step} <{DUL.precedes}> {nxt} ." for step, nxt in zip(steps, steps[1:])]
+    chain = tmp_path / "chain.nt"
+    chain.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "plexflow", "cq", "--id", "CQ2.1", "--graph",
+         str(chain), "--workflow", "urn:plan", "--format", "tsv"],
+        capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["?step"] + steps
 
 
 def test_query_subcommand_tsv(fixture_file, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import hashlib
+import random
 import sys
 import threading
 import tracemalloc
@@ -10,8 +11,8 @@ import pytest
 import plexflow
 from plexflow.cq import CATALOGUE, CqError, delta_counts, query_text, run_cq
 from plexflow.fixture import REFERENCE_ACCURACY, V01, V02, generate_fixture
-from plexflow.query import evaluate, parse_query
-from plexflow.rdf import Graph, Triple, iri
+from plexflow.query import ResultTable, evaluate, parse_query, run_query
+from plexflow.rdf import Graph, Triple, iri, nt_term
 from plexflow.vocab import BPMN, DUL, OPREDICT as OP, PWO
 
 from conftest import k_copy_graph
@@ -116,16 +117,22 @@ def test_cq2_1_main_chain_order(fixture_graph):
     ]
 
 
-def test_cq2_1_on_a_long_chain_stays_small():
-    # The OPTIONAL starts from the outer (?first, ?member) rows, so it holds
-    # about n^2/2 (before, member) rows, not every ancestor of each of them:
-    # at 100 steps the peak was 36 MB before the seeding.
-    steps = [iri(f"urn:step{n:03d}") for n in range(101)]
+def _chain_graph(n: int) -> tuple[Graph, list]:
+    """A plan whose main chain is n steps, named in chain order."""
+    steps = [iri(f"urn:step{i:04d}") for i in range(n)]
     g = Graph()
     g.add(Triple(iri("urn:plan"), iri(PWO.hasFirstStep), steps[0]))
     for step, nxt in zip(steps, steps[1:]):
         g.add(Triple(step, iri(DUL.precedes), nxt))
-    g.freeze()
+    return g.freeze(), steps
+
+
+def test_cq2_1_on_a_long_chain_stays_small():
+    # The template returns one row per chain step, and the ranking keeps
+    # one ancestor bitset per step: about n^2/16 bytes, 140 KB here. Rows
+    # for every (before, member) pair, about n^2/2 of them, would pass the
+    # bound by 400 steps (42 MB).
+    g, steps = _chain_graph(1500)
     tracemalloc.start()
     try:
         table = run_cq("CQ2.1", g, {"workflow": "urn:plan"})
@@ -134,6 +141,66 @@ def test_cq2_1_on_a_long_chain_stays_small():
         tracemalloc.stop()
     assert [step for (step,) in table.rows] == steps
     assert peak < 10_000_000, peak
+
+
+# CQ2.1 as it was answered before the ranking read the direct edges: the
+# template listed every (first, before, member) path, and the ranking
+# counted each member's rows with a bound ?before.
+PAIR_LISTING_CQ2_1 = """\
+PREFIX pwo: <http://purl.org/spar/pwo/>
+PREFIX dul: <http://www.ontologydesignpatterns.org/ont/dul/DUL.owl#>
+SELECT ?first ?member ?before WHERE {
+  <urn:plan> pwo:hasFirstStep ?first .
+  ?first dul:precedes+ ?member .
+  OPTIONAL {
+    ?before dul:precedes+ ?member .
+    ?first dul:precedes+ ?before .
+  }
+} ORDER BY ?member ?before
+"""
+
+
+def _pair_counting_order(table):
+    firsts = table.distinct_values("first")
+    members = table.distinct_values("member")
+    member_idx = table.variables.index("member")
+    before_idx = table.variables.index("before")
+    pred_count = {m: 0 for m in members}
+    for row in table.rows:
+        if row[before_idx] is not None:
+            pred_count[row[member_idx]] += 1
+    ordered = sorted(firsts, key=nt_term)
+    ordered += sorted(members, key=lambda m: (pred_count[m], nt_term(m)))
+    return ResultTable(["step"], [(m,) for m in ordered])
+
+
+def test_cq2_1_ranks_members_as_the_pair_count_did():
+    rng = random.Random(2101)
+    precedes = iri(DUL.precedes)
+    for case in range(120):
+        shape = ("dag", "branching", "cyclic")[case % 3]
+        n = rng.randrange(2, 13)
+        # Labels in no relation to the edges, so name order is no
+        # topological order.
+        labels = rng.sample(range(100), n)
+        steps = [iri(f"urn:s{label:02d}") for label in labels]
+        g = Graph()
+        if shape == "branching":
+            # Every step after the first hangs off an earlier one, and some
+            # also join an earlier branch: fan-outs that merge again.
+            for i in range(1, n):
+                for j in {rng.randrange(i), rng.randrange(i)}:
+                    g.add(Triple(steps[j], precedes, steps[i]))
+        else:
+            for _ in range(rng.randrange(1, 3 * n)):
+                x, y = rng.randrange(n), rng.randrange(n)
+                if shape == "cyclic" or x < y:
+                    g.add(Triple(steps[x], precedes, steps[y]))
+        for first in rng.sample(steps, 1 + case % 2):
+            g.add(Triple(iri("urn:plan"), iri(PWO.hasFirstStep), first))
+        g.freeze()
+        expected = _pair_counting_order(run_query(PAIR_LISTING_CQ2_1, g))
+        assert run_cq("CQ2.1", g, {"workflow": "urn:plan"}) == expected, case
 
 
 def test_cq2_2_step_totals(fixture_graph):

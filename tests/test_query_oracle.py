@@ -11,7 +11,7 @@ import random
 from plexflow.query import (
     BoundTest, Comparison, Filter, Group, Minus, OptionalGroup, RegexTest,
     SelectQuery, TriplePattern, Union, Values, Var, evaluate, explain,
-    parse_query, run_query,
+    parse_query,
 )
 from plexflow.rdf import Graph, IRI, Literal, Triple, iri, lit, nt_term
 
@@ -299,23 +299,37 @@ def test_join_order_independence():
         assert row_multiset(evaluate(shuffled, g).rows) == baseline
 
 
-def test_closure_matches_brute_force_on_random_dags():
+def test_closure_matches_brute_force_on_random_graphs_at_every_bound_end():
+    # DAGs and graphs with cycles (self-loops included), with the subject,
+    # the object, both ends or neither bound, and one variable at both ends.
     rng = random.Random(4242)
     pred = iri("urn:next")
-    for _ in range(50):
+    a, b = Var("a"), Var("b")
+
+    def closure(s, o) -> set[tuple]:
+        query = SelectQuery({}, None, False, Group([TriplePattern(s, pred, o, True)]), [])
+        return set(evaluate(query, g).rows)
+
+    for case in range(100):
+        cyclic = case % 2 == 1
         n = rng.randrange(2, 20)
+        nodes = [iri(f"urn:v{i}") for i in range(n)]
         g = Graph()
         for _ in range(rng.randrange(1, 40)):
-            a, b = rng.randrange(n), rng.randrange(n)
-            if a < b:  # edges only go forward: a DAG by construction
-                g.add(Triple(iri(f"urn:v{a}"), pred, iri(f"urn:v{b}")))
+            x, y = rng.randrange(n), rng.randrange(n)
+            if cyclic or x < y:  # forward edges only: a DAG by construction
+                g.add(Triple(nodes[x], pred, nodes[y]))
         if len(g) == 0:
-            g.add(Triple(iri("urn:v0"), pred, iri("urn:v1")))
+            g.add(Triple(nodes[0], pred, nodes[1]))
         g.freeze()
-        table = run_query("SELECT ?a ?b WHERE { ?a <urn:next>+ ?b }", g)
-        got = {(a.value, b.value) for a, b in table.rows}
-        expected = {(a.value, b.value) for a, b in brute_closure(g, pred)}
-        assert got == expected
+        expected = brute_closure(g, pred)
+        assert closure(a, b) == expected
+        assert closure(a, a) == {(x,) for x, y in expected if x == y}
+        for node in nodes:
+            assert closure(node, b) == {(y,) for x, y in expected if x == node}
+            assert closure(a, node) == {(x,) for x, y in expected if y == node}
+            other = rng.choice(nodes)
+            assert closure(node, other) == ({()} if (node, other) in expected else set())
 
 
 def test_distinct_is_set_collapse_of_plain_result():
