@@ -78,6 +78,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter, itemgetter
 from typing import Optional
 
 from .lexing import PN_PREFIX_RE, Lexer, Token
@@ -507,6 +509,8 @@ def parse_query(text: str) -> SelectQuery:
 
 Solution = dict[str, Term]
 
+_TRIPLE_POSITIONS = (attrgetter("s"), attrgetter("p"), attrgetter("o"))
+
 
 class ResultTable:
     """Bag of variable bindings with a fixed header and deterministic order."""
@@ -543,10 +547,6 @@ class ResultTable:
                      for row in self.rows],
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def _row_sort_key(row: tuple) -> tuple:
-    return tuple("" if t is None else nt_term(t) for t in row)
 
 
 def _substitute(part: TermOrVar, sol: Solution):
@@ -604,22 +604,55 @@ def _match_pattern(g: Graph, pat: TriplePattern, sol: Solution) -> list[Solution
     return out
 
 
-def _candidate_count(g: Graph, pat: TriplePattern, sol: Solution) -> int:
-    """The smallest index bucket among the pattern's positions bound in
-    ``sol``: the candidates :func:`_match_pattern` would look at. For
-    ``p+``, only those of the walk's first hop."""
-    return g.bucket_size(_substitute(pat.s, sol), _substitute(pat.p, sol),
-                         _substitute(pat.o, sol))
+def _extend(g: Graph, pat: TriplePattern, sols: list[Solution]) -> list[Solution]:
+    """Every row extended by every match of ``pat``, in row order and then
+    the order of :meth:`Graph.match`. The pattern's positions are resolved
+    once; per row there is one ``match`` call and, per triple, one copy of
+    the row with only the variables the row leaves unbound set. ``p+`` and
+    a pattern that repeats a variable take :func:`_match_pattern` per row."""
+    parts = (pat.s, pat.p, pat.o)
+    names = [part.name if isinstance(part, Var) else None for part in parts]
+    variables = [name for name in names if name is not None]
+    if pat.plus or len(set(variables)) < len(variables):
+        return [ext for sol in sols for ext in _match_pattern(g, pat, sol)]
+    # A constant reads as sol.get(None, constant): no row binds the name None.
+    (sn, s0), (pn, p0), (on, o0) = [(name, None if name else part)
+                                    for name, part in zip(names, parts)]
+    slots = [(name, _TRIPLE_POSITIONS[i]) for i, name in enumerate(names) if name]
+    match = g.match
+    out: list[Solution] = []
+    append = out.append
+    for sol in sols:
+        free = [slot for slot in slots if slot[0] not in sol]
+        for t in match(sol.get(sn, s0), sol.get(pn, p0), sol.get(on, o0)):
+            ext = sol.copy()
+            for name, get in free:
+                ext[name] = get(t)
+            append(ext)
+    return out
 
 
 def _estimate(g: Graph, pat: TriplePattern, sols: list[Solution],
               bound: set[str]) -> int:
-    """Candidates summed over the current rows; rows that bind none of the
-    pattern's variables all see the same buckets."""
-    if not any(isinstance(part, Var) and part.name in bound
-               for part in (pat.s, pat.p, pat.o)):
-        return len(sols) * _candidate_count(g, pat, {})
-    return sum(_candidate_count(g, pat, sol) for sol in sols)
+    """Candidates summed over the current rows: per row, the smallest index
+    bucket among the pattern's positions the row binds or that are
+    constant (:meth:`Graph.bucket_size`); for ``p+``, only those of the
+    walk's first hop. The constant positions' bucket is read once per call.
+    Rows that bind none of the pattern's variables all see that bucket; when
+    a variable is bound in every row, each row's own bindings count, those
+    only some UNION rows make included."""
+    parts = (pat.s, pat.p, pat.o)
+    names = [part.name if isinstance(part, Var) else None for part in parts]
+    cap = g.bucket_size(*(None if name else part for name, part in zip(names, parts)))
+    if bound.isdisjoint(names):
+        return len(sols) * cap
+    sn, pn, on = names
+    size = g.bucket_size
+    return sum(min(cap, size(sol.get(sn), sol.get(pn), sol.get(on))) for sol in sols)
+
+
+def _no_key(row: Solution) -> tuple:
+    return ()
 
 
 def _join(mode: str, left: list[Solution],
@@ -629,20 +662,27 @@ def _join(mode: str, left: list[Solution],
     the key of the module docstring; and the plan text ``key=(...) pairs=N
     rows=R``. Rows come out in left order, then right order."""
     key: set[str] = set(left[0]) if left and right else set()
-    for row in left + right:
+    for row in chain(left, right):
         if not key:
             break
         key.intersection_update(row)
     names = sorted(key)
-    buckets: dict[tuple, list[Solution]] = {}
+    # One name gives a bare term, more a tuple: the same on both sides.
+    row_key = itemgetter(*names) if names else _no_key
+    # A bucket holds the rows equal on the key. A paired row can disagree
+    # only on a binding outside the key that some left row also makes.
+    shared = set(chain.from_iterable(left)) - key
+    buckets: dict[object, list[tuple[Solution, list]]] = {}
     for row in right:
-        buckets.setdefault(tuple(row[k] for k in names), []).append(row)
+        rest = [(k, v) for k, v in row.items() if k in shared]
+        buckets.setdefault(row_key(row), []).append((row, rest))
     out: list[Solution] = []
     pairs = 0
     for sol in left:
-        bucket = buckets.get(tuple(sol[k] for k in names), ())
+        bucket = buckets.get(row_key(sol), ())
         pairs += len(bucket)
-        agree = [r for r in bucket if all(sol.get(k, v) == v for k, v in r.items())]
+        agree = [r for r, rest in bucket
+                 if not rest or all(sol.get(k, v) == v for k, v in rest)]
         if mode == "minus":
             if not any(sol.keys() & r.keys() for r in agree):
                 out.append(sol)
@@ -763,7 +803,7 @@ def _eval_group(group: Group, g: Graph, plan: Optional[list[str]] = None,
                      if len(remaining) > 1 or plan is not None else [0])
         best = min(range(len(remaining)), key=estimates.__getitem__)
         pat = remaining.pop(best)
-        sols = [ext for sol in sols for ext in _match_pattern(g, pat, sol)]
+        sols = _extend(g, pat, sols)
         for part in (pat.s, pat.p, pat.o):
             if isinstance(part, Var):
                 bound.add(part.name)
@@ -791,6 +831,14 @@ def _eval_group(group: Group, g: Graph, plan: Optional[list[str]] = None,
     return sols
 
 
+class _Serialized(dict):
+    """Terms to their N-Triples text, each serialized on its first lookup."""
+
+    def __missing__(self, term: Term) -> str:
+        text = self[term] = nt_term(term)
+        return text
+
+
 def evaluate(query: SelectQuery, g: Graph,
              plan: Optional[list[str]] = None) -> ResultTable:
     """Evaluate a parsed query over a frozen graph.
@@ -805,14 +853,17 @@ def evaluate(query: SelectQuery, g: Graph,
         header = _group_vars_ordered(query.where)
     else:
         header = [v.name for v in query.variables]
-    rows = [tuple(sol.get(name) for name in header) for sol in sols]
+    rows = [tuple(map(sol.get, header)) for sol in sols]
     if query.distinct:
         rows = list(dict.fromkeys(rows))
-    rows.sort(key=_row_sort_key)
+    # Each distinct term is serialized once; every sort key reuses it.
+    text = _Serialized({None: ""})
+    keys = [tuple(map(text.__getitem__, row)) for row in rows]
+    order = sorted(range(len(rows)), key=keys.__getitem__)
     for key in reversed(query.order_by):
         i = header.index(key.var.name)
-        rows.sort(key=lambda row: "" if row[i] is None else nt_term(row[i]),
-                  reverse=key.descending)
+        order.sort(key=lambda n: keys[n][i], reverse=key.descending)
+    rows = [rows[n] for n in order]
     return ResultTable(header, rows)
 
 

@@ -20,7 +20,9 @@ Design notes:
   without a scan or a term comparison; other shapes filter the smallest
   candidate set. On a frozen graph each bucket is sorted into canonical
   order once, on its first read. :meth:`Graph.bucket_size` reports the
-  smallest one-position bucket's size for the query planner. There is no
+  smallest one-position bucket's size for the query planner; a frozen
+  graph keeps a subject's or an object's total over its predicates once it
+  has summed it, filled lazily as the sorts are. There is no
   closure index: the query engine answers ``p+`` by walking these buckets
   one hop at a time. Insertion is idempotent (set semantics).
 - Serialization is canonical: statements sorted by their serialized
@@ -35,6 +37,7 @@ Design notes:
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
@@ -151,6 +154,13 @@ def lit(lexical: str, datatype: Optional[str] = None, lang: Optional[str] = None
 RDF_TYPE = IRI(RDF_NS + "type")
 
 
+@functools.lru_cache(maxsize=1024)
+def _predicate(value: str) -> IRI:
+    """The one IRI for a predicate string, as the vocabulary gives it: built
+    and checked on first use. A string that is no IRI raises every time."""
+    return IRI(value)
+
+
 # ---------------------------------------------------------------------------
 # Canonical N-Triples formatting
 
@@ -225,14 +235,18 @@ def _append(by_p: "dict[Term, Bucket]", p: Term, t: Triple) -> None:
 class Graph:
     """Indexed set of triples with deterministic iteration order."""
 
-    __slots__ = ("_triples", "_by_s", "_by_p", "_by_o", "_frozen", "_blank_labels",
-                 "_blank_counter")
+    __slots__ = ("_triples", "_by_s", "_by_p", "_by_o", "_s_sizes", "_o_sizes",
+                 "_frozen", "_blank_labels", "_blank_counter")
 
     def __init__(self, triples: Iterable[Triple] = ()):
         self._triples: set[Triple] = set()
         self._by_s: dict[Term, dict[Term, Bucket]] = {}
         self._by_p: dict[Term, Bucket] = {}
         self._by_o: dict[Term, dict[Term, Bucket]] = {}
+        # A subject's or an object's triple count, kept once a frozen graph
+        # has read it.
+        self._s_sizes: dict[Term, int] = {}
+        self._o_sizes: dict[Term, int] = {}
         self._frozen = False
         self._blank_labels: set[str] = set()
         self._blank_counter = 0
@@ -375,11 +389,11 @@ class Graph:
 
     def iri_objects(self, s: Term, p: str) -> list[str]:
         """The IRI objects of ``(s, p)`` as strings; other objects are skipped."""
-        return [t.value for t in self.objects(s, IRI(p)) if isinstance(t, IRI)]
+        return [t.value for t in self.objects(s, _predicate(p)) if isinstance(t, IRI)]
 
     def str_value(self, s: Term, p: str) -> str:
         """The first object of ``(s, p)`` as a lexical form, or ``""``."""
-        term = self.value(s, IRI(p))
+        term = self.value(s, _predicate(p))
         return term.lexical if isinstance(term, Literal) else ""
 
     def types(self, s: Term) -> set[str]:
@@ -394,16 +408,30 @@ class Graph:
                     o: Optional[Term] = None) -> int:
         """The size of the smallest one-position index bucket among the
         bound positions: an upper bound on ``len(self.match(s, p, o))`` that
-        costs no scan. A subject's or an object's size sums its predicates'
-        buckets. The whole graph when nothing is bound, 0 when a bound term
-        is absent.
+        costs no scan. A subject's or an object's size is the sum of its
+        predicates' buckets; a frozen graph keeps it once read, so each
+        term is summed once. The whole graph when nothing is bound, 0 when
+        a bound term is absent.
         """
         size = len(self._triples)
         if p is not None:
             size = min(size, len(self._by_p.get(p, ())))
-        for term, index in ((s, self._by_s), (o, self._by_o)):
-            if term is not None:
-                size = min(size, sum(map(len, index.get(term, {}).values())))
+        if s is not None:
+            size = min(size, self._term_size(self._by_s, self._s_sizes, s))
+        if o is not None:
+            size = min(size, self._term_size(self._by_o, self._o_sizes, o))
+        return size
+
+    def _term_size(self, index: "dict[Term, dict[Term, Bucket]]",
+                   sizes: "dict[Term, int]", term: Term) -> int:
+        size = sizes.get(term)
+        if size is None:
+            by_p = index.get(term)
+            if by_p is None:
+                return 0
+            size = sum(map(len, by_p.values()))
+            if self._frozen:
+                sizes[term] = size
         return size
 
 
