@@ -28,10 +28,10 @@ from datetime import datetime, timezone
 from typing import Optional
 
 from . import vocab
-from .rdf import RDF_TYPE, Graph, IRI, lit
+from .rdf import RDF_TYPE, Graph, IRI
 from .vocab import MLS, OPMW, PPLAN, PROV, RDF, XSD
 from .workflow import (
-    ActivityRecord, AgentAssociation, ArtifactRecord, _add, _read, _write,
+    ActivityRecord, AgentAssociation, ArtifactRecord, _read, _Writer,
 )
 
 GENERIC_ARTIFACT = "generic-artifact"
@@ -176,24 +176,27 @@ class Tracer:
 
     def emit(self, g: Optional[Graph] = None) -> Graph:
         """Write all recorded activities and artifacts as triples."""
-        g = g if g is not None else Graph()
+        w = _Writer(g if g is not None else Graph())
+        self._emit(w)
+        return w.graph
+
+    def _emit(self, w: _Writer) -> None:
         for activity in self.activities:
-            _write(g, activity, PPLAN.Activity)
+            w.write(activity, PPLAN.Activity)
             for n, (agent, role) in enumerate(sorted(activity.associations), start=1):
                 assoc = AgentAssociation(
                     f"{self._base}Association_{_local_name(activity.iri)}_{n}",
                     agent, role)
-                _add(g, activity.iri, PROV.qualifiedAssociation, IRI(assoc.iri))
-                _write(g, assoc, PROV.Association)
+                w.add(activity.iri, PROV.qualifiedAssociation, w.iri(assoc.iri))
+                w.write(assoc, PROV.Association)
             for artifact in self._artifacts[activity.iri]:
-                _add(g, activity.iri, PROV.generated, IRI(artifact.iri))
+                w.add(activity.iri, PROV.generated, w.iri(artifact.iri))
                 evaluation = artifact.kind == MODEL_EVALUATION
-                _write(g, artifact, OPMW.WorkflowExecutionArtifact,
-                       *([MLS.ModelEvaluation] if evaluation else []))
-                _add(g, artifact.generation_iri, RDF.type, IRI(PROV.Generation))
-                _add(g, artifact.generation_iri, PROV.atTime,
-                     lit(artifact.generated_at, XSD.dateTime))
-        return g
+                w.write(artifact, OPMW.WorkflowExecutionArtifact,
+                        *([MLS.ModelEvaluation] if evaluation else []))
+                w.add(artifact.generation_iri, RDF.type, w.iri(PROV.Generation))
+                w.add(artifact.generation_iri, PROV.atTime,
+                      w.lit(artifact.generated_at, XSD.dateTime))
 
 
 def load_activity(g: Graph, activity_iri: str,

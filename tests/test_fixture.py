@@ -21,6 +21,11 @@ def test_generation_is_byte_deterministic():
     assert hashlib.sha256(first.encode("utf-8")).hexdigest() == FIXTURE_SHA256
 
 
+def test_fixture_builds_each_distinct_term_once():
+    terms = [term for t in generate_fixture().match() for term in t]
+    assert len({id(term) for term in terms}) == len(set(terms)) == 640
+
+
 def test_fixture_roundtrips_through_ntriples(fixture_graph):
     text = serialize_ntriples(fixture_graph)
     again = parse_ntriples(text)

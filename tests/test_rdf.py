@@ -446,9 +446,20 @@ def test_bucket_size_predicates_and_inverse_closure_agree_with_scans():
     for _ in range(30):
         nodes = [iri(f"urn:n{i}") for i in range(rng.randrange(2, 9))]
         preds = [iri(f"urn:p{i}") for i in range(rng.randrange(1, 4))]
-        g = Graph(Triple(rng.choice(nodes), rng.choice(preds), rng.choice(nodes))
-                  for _ in range(rng.randrange(1, 40))).freeze()
+        g = Graph()
+        for _ in range(rng.randrange(1, 40)):
+            t = Triple(rng.choice(nodes), rng.choice(preds), rng.choice(nodes))
+            # Unfrozen, a subject's and an object's size follow every add.
+            before = g.bucket_size(s=t.s), g.bucket_size(o=t.o)
+            added = g.add(t)
+            assert (g.bucket_size(s=t.s), g.bucket_size(o=t.o)) == (
+                before[0] + added, before[1] + added)
+        g.freeze()
         assert g.predicates() == sorted({t.p for t in g.match()}, key=nt_term)
+        for term in nodes:
+            for _ in range(2):  # the second read is the kept total
+                assert g.bucket_size(s=term) == len(g.match(term, None, None))
+                assert g.bucket_size(o=term) == len(g.match(None, None, term))
         for _ in range(20):
             s, p, o = (rng.choice([None, rng.choice(pool)])
                        for pool in (nodes, preds + [iri("urn:absent")], nodes))
@@ -456,3 +467,30 @@ def test_bucket_size_predicates_and_inverse_closure_agree_with_scans():
             assert size >= found
             if sum(term is not None for term in (s, p, o)) <= 1:
                 assert size == found
+
+
+def test_bucket_size_of_every_subject_and_object_on_a_frozen_16_copy_graph(
+        sixteen_copy_graph):
+    g = sixteen_copy_graph
+    subjects = {t.s for t in g.match()}
+    objects = {t.o for t in g.match()}
+    for term in subjects:
+        predicates = {t.p for t in g.match(term, None, None)}
+        assert g.bucket_size(s=term) == sum(
+            len(g.match(term, p, None)) for p in predicates)
+    for term in objects:
+        predicates = {t.p for t in g.match(None, None, term)}
+        assert g.bucket_size(o=term) == sum(
+            len(g.match(None, p, term)) for p in predicates)
+
+
+def test_predicate_string_readers_resolve_iris_and_reject_non_iris():
+    g = Graph([_triple("urn:a", "urn:p", "urn:b"),
+               Triple(iri("urn:a"), iri("urn:q"), lit("x"))]).freeze()
+    for _ in range(2):  # the second call reads the resolved predicate
+        assert g.iri_objects(iri("urn:a"), "urn:p") == ["urn:b"]
+        assert g.str_value(iri("urn:a"), "urn:q") == "x"
+        with pytest.raises(RdfError):
+            g.iri_objects(iri("urn:a"), "no-scheme")
+        with pytest.raises(RdfError):
+            g.str_value(iri("urn:a"), "no-scheme")
