@@ -39,14 +39,21 @@ neither end is bound (:func:`_walk`). Type-mismatched FILTER comparisons
 evaluate to false rather than erroring. Result rows come back sorted by
 their serialized form, then stably by each ORDER BY key (last key first,
 ``DESC`` keys reversed), so output is deterministic and rows equal on
-every key keep their serialized order.
+every key keep their serialized order. Each distinct term is serialized
+once per query, and every sort key reuses that text.
 
 - Join order is cost-based. The next pattern is the one with the fewest
   estimated candidates, ties by textual order. A pattern's estimate is the
   sum, over the current rows, of the smallest index bucket among its bound
   positions (:meth:`Graph.bucket_size`), so it reflects the values
   actually bound, VALUES included. For ``p+`` it is the first hop's
-  bucket: an estimate, not an upper bound.
+  bucket: an estimate, not an upper bound. It is computed per step: the
+  constant positions' bucket once, then per row only the sizes of the
+  values the row binds.
+- A step extends all rows at once (:func:`_extend`): one
+  :meth:`Graph.match` call per row, one copy of the row per triple, and
+  only the variables the row leaves unbound are set. ``p+`` and a pattern
+  that repeats a variable match row by row (:func:`_match_pattern`).
 - Outer and inner rows meet in one hash join, :func:`_join`, in the modes
   of SPARQL's algebra (SPARQL 1.1 Query, §18.5): VALUES tables (one row
   per term) and UNION rows join ``"inner"``, OPTIONAL groups
@@ -638,9 +645,9 @@ def _estimate(g: Graph, pat: TriplePattern, sols: list[Solution],
     bucket among the pattern's positions the row binds or that are
     constant (:meth:`Graph.bucket_size`); for ``p+``, only those of the
     walk's first hop. The constant positions' bucket is read once per call.
-    Rows that bind none of the pattern's variables all see that bucket; when
-    a variable is bound in every row, each row's own bindings count, those
-    only some UNION rows make included."""
+    Rows that bind none of the pattern's variables all see that bucket; once
+    one is bound in every row, each row's own bindings count, including a
+    variable that only some UNION rows bind."""
     parts = (pat.s, pat.p, pat.o)
     names = [part.name if isinstance(part, Var) else None for part in parts]
     cap = g.bucket_size(*(None if name else part for name, part in zip(names, parts)))
