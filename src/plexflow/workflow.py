@@ -331,17 +331,11 @@ class _Writer:
         self._terms: dict[object, Term] = {}
 
     def iri(self, value: str) -> IRI:
-        term = self._terms.get(value)
-        if term is None:
-            term = self._terms[value] = IRI(value)
-        return term
+        return self._terms.get(value) or self._terms.setdefault(value, IRI(value))
 
     def lit(self, lexical: str, datatype: str = XSD_STRING) -> Literal:
         key = (lexical, datatype)
-        term = self._terms.get(key)
-        if term is None:
-            term = self._terms[key] = lit(lexical, datatype)
-        return term
+        return self._terms.get(key) or self._terms.setdefault(key, lit(lexical, datatype))
 
     def add(self, s: str, p: str, o: Term) -> None:
         self.graph.add(Triple(self.iri(s), self.iri(p), o))
