@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from functools import partial
 
-from .rdf import Graph
+from .rdf import Graph, iri, lit
 from .trace import Tracer
 from .vocab import (
     DC, EDAM, FABIO, MEASURES, MLS, OPREDICT as OP, PROV, RDF, RDFS, REPROD,
@@ -38,7 +38,7 @@ from .vocab import (
 from .workflow import (
     MANUAL, SCRIPT, AgentAssociation, AgentDef, DatasetRecord, DistributionDef,
     Instruction, LANGUAGE_ENGLISH, LANGUAGE_PYTHON_3_5, QueryShape, StepDef,
-    UsageBinding, VariableDef, WorkflowDef, WorkflowView, _emit, _Writer,
+    UsageBinding, VariableDef, WorkflowDef, WorkflowView, _add, emit_triples,
 )
 
 V01 = OP.Plan_Main_Protocol_v01
@@ -542,26 +542,26 @@ def _shape() -> QueryShape:
         target_usage=OP.Usage_Bind_Drugbank_download_to_variable)
 
 
-def _raw_metadata(w: _Writer):
+def _raw_metadata(g: Graph):
     english = OP.LinguisticSystem_English
-    w.add(english, RDF.type, w.iri(DC.LinguisticSystem))
-    w.add(english, RDFS.label, w.lit("English"))
+    _add(g, english, RDF.type, iri(DC.LinguisticSystem))
+    _add(g, english, RDFS.label, lit("English"))
     python = OP.LinguisticSystem_Python_3_5
-    w.add(python, RDF.type, w.iri(SCHEMA.ComputerLanguage))
-    w.add(python, RDF.type, w.iri(DC.LinguisticSystem))
-    w.add(python, RDFS.label, w.lit("Python 3.5"))
-    w.add(python, DC.hasVersion, w.lit("3.5"))
+    _add(g, python, RDF.type, iri(SCHEMA.ComputerLanguage))
+    _add(g, python, RDF.type, iri(DC.LinguisticSystem))
+    _add(g, python, RDFS.label, lit("Python 3.5"))
+    _add(g, python, DC.hasVersion, lit("3.5"))
     for role, label in ((ROLE_CREATOR, "Creator"), (ROLE_DEVELOPER, "Developer"),
                         (ROLE_EXECUTOR, "Executor"),
                         (ROLE_ENVIRONMENT, "Execution environment")):
-        w.add(role, RDF.type, w.iri(PROV.Role))
-        w.add(role, RDFS.label, w.lit(label))
+        _add(g, role, RDF.type, iri(PROV.Role))
+        _add(g, role, RDFS.label, lit(label))
     store = OP.Triplestore_OpenPREDICT_input_data
-    w.add(store, RDF.type, w.iri(FABIO.Triplestore))
-    w.add(store, RDFS.label, w.lit("OpenPREDICT input data triplestore"))
+    _add(g, store, RDF.type, iri(FABIO.Triplestore))
+    _add(g, store, RDFS.label, lit("OpenPREDICT input data triplestore"))
     for measure in MEASURES.values():
-        w.add(measure, RDF.type, w.iri(MLS.EvaluationMeasure))
-        w.add(measure, RDFS.label, w.lit(_label(measure)))
+        _add(g, measure, RDF.type, iri(MLS.EvaluationMeasure))
+        _add(g, measure, RDFS.label, lit(_label(measure)))
 
 
 _REFERENCE_EVALUATIONS = (
@@ -593,8 +593,8 @@ _EVAL_VALUES = {
 }
 
 
-def _record_executions(w: _Writer):
-    tracer = Tracer(w.graph)
+def _record_executions(g: Graph):
+    tracer = Tracer(g)
     fg01 = OP.Step_Feature_generation_Pipeline_OpenPREDICT_ipynb
 
     for n, epoch in enumerate((1546300000, 1546300600, 1546301200, 1546301800),
@@ -640,7 +640,7 @@ def _record_executions(w: _Writer):
         for key, value in sorted(_EVAL_VALUES[epoch].items()):
             tracer.record_evaluation(activity, MEASURES[key], value, epoch + 187)
 
-    tracer._emit(w)
+    tracer.emit(g)
 
 
 def _check_counts(view01: WorkflowView, view02: WorkflowView):
@@ -677,10 +677,8 @@ def generate_fixture() -> Graph:
     view02 = WorkflowView(workflow=head02, steps=b.steps[V02])
     _check_counts(view01, view02)
 
-    # One writer for the whole fixture, so each distinct term is one object.
-    w = _Writer(Graph())
-    _emit(w, view01)
-    _emit(w, view02)
-    _raw_metadata(w)
-    _record_executions(w)
-    return w.graph.freeze()
+    g = emit_triples(view01)
+    g.add_all(emit_triples(view02))
+    _raw_metadata(g)
+    _record_executions(g)
+    return g.freeze()

@@ -137,7 +137,10 @@ class Triple:
         return iter((self.s, self.p, self.o))
 
 
+@functools.lru_cache(maxsize=4096)
 def iri(value: str) -> IRI:
+    """The IRI for ``value``, shared by every caller that names it: built
+    and checked on first use. A string that is no IRI raises every time."""
     return IRI(value)
 
 
@@ -146,19 +149,16 @@ def bnode(label: str) -> BlankNode:
 
 
 def lit(lexical: str, datatype: Optional[str] = None, lang: Optional[str] = None) -> Literal:
+    """The literal, shared as :func:`iri` shares IRIs."""
     if lang is not None:
-        return Literal(lexical, RDF_LANG_STRING, lang)
-    return Literal(lexical, datatype or XSD_STRING)
+        return _literal(lexical, RDF_LANG_STRING, lang)
+    return _literal(lexical, datatype or XSD_STRING, None)
+
+
+_literal = functools.lru_cache(maxsize=4096)(Literal)
 
 
 RDF_TYPE = IRI(RDF_NS + "type")
-
-
-@functools.lru_cache(maxsize=1024)
-def _predicate(value: str) -> IRI:
-    """The one IRI for a predicate string, as the vocabulary gives it: built
-    and checked on first use. A string that is no IRI raises every time."""
-    return IRI(value)
 
 
 # ---------------------------------------------------------------------------
@@ -389,11 +389,11 @@ class Graph:
 
     def iri_objects(self, s: Term, p: str) -> list[str]:
         """The IRI objects of ``(s, p)`` as strings; other objects are skipped."""
-        return [t.value for t in self.objects(s, _predicate(p)) if isinstance(t, IRI)]
+        return [t.value for t in self.objects(s, iri(p)) if isinstance(t, IRI)]
 
     def str_value(self, s: Term, p: str) -> str:
         """The first object of ``(s, p)`` as a lexical form, or ``""``."""
-        term = self.value(s, _predicate(p))
+        term = self.value(s, iri(p))
         return term.lexical if isinstance(term, Literal) else ""
 
     def types(self, s: Term) -> set[str]:

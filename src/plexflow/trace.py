@@ -28,10 +28,10 @@ from datetime import datetime, timezone
 from typing import Optional
 
 from . import vocab
-from .rdf import RDF_TYPE, Graph, IRI
+from .rdf import RDF_TYPE, Graph, IRI, iri, lit
 from .vocab import MLS, OPMW, PPLAN, PROV, RDF, XSD
 from .workflow import (
-    ActivityRecord, AgentAssociation, ArtifactRecord, _read, _Writer,
+    ActivityRecord, AgentAssociation, ArtifactRecord, _add, _read, _write,
 )
 
 GENERIC_ARTIFACT = "generic-artifact"
@@ -176,27 +176,24 @@ class Tracer:
 
     def emit(self, g: Optional[Graph] = None) -> Graph:
         """Write all recorded activities and artifacts as triples."""
-        w = _Writer(g if g is not None else Graph())
-        self._emit(w)
-        return w.graph
-
-    def _emit(self, w: _Writer) -> None:
+        g = g if g is not None else Graph()
         for activity in self.activities:
-            w.write(activity, PPLAN.Activity)
+            _write(g, activity, PPLAN.Activity)
             for n, (agent, role) in enumerate(sorted(activity.associations), start=1):
                 assoc = AgentAssociation(
                     f"{self._base}Association_{_local_name(activity.iri)}_{n}",
                     agent, role)
-                w.add(activity.iri, PROV.qualifiedAssociation, w.iri(assoc.iri))
-                w.write(assoc, PROV.Association)
+                _add(g, activity.iri, PROV.qualifiedAssociation, iri(assoc.iri))
+                _write(g, assoc, PROV.Association)
             for artifact in self._artifacts[activity.iri]:
-                w.add(activity.iri, PROV.generated, w.iri(artifact.iri))
+                _add(g, activity.iri, PROV.generated, iri(artifact.iri))
                 evaluation = artifact.kind == MODEL_EVALUATION
-                w.write(artifact, OPMW.WorkflowExecutionArtifact,
-                        *([MLS.ModelEvaluation] if evaluation else []))
-                w.add(artifact.generation_iri, RDF.type, w.iri(PROV.Generation))
-                w.add(artifact.generation_iri, PROV.atTime,
-                      w.lit(artifact.generated_at, XSD.dateTime))
+                _write(g, artifact, OPMW.WorkflowExecutionArtifact,
+                       *([MLS.ModelEvaluation] if evaluation else []))
+                _add(g, artifact.generation_iri, RDF.type, iri(PROV.Generation))
+                _add(g, artifact.generation_iri, PROV.atTime,
+                     lit(artifact.generated_at, XSD.dateTime))
+        return g
 
 
 def load_activity(g: Graph, activity_iri: str,

@@ -17,9 +17,7 @@ writes a view back out so that load(emit(view)) round-trips.
 Which predicate holds which field is written once, in ``_FIELDS``: a
 (field, predicate, encoding) row per mapped field of each record class,
 which loading reads through ``_read`` and emission writes through
-``_Writer.write``. A ``_Writer`` builds each distinct term it writes once,
-so the fixture, ``emit_triples`` and a trace hold one object per term, as
-a parsed graph does. The table also holds the retrospective records that
+``_write``. The table also holds the retrospective records that
 ``plexflow.trace`` loads and emits, ``ActivityRecord`` and
 ``ArtifactRecord``; a trace's associations are ``AgentAssociation``
 records. Only what is not one predicate's objects is hand-written: a step's
@@ -43,7 +41,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import vocab
-from .rdf import RDF_TYPE, XSD_STRING, Graph, IRI, Literal, Term, Triple, lit
+from .rdf import RDF_TYPE, Graph, IRI, Literal, Term, Triple, iri, lit
 from .vocab import BPMN, DC, DCAT, DUL, MLS, PPLAN, PROV, PWO, RDF, RDFS, SH, XSD
 
 MANUAL = "manual"
@@ -223,18 +221,18 @@ class _Encoding(NamedTuple):
     object terms a non-empty value is written as."""
 
     read: Callable[[Graph, IRI, str], object]
-    terms: Callable[["_Writer", object], Iterable[Term]]
+    terms: Callable[[object], Iterable[Term]]
 
 
-_STR = _Encoding(Graph.str_value, lambda w, v: (w.lit(v),))
-_DATE = _Encoding(Graph.str_value, lambda w, v: (w.lit(v, XSD.date),))
-_DATETIME = _Encoding(Graph.str_value, lambda w, v: (w.lit(v, XSD.dateTime),))
+_STR = _Encoding(Graph.str_value, lambda v: (lit(v),))
+_DATE = _Encoding(Graph.str_value, lambda v: (lit(v, XSD.date),))
+_DATETIME = _Encoding(Graph.str_value, lambda v: (lit(v, XSD.dateTime),))
 _IRI = _Encoding(lambda g, s, p: next(iter(g.iri_objects(s, p)), ""),
-                 lambda w, v: (w.iri(v),))
+                 lambda v: (iri(v),))
 _IRI_OR_NONE = _Encoding(lambda g, s, p: next(iter(g.iri_objects(s, p)), None),
                          _IRI.terms)
 _IRI_SET = _Encoding(lambda g, s, p: frozenset(g.iri_objects(s, p)),
-                     lambda w, v: map(w.iri, v))
+                     lambda v: map(iri, v))
 _IRI_TUPLE = _Encoding(lambda g, s, p: tuple(sorted(g.iri_objects(s, p))),
                        _IRI_SET.terms)
 
@@ -322,34 +320,19 @@ def _read(g: Graph, cls: type, iri_: str, **fixed):
                                      for name, predicate, encoding in _FIELDS[cls]})
 
 
-class _Writer:
-    """Adds triples to ``graph``, building each distinct term once: a
-    writer's own term dictionary, as each parsed document has one."""
+def _write(g: Graph, record, *types: str):
+    """Emit ``record``'s ``rdf:type`` values and every non-empty mapped field."""
+    for t in types:
+        _add(g, record.iri, RDF.type, iri(t))
+    for name, predicate, encoding in _FIELDS[type(record)]:
+        value = getattr(record, name)
+        if value:
+            for term in encoding.terms(value):
+                _add(g, record.iri, predicate, term)
 
-    def __init__(self, graph: Graph):
-        self.graph = graph
-        self._terms: dict[object, Term] = {}
 
-    def iri(self, value: str) -> IRI:
-        return self._terms.get(value) or self._terms.setdefault(value, IRI(value))
-
-    def lit(self, lexical: str, datatype: str = XSD_STRING) -> Literal:
-        key = (lexical, datatype)
-        return self._terms.get(key) or self._terms.setdefault(key, lit(lexical, datatype))
-
-    def add(self, s: str, p: str, o: Term) -> None:
-        self.graph.add(Triple(self.iri(s), self.iri(p), o))
-
-    def write(self, record, *types: str) -> None:
-        """Emit ``record``'s ``rdf:type`` values and every non-empty mapped
-        field."""
-        for t in types:
-            self.add(record.iri, RDF.type, self.iri(t))
-        for name, predicate, encoding in _FIELDS[type(record)]:
-            value = getattr(record, name)
-            if value:
-                for term in encoding.terms(self, value):
-                    self.add(record.iri, predicate, term)
+def _add(g: Graph, s: str, p: str, o: Term):
+    g.add(Triple(iri(s), iri(p), o))
 
 
 # -- language registry ------------------------------------------------------
@@ -698,39 +681,35 @@ def step_order(view: WorkflowView, plan: Optional[str] = None) -> list[str]:
 
 def emit_triples(view: WorkflowView) -> Graph:
     """Write the typed view back out as triples (inverse of load)."""
-    w = _Writer(Graph())
-    _emit(w, view)
-    return w.graph
-
-
-def _emit(w: _Writer, view: WorkflowView) -> None:
-    w.write(view.workflow, PPLAN.Plan, DUL.Workflow)
+    g = Graph()
+    _write(g, view.workflow, PPLAN.Plan, DUL.Workflow)
     for step in view.steps.values():
         kind_type = BPMN.ManualTask if step.kind == MANUAL else BPMN.ScriptTask
-        w.write(step, kind_type, PPLAN.Step,
-                *([step.operation_class] if step.operation_class else []))
-        w.add(step.iri, PPLAN.isStepOfPlan, w.iri(step.plan))
+        _write(g, step, kind_type, PPLAN.Step,
+               *([step.operation_class] if step.operation_class else []))
+        _add(g, step.iri, PPLAN.isStepOfPlan, iri(step.plan))
         if step.instruction:
-            w.add(step.iri, DUL.isDescribedBy, w.iri(step.instruction))
+            _add(g, step.iri, DUL.isDescribedBy, iri(step.instruction))
     for instr in view.instructions.values():
-        w.write(instr, PPLAN.Plan, *instr.extra_types)
+        _write(g, instr, PPLAN.Plan, *instr.extra_types)
     for var in view.variables.values():
-        w.write(var, PPLAN.Variable)
+        _write(g, var, PPLAN.Variable)
     for usage in view.usages.values():
-        w.write(usage, PROV.Usage)
+        _write(g, usage, PROV.Usage)
     for dist in view.distributions.values():
-        w.write(dist, DCAT.Distribution)
+        _write(g, dist, DCAT.Distribution)
         if dist.download_url:
-            w.add(dist.iri, DCAT.downloadURL, w.lit(dist.download_url))
+            _add(g, dist.iri, DCAT.downloadURL, lit(dist.download_url))
     for ds in view.datasets.values():
-        w.write(ds, DCAT.Dataset)
+        _write(g, ds, DCAT.Dataset)
     for agent in view.agents.values():
-        w.write(agent, PROV.SoftwareAgent if agent.software else PROV.Agent)
+        _write(g, agent, PROV.SoftwareAgent if agent.software else PROV.Agent)
     for assoc in view.associations.values():
-        w.write(assoc, PROV.Association)
+        _write(g, assoc, PROV.Association)
     for shape in view.shapes.values():
-        w.write(shape, SH.NodeShape)
+        _write(g, shape, SH.NodeShape)
         if shape.constraint_iri:
-            w.add(shape.constraint_iri, RDF.type, w.iri(SH.SPARQLConstraint))
+            _add(g, shape.constraint_iri, RDF.type, iri(SH.SPARQLConstraint))
             if shape.sparql_text:
-                w.add(shape.constraint_iri, SH.select, w.lit(shape.sparql_text))
+                _add(g, shape.constraint_iri, SH.select, lit(shape.sparql_text))
+    return g

@@ -441,20 +441,11 @@ def test_hand_built_terms_equal_parsed_ones_with_the_same_hash():
 
 # -- index statistics used by the query planner ------------------------------
 
-def test_bucket_size_predicates_and_inverse_closure_agree_with_scans():
+def test_bucket_size_predicates_and_inverse_closure_agree_with_scans(
+        sixteen_copy_graph):
     rng = random.Random(515)
-    for _ in range(30):
-        nodes = [iri(f"urn:n{i}") for i in range(rng.randrange(2, 9))]
-        preds = [iri(f"urn:p{i}") for i in range(rng.randrange(1, 4))]
-        g = Graph()
-        for _ in range(rng.randrange(1, 40)):
-            t = Triple(rng.choice(nodes), rng.choice(preds), rng.choice(nodes))
-            # Unfrozen, a subject's and an object's size follow every add.
-            before = g.bucket_size(s=t.s), g.bucket_size(o=t.o)
-            added = g.add(t)
-            assert (g.bucket_size(s=t.s), g.bucket_size(o=t.o)) == (
-                before[0] + added, before[1] + added)
-        g.freeze()
+
+    def check_frozen(g, nodes, preds):
         assert g.predicates() == sorted({t.p for t in g.match()}, key=nt_term)
         for term in nodes:
             for _ in range(2):  # the second read is the kept total
@@ -468,20 +459,22 @@ def test_bucket_size_predicates_and_inverse_closure_agree_with_scans():
             if sum(term is not None for term in (s, p, o)) <= 1:
                 assert size == found
 
-
-def test_bucket_size_of_every_subject_and_object_on_a_frozen_16_copy_graph(
-        sixteen_copy_graph):
+    for _ in range(30):
+        nodes = [iri(f"urn:n{i}") for i in range(rng.randrange(2, 9))]
+        preds = [iri(f"urn:p{i}") for i in range(rng.randrange(1, 4))]
+        g = Graph()
+        for _ in range(rng.randrange(1, 40)):
+            t = Triple(rng.choice(nodes), rng.choice(preds), rng.choice(nodes))
+            # Unfrozen, a subject's and an object's size follow every add.
+            before = g.bucket_size(s=t.s), g.bucket_size(o=t.o)
+            added = g.add(t)
+            assert (g.bucket_size(s=t.s), g.bucket_size(o=t.o)) == (
+                before[0] + added, before[1] + added)
+        check_frozen(g.freeze(), nodes, preds)
+    # Every subject and object of the frozen 16-copy graph.
     g = sixteen_copy_graph
-    subjects = {t.s for t in g.match()}
-    objects = {t.o for t in g.match()}
-    for term in subjects:
-        predicates = {t.p for t in g.match(term, None, None)}
-        assert g.bucket_size(s=term) == sum(
-            len(g.match(term, p, None)) for p in predicates)
-    for term in objects:
-        predicates = {t.p for t in g.match(None, None, term)}
-        assert g.bucket_size(o=term) == sum(
-            len(g.match(None, p, term)) for p in predicates)
+    check_frozen(g, sorted({term for t in g.match() for term in (t.s, t.o)},
+                           key=nt_term), g.predicates())
 
 
 def test_predicate_string_readers_resolve_iris_and_reject_non_iris():
