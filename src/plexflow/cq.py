@@ -3,8 +3,12 @@
 Twelve questions over a workflow provenance graph, each answered by one
 query template shipped as an inspectable ``.rq`` asset under ``queries/``.
 Templates take workflow IRIs through ``$workflow`` / ``$from`` / ``$to``
-placeholders, substituted textually before parsing so the IRI is a
-constant everywhere (MINUS blocks included).
+parameters. Each template is parsed once per process into a
+:class:`plexflow.query.PreparedQuery`, and every call binds the IRIs into
+it as terms, so the IRI is a constant everywhere (MINUS blocks included);
+repeated calls over one frozen graph reuse the planner's choices. The
+templates are read as plain files beside this module, so the package must
+be installed unzipped.
 
 A step attached directly or through one sub-plan is a UNION inside a
 template. The version-delta questions (CQ3.2, CQ3.4) are a three-branch
@@ -18,12 +22,12 @@ the caller.
 
 from __future__ import annotations
 
-import re
+import functools
+import os
 from dataclasses import dataclass
-from importlib import resources
 
-from .query import ResultTable, TriplePattern, evaluate, parse_query
-from .rdf import Graph, IRI, Term, nt_term
+from .query import PreparedQuery, ResultTable, TriplePattern, evaluate
+from .rdf import Graph, IRI, Term, iri, nt_term
 
 
 class CqError(ValueError):
@@ -34,7 +38,7 @@ class CqError(ValueError):
 class CqEntry:
     id: str
     title: str
-    params: tuple[str, ...]
+    params: tuple[str, ...]  # the template's, in first-use order
     file: str
     chain: bool = False  # rows reordered by _chain_order
 
@@ -66,27 +70,17 @@ CATALOGUE: dict[str, CqEntry] = {e.id: e for e in (
             (), "cq3_5.rq"),
 )}
 
-_PARAM_RE = re.compile(r"\$([A-Za-z_][A-Za-z0-9_]*)")
+_QUERIES = os.path.join(os.path.dirname(__file__), "queries")
 
 
 def query_text(filename: str) -> str:
-    return (resources.files(__package__) / "queries" / filename).read_text("utf-8")
+    with open(os.path.join(_QUERIES, filename), encoding="utf-8") as handle:
+        return handle.read()
 
 
-def _substitute(template: str, params: dict[str, str], cq_id: str) -> str:
-    def replace(match: re.Match) -> str:
-        name = match.group(1)
-        if name not in params:
-            raise CqError(f"{cq_id} requires parameter --{name}")
-        value = params[name]
-        try:
-            IRI(value)
-        except ValueError as exc:
-            raise CqError(f"parameter --{name} must be an absolute IRI: "
-                          f"{value!r}") from exc
-        return f"<{value}>"
-
-    return _PARAM_RE.sub(replace, template)
+@functools.cache
+def _prepared(filename: str) -> PreparedQuery:
+    return PreparedQuery(query_text(filename))
 
 
 def _chain_order(table: ResultTable, g: Graph, precedes: IRI) -> ResultTable:
@@ -136,11 +130,19 @@ def run_cq(cq_id: str, g: Graph, params: dict[str, str] | None = None) -> Result
     for name in entry.params:
         if name not in params:
             raise CqError(f"{cq_id} requires parameter --{name}")
-    query = parse_query(_substitute(query_text(entry.file), params, cq_id))
-    table = evaluate(query, g)
+    values: dict[str, Term] = {}
+    for name in entry.params:
+        try:
+            values[name] = iri(params[name])
+        except ValueError as exc:
+            raise CqError(f"parameter --{name} must be an absolute IRI: "
+                          f"{params[name]!r}") from exc
+    prepared = _prepared(entry.file)
+    query, choices = prepared.bind_for(g, values)
+    table = evaluate(query, g, choices=choices)
     if not entry.chain:
         return table
-    (path,) = [el for el in query.where.elements
+    (path,) = [el for el in prepared.template.where.elements
                if isinstance(el, TriplePattern) and el.plus]
     return _chain_order(table, g, path.p)
 

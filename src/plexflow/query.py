@@ -78,16 +78,32 @@ once per query, and every sort key reuses that text.
   multiplicity.
 - :func:`explain` returns the steps the evaluator took, recorded during
   the run: join order, estimates, join keys and row counts.
+
+A :class:`PreparedQuery` is a template parsed once, where ``$name`` is a
+parameter node (:class:`Param`) that stands for a whole IRI term;
+:func:`parse_query` still rejects a ``$`` left in its text. Binding puts
+the terms into a new query and shares every parameter-free part of the
+template. The prepared query also keeps, per parameter values, the
+planner's choices for one frozen graph at a time: whether a seeded group
+starts from its seed, and the pattern picked at each step with more than
+one left. Both are functions of the bound query and the frozen graph
+alone, so a later evaluation with the same values on the same graph
+replays them and skips every estimate, with the same plan. A replay that
+does not use up exactly its record raises. The memo holds the graph
+weakly, never replays on another graph, and reaches the evaluator as an
+argument, never through shared state, as frozen graphs have concurrent
+readers. :func:`explain` and :func:`run_query` always estimate.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass, field, fields, is_dataclass
 from itertools import chain
 from operator import attrgetter, itemgetter
-from typing import Optional
+from typing import Callable, Optional
 
 from .lexing import PN_PREFIX_RE, Lexer, Token
 from .rdf import XSD_NS, XSD_STRING, RDF_TYPE, Graph, IRI, Literal, Term, nt_term
@@ -132,6 +148,16 @@ class Var:
 
     def __repr__(self):
         return f"?{self.name}"
+
+
+@dataclass(frozen=True)
+class Param:
+    """A template's ``$name``: an IRI given each time the query is bound."""
+
+    name: str
+
+    def __repr__(self):
+        return f"${self.name}"
 
 
 TermOrVar = Term | Var
@@ -223,6 +249,7 @@ class SelectQuery:
 # Lexer
 
 _VAR_RE = re.compile(r"[?]([A-Za-z_][A-Za-z0-9_]*)")
+_PARAM_RE = re.compile(r"[$]([A-Za-z_][A-Za-z0-9_]*)")
 _NUMBER_RE = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?")
 _PUNCTUATION = {"{": "LBRACE", "}": "RBRACE", "(": "LPAREN", ")": "RPAREN",
                 "*": "STAR", "+": "PLUS", "=": "EQ", "<": "LT", ">": "GT"}
@@ -230,9 +257,11 @@ _PUNCTUATION = {"{": "LBRACE", "}": "RBRACE", "(": "LPAREN", ")": "RPAREN",
 
 class _Lexer(Lexer):
     """Token kinds: the shared ones (:meth:`Lexer._shared_token`), VAR,
-    NUMBER, WORD, NEQ, BANG, those of ``_PUNCTUATION`` and EOF."""
+    NUMBER, WORD, NEQ, BANG, those of ``_PUNCTUATION`` and EOF; PARAM only
+    in a template."""
 
     error_class = QueryParseError
+    parameters = False
 
     def _cut(self) -> Token:
         tok = self._shared_token()
@@ -246,8 +275,13 @@ class _Lexer(Lexer):
                 self._error("malformed variable name")
             return self._take("VAR", m.end(), m.group(1))
         if ch == "$":
-            self._error("unsubstituted query parameter (did you supply all "
-                        "required parameters?)")
+            if not self.parameters:
+                self._error("unsubstituted query parameter (did you supply all "
+                            "required parameters?)")
+            m = _PARAM_RE.match(text, pos)
+            if not m:
+                self._error("malformed parameter name")
+            return self._take("PARAM", m.end(), m.group(1))
         if text.startswith("!=", pos):
             return self._take("NEQ", pos + 2, "!=")
         if ch == "!":
@@ -389,6 +423,9 @@ class _Parser(TriplesParser):
         if tok.kind == "VAR":
             self._next()
             return Var(tok.value)
+        if tok.kind == "PARAM":
+            self._next()
+            return Param(tok.value)
         if tok.kind in ("IRIREF", "PNAME"):
             self._next()
             return self._iri(tok)
@@ -413,7 +450,7 @@ class _Parser(TriplesParser):
         predicate = self._term("predicate")
         if self.tok.kind != "PLUS":
             return predicate, False
-        if not isinstance(predicate, IRI):
+        if not isinstance(predicate, (IRI, Param)):
             self._error("closure modifier '+' requires an IRI predicate")
         self._next()
         return predicate, True
@@ -482,6 +519,16 @@ class _Parser(TriplesParser):
             if isinstance(t, Var):
                 raise QueryError("VALUES terms must be constants")
         return Values(var, terms)
+
+
+class _TemplateLexer(_Lexer):
+    parameters = True
+
+
+class _TemplateParser(_Parser):
+    """A template: ``$name`` stands for a whole IRI term (:class:`Param`)."""
+
+    lexer_class = _TemplateLexer
 
 
 def _group_vars_ordered(group: Group) -> list[str]:
@@ -756,8 +803,43 @@ def _seed(outer: list[Solution], group: Group) -> Optional[list[Solution]]:
     return [dict(zip(names, key)) for key in keys]
 
 
-def _eval_group(group: Group, g: Graph, plan: Optional[list[str]] = None,
-                depth: int = 0,
+class _Choices:
+    """The planner's choices in one evaluation, in the order it makes them:
+    whether a seeded group starts from its seed, and the pattern picked at
+    each step with more than one left. A fresh instance records them, and
+    hands the record to ``keep`` once the evaluation finishes; one made from
+    a record replays it without estimating, and must use up exactly that
+    record."""
+
+    __slots__ = ("made", "_replay", "_keep")
+
+    def __init__(self, record: Optional[tuple[int, ...]] = None,
+                 keep: Optional[Callable[[tuple[int, ...]], None]] = None):
+        self.made: list[int] = []
+        self._replay = None if record is None else iter(record)
+        self._keep = keep
+
+    def choose(self, options: int, estimate: Callable[[], int]) -> int:
+        """One of ``range(options)``: ``estimate()``'s, or the recorded one."""
+        if self._replay is None:
+            choice = estimate()
+            self.made.append(choice)
+            return choice
+        choice = next(self._replay, None)
+        if choice is None or not 0 <= choice < options:
+            raise RuntimeError("replayed plan does not fit its query and graph")
+        return choice
+
+    def finish(self) -> None:
+        if self._replay is not None:
+            if next(self._replay, None) is not None:
+                raise RuntimeError("replayed plan has choices left over")
+        elif self._keep is not None:
+            self._keep(tuple(self.made))
+
+
+def _eval_group(group: Group, g: Graph, choices: _Choices,
+                plan: Optional[list[str]] = None, depth: int = 0,
                 seed: Optional[list[Solution]] = None) -> list[Solution]:
     patterns = [el for el in group.elements if isinstance(el, TriplePattern)]
     values = [el for el in group.elements if isinstance(el, Values)]
@@ -776,7 +858,7 @@ def _eval_group(group: Group, g: Graph, plan: Optional[list[str]] = None,
             break
         else:
             right = [row for branch in el.branches
-                     for row in _eval_group(branch, g, plan, depth + 1)]
+                     for row in _eval_group(branch, g, choices, plan, depth + 1)]
         sols, stats = _join("inner", sols, right)
         if right:
             bound.update(set(right[0]).intersection(*right))
@@ -790,8 +872,8 @@ def _eval_group(group: Group, g: Graph, plan: Optional[list[str]] = None,
     # the seed keeps out would have paired with no outer row. Starting from
     # the seed rows beside VALUES or UNION rows would cross the two.
     seed_vars = set(seed[0]) if seed else set()
-    if seed and not values and not unions and len(seed) <= min(
-            _estimate(g, pat, sols, bound) for pat in patterns):
+    if seed and not values and not unions and choices.choose(2, lambda: int(
+            len(seed) <= min(_estimate(g, pat, sols, bound) for pat in patterns))):
         sols, bound, seed = seed, set(seed_vars), None
         if plan is not None:
             plan.append(f"{indent}seed start rows={len(sols)}")
@@ -807,8 +889,13 @@ def _eval_group(group: Group, g: Graph, plan: Optional[list[str]] = None,
         # With one pattern left the estimates choose nothing; only the plan
         # shows them. Over seeded rows they cost a bucket lookup per row.
         estimates = ([_estimate(g, pat, sols, bound) for pat in remaining]
-                     if len(remaining) > 1 or plan is not None else [0])
-        best = min(range(len(remaining)), key=estimates.__getitem__)
+                     if plan is not None else None)
+
+        def cheapest() -> int:
+            costs = estimates or [_estimate(g, pat, sols, bound) for pat in remaining]
+            return min(range(len(costs)), key=costs.__getitem__)
+
+        best = choices.choose(len(remaining), cheapest) if len(remaining) > 1 else 0
         pat = remaining.pop(best)
         sols = _extend(g, pat, sols)
         for part in (pat.s, pat.p, pat.o):
@@ -824,7 +911,7 @@ def _eval_group(group: Group, g: Graph, plan: Optional[list[str]] = None,
         if not sols:
             break
         mode = "minus" if isinstance(nested, Minus) else "optional"
-        inner = _eval_group(nested.group, g, plan, depth + 1,
+        inner = _eval_group(nested.group, g, choices, plan, depth + 1,
                             _seed(sols, nested.group))
         sols, stats = _join(mode, sols, inner)
         if plan is not None:
@@ -846,16 +933,20 @@ class _Serialized(dict):
         return text
 
 
-def evaluate(query: SelectQuery, g: Graph,
-             plan: Optional[list[str]] = None) -> ResultTable:
+def evaluate(query: SelectQuery, g: Graph, plan: Optional[list[str]] = None,
+             choices: Optional[_Choices] = None) -> ResultTable:
     """Evaluate a parsed query over a frozen graph.
 
     When ``plan`` is a list, the evaluator appends its EXPLAIN lines to it
-    as it runs (see :func:`explain`).
+    as it runs (see :func:`explain`). ``choices`` records the planner's
+    choices, or replays a record of them (:class:`PreparedQuery`).
     """
     if not g.frozen:
         raise QueryError("graph must be frozen before evaluation")
-    sols = _eval_group(query.where, g, plan)
+    if choices is None:
+        choices = _Choices()
+    sols = _eval_group(query.where, g, choices, plan)
+    choices.finish()
     if query.variables is None:
         header = _group_vars_ordered(query.where)
     else:
@@ -901,3 +992,78 @@ def explain(query: SelectQuery, g: Graph) -> list[str]:
 
 def run_query(text: str, g: Graph) -> ResultTable:
     return evaluate(parse_query(text), g)
+
+
+class PreparedQuery:
+    """A query template, parsed once and bound per call (see the module
+    docstring).
+
+    ``params`` names the template's parameters in first-use order.
+    :meth:`bind` gives the query with a term for each, which equals
+    :func:`parse_query` of the text with ``<iri>`` written in for each
+    ``$name``. :meth:`bind_for` also gives the choices to evaluate it with,
+    from the memo of the graph it last ran on.
+    """
+
+    def __init__(self, text: str):
+        self.template = _TemplateParser(text).parse()
+        # The ids of the template's parts that hold a parameter: nodes,
+        # lists of them and the Param leaves. The template keeps them alive.
+        self._holders: set[int] = set()
+        names: dict[str, None] = {}
+        self._mark(self.template, names)
+        self.params = tuple(names)
+        self._memo: tuple[Optional[weakref.ref], dict] = (None, {})
+
+    def _mark(self, node: object, names: dict[str, None]) -> bool:
+        if isinstance(node, Param):
+            names.setdefault(node.name)
+            held = True
+        elif isinstance(node, list):
+            held = any([self._mark(item, names) for item in node])
+        elif is_dataclass(node):
+            held = any([self._mark(getattr(node, f.name), names)
+                        for f in fields(node)])
+        else:
+            return False
+        if held:
+            self._holders.add(id(node))
+        return held
+
+    def bind(self, values: dict[str, Term]) -> SelectQuery:
+        """The query with ``values[name]`` in place of each ``$name``."""
+        missing = [name for name in self.params if name not in values]
+        if missing:
+            raise QueryError(f"missing query parameter ${missing[0]}")
+        return self._bind(self.template, values)
+
+    def _bind(self, node, values: dict[str, Term]):
+        if id(node) not in self._holders:
+            return node
+        if isinstance(node, Param):
+            return values[node.name]
+        if isinstance(node, list):
+            return [self._bind(item, values) for item in node]
+        return type(node)(*[self._bind(getattr(node, f.name), values)
+                            for f in fields(node)])
+
+    def bind_for(self, g: Graph,
+                 values: dict[str, Term]) -> tuple[SelectQuery, _Choices]:
+        """The bound query, and the choices to :func:`evaluate` it over
+        ``g`` with: a replay of the memo's record, or a fresh record that
+        the memo keeps once the evaluation finishes."""
+        key = tuple(values.get(name) for name in self.params)
+        ref, memo = self._memo
+        if ref is None or ref() is not g:
+            memo = {}
+            self._memo = (weakref.ref(g), memo)
+        known = memo.get(key)
+        if known is not None:
+            query, record = known
+            return query, _Choices(record)
+        query = self.bind(values)
+
+        def keep(record: tuple[int, ...]) -> None:
+            memo[key] = (query, record)
+
+        return query, _Choices(keep=keep)

@@ -235,8 +235,9 @@ def _append(by_p: "dict[Term, Bucket]", p: Term, t: Triple) -> None:
 class Graph:
     """Indexed set of triples with deterministic iteration order."""
 
+    # __weakref__: a prepared query keeps its memo for one graph, weakly.
     __slots__ = ("_triples", "_by_s", "_by_p", "_by_o", "_s_sizes", "_o_sizes",
-                 "_frozen", "_blank_labels", "_blank_counter")
+                 "_frozen", "__weakref__")
 
     def __init__(self, triples: Iterable[Triple] = ()):
         self._triples: set[Triple] = set()
@@ -248,8 +249,6 @@ class Graph:
         self._s_sizes: dict[Term, int] = {}
         self._o_sizes: dict[Term, int] = {}
         self._frozen = False
-        self._blank_labels: set[str] = set()
-        self._blank_counter = 0
         for t in triples:
             self.add(t)
 
@@ -272,25 +271,11 @@ class Graph:
             else:
                 _append(by_p, p, t)
         _append(self._by_p, p, t)
-        for term in (s, o):
-            if isinstance(term, BlankNode):
-                self._blank_labels.add(term.label)
         return True
 
     def add_all(self, triples: Iterable[Triple]) -> None:
         for t in triples:
             self.add(t)
-
-    def new_blank(self) -> BlankNode:
-        """A blank node with a label unused anywhere in this graph."""
-        if self._frozen:
-            raise FrozenGraphError("graph is frozen")
-        while True:
-            self._blank_counter += 1
-            label = f"b{self._blank_counter}"
-            if label not in self._blank_labels:
-                self._blank_labels.add(label)
-                return BlankNode(label)
 
     def freeze(self) -> "Graph":
         self._frozen = True

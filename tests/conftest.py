@@ -21,12 +21,16 @@ def load_listing(name: str) -> str:
     return prefixes_turtle() + "\n" + body
 
 
+def relabel(text: str, copy: int) -> str:
+    """``text`` moved to fixture copy ``copy``, which lives under
+    ``BASE/c<copy>/``; copy 0 is the fixture itself."""
+    return text if copy == 0 else text.replace(BASE, f"{BASE}c{copy}/")
+
+
 def k_copy_graph(k: int) -> Graph:
-    """The fixture relabelled into k copies, copy i under ``BASE/c<i>/``."""
+    """The fixture relabelled into k copies."""
     nt = serialize_ntriples(generate_fixture())
-    return parse_ntriples("".join(
-        nt if i == 0 else nt.replace(BASE, f"{BASE}c{i}/")
-        for i in range(k))).freeze()
+    return parse_ntriples("".join(relabel(nt, i) for i in range(k))).freeze()
 
 
 @pytest.fixture(scope="session")

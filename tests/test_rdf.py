@@ -149,13 +149,6 @@ def test_freeze_blocks_mutation():
     assert len(copy) == 2 and len(g) == 1
 
 
-def test_new_blank_avoids_used_labels():
-    g = Graph()
-    g.add(Triple(bnode("b1"), iri("urn:p"), iri("urn:o")))
-    fresh = g.new_blank()
-    assert fresh.label != "b1"
-
-
 # -- N-Triples ---------------------------------------------------------------
 
 def test_parse_minimal_statement():

@@ -44,8 +44,9 @@ def workdir(tmp_path_factory):
     return path
 
 
-def _loaded_after(statement: str, cwd: Path) -> set[str]:
-    """Names in ``sys.modules`` of a fresh interpreter after ``statement``."""
+def _loaded_after(statement: str, cwd: Path, *flags: str) -> set[str]:
+    """Names in ``sys.modules`` of a fresh interpreter, started with
+    ``flags``, after ``statement``."""
     listing = cwd / "modules.json"
     probe = (f"{statement}\n"
              "import json, sys\n"
@@ -53,7 +54,7 @@ def _loaded_after(statement: str, cwd: Path) -> set[str]:
              "    json.dump(sorted(sys.modules), out)\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    result = subprocess.run([sys.executable, "-c", probe], cwd=cwd, env=env,
+    result = subprocess.run([sys.executable, *flags, "-c", probe], cwd=cwd, env=env,
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     return set(json.loads(listing.read_text()))
@@ -85,6 +86,15 @@ def test_graph_commands_load_no_numpy_and_no_fixture(workdir, command, fmt):
     if command in ("diff", "audit"):
         # Neither reaches the query engine, which shares Turtle's grammar.
         assert ("plexflow.turtle" in loaded) == (fmt == "ttl")
+
+
+def test_cq_reads_its_template_without_importlib_resources(workdir):
+    # Under -S no site hook preloads anything, so this is what a plain
+    # install pays: the templates are plain files beside the package.
+    argv = ["cq", "--id", "CQ1.1", "--workflow", V01, "--graph", "fixture.nt"]
+    loaded = _loaded_after(_main(argv), workdir, "-S")
+    assert "plexflow.cq" in loaded
+    assert not {"importlib.resources", "pathlib"} & loaded
 
 
 def test_fixture_command_loads_no_numpy(workdir):
