@@ -132,11 +132,16 @@ def run_cq(cq_id: str, g: Graph, params: dict[str, str] | None = None) -> Result
             raise CqError(f"{cq_id} requires parameter --{name}")
     values: dict[str, Term] = {}
     for name in entry.params:
+        value = params[name]
         try:
-            values[name] = iri(params[name])
-        except ValueError as exc:
-            raise CqError(f"parameter --{name} must be an absolute IRI: "
-                          f"{params[name]!r}") from exc
+            term = iri(value)
+        except ValueError:
+            term = None
+        # Bound as the IRI that <value> in the query text would name, so
+        # nothing an IRI reference cannot hold unescaped gets through.
+        if term is None or nt_term(term) != f"<{value}>":
+            raise CqError(f"parameter --{name} must be an absolute IRI: {value!r}")
+        values[name] = term
     prepared = _prepared(entry.file)
     query, choices = prepared.bind_for(g, values)
     table = evaluate(query, g, choices=choices)

@@ -9,7 +9,7 @@ import weakref
 import pytest
 
 import plexflow.query
-from plexflow.cq import CATALOGUE, query_text, run_cq
+from plexflow.cq import CATALOGUE, CqError, query_text, run_cq
 from plexflow.fixture import V01, V02, generate_fixture
 from plexflow.query import (
     Param, PreparedQuery, QueryError, QueryParseError, _Choices, evaluate, parse_query,
@@ -82,6 +82,14 @@ def test_a_parameter_stands_for_a_whole_iri_term():
     # parse_query still refuses a parameter left in the text.
     with pytest.raises(QueryParseError, match="unsubstituted query parameter"):
         parse_query("SELECT ?s WHERE { ?s <urn:p> $o }")
+
+
+@pytest.mark.parametrize("value", ["http://a b", "http://a>b", "http://a/\\u0041"])
+def test_a_parameter_no_iri_reference_can_spell_is_a_cq_error(fixture_graph, value):
+    # Text substitution failed on these inside the parser, or decoded the
+    # escape; a bound term would quietly match nothing.
+    with pytest.raises(CqError, match="parameter --workflow must be an absolute IRI"):
+        run_cq("CQ1.1", fixture_graph, {"workflow": value})
 
 
 def _estimates_counted(monkeypatch) -> list[int]:
