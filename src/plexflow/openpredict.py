@@ -139,17 +139,6 @@ class FeatureMatrix:
     y: np.ndarray  # (n,) in {0, 1}
 
 
-def weighted_geometric_mean(x: float, y: float,
-                            weights: tuple[float, float] = (0.5, 0.5)) -> float:
-    """x**w1 * y**w2 with w1 + w2 = 1; zero inputs give zero (continuous limit)."""
-    w1, w2 = _check_weights(weights)
-    if x < 0 or y < 0:
-        raise PipelineError("similarities must be nonnegative")
-    if x == 0.0 or y == 0.0:
-        return 0.0
-    return float(x ** w1 * y ** w2)
-
-
 def _check_weights(weights) -> tuple[float, float]:
     if len(weights) != 2:
         raise PipelineError("exactly two combination weights are required")
@@ -315,7 +304,8 @@ def train_logistic(features: FeatureMatrix, hyper: Optional[Hyper] = None) -> Lo
     """
     hyper = hyper or Hyper()
     X, y = features.X, features.y
-    classes = np.unique(y)
+    # Plain np.unique(y) imports numpy.ma (numpy 2.4); with counts it does not.
+    classes = np.unique(y, return_counts=True)[0]
     if len(classes) < 2:
         raise PipelineError("training data must contain both classes")
     theta = np.zeros(X.shape[1] + 1)  # the weights, then the bias

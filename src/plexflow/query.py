@@ -39,8 +39,9 @@ neither end is bound (:func:`_walk`). Type-mismatched FILTER comparisons
 evaluate to false rather than erroring. Result rows come back sorted by
 their serialized form, then stably by each ORDER BY key (last key first,
 ``DESC`` keys reversed), so output is deterministic and rows equal on
-every key keep their serialized order. Each distinct term is serialized
-once per query, and every sort key reuses that text.
+every key keep their serialized order. Each distinct term object is
+serialized once per query, looked up by its ``id`` rather than hashed, and
+every sort key reuses that text.
 
 - Join order is cost-based. The next pattern is the one with the fewest
   estimated candidates, ties by textual order. A pattern's estimate is the
@@ -52,11 +53,14 @@ once per query, and every sort key reuses that text.
   values the row binds.
 - A step extends all rows at once (:func:`_extend`): one
   :meth:`Graph.match` call per row, one copy of the row per triple, and
-  only the variables the row leaves unbound are set. ``p+`` and a pattern
-  that repeats a variable match row by row (:func:`_match_pattern`).
+  only the variables the row leaves unbound are set. Where each of the
+  pattern's variables is bound in every row or in none (always, in a
+  group without UNION), those variables are found once per step, not per
+  row. ``p+`` and a pattern that repeats a variable match row by row
+  (:func:`_match_pattern`).
 - Outer and inner rows meet in one hash join, :func:`_join`, in the modes
   of SPARQL's algebra (SPARQL 1.1 Query, §18.5): VALUES tables (one row
-  per term) and UNION rows join ``"inner"``, OPTIONAL groups
+  per term) and UNION rows join ``"inner"``, seeded OPTIONAL groups
   ``"optional"`` and MINUS groups ``"minus"``. The key is the variables
   bound in every outer row and in every inner row; only rows with equal
   keys are paired, and each pair is then checked on the variables outside
@@ -64,10 +68,22 @@ once per query, and every sort key reuses that text.
   extends with every compatible inner row; with none, an inner join drops
   it and OPTIONAL keeps it alone. MINUS removes an outer row when some
   compatible inner row shares at least one variable with it.
-- An OPTIONAL or MINUS group is seeded from the outer rows (sideways
-  information passing, as in RDF-3X): the seed is the distinct tuples of
-  the variables that every outer row binds and the group's own triple
-  patterns bind. A group without VALUES or UNION whose seed is no larger
+- An OPTIONAL group that is one triple pattern, not ``p+``, sharing a
+  variable that every outer row binds, plus nested OPTIONALs of the same
+  kind, extends the outer rows directly (:func:`_extension`): one
+  :meth:`Graph.match` call per outer row, a row with no match kept as it
+  is, and the nested groups run on the rows that matched. This needs the
+  group to be well-designed (Pérez, Arenas & Gutierrez, ACM TODS 34(3),
+  2009): every variable of a nested OPTIONAL that the rows it extends may
+  bind occurs in the enclosing pattern. Otherwise an outer binding would
+  reach a nested group that SPARQL evaluates without it. "May bind" is
+  read from the query: the group's VALUES, UNION, pattern and earlier
+  OPTIONAL variables, so a plan and its replay take the same path.
+- A MINUS group, and any other OPTIONAL group (several patterns, FILTER,
+  VALUES, UNION, ``p+``, not well-designed), is seeded from the outer
+  rows (sideways information passing, as in RDF-3X): the seed is the
+  distinct tuples of the variables that every outer row binds and the
+  group's own triple patterns bind. A group without VALUES or UNION whose seed is no larger
   than its smallest first-step estimate starts from the seed rows;
   otherwise the seed is joined ``"inner"`` as soon as the group's rows bind
   every seed variable. Either way the group keeps only the rows whose
@@ -103,7 +119,7 @@ import weakref
 from dataclasses import dataclass, field, fields, is_dataclass
 from itertools import chain
 from operator import attrgetter, itemgetter
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .lexing import PN_PREFIX_RE, Lexer, Token
 from .rdf import XSD_NS, XSD_STRING, RDF_TYPE, Graph, IRI, Literal, Term, nt_term
@@ -658,31 +674,47 @@ def _match_pattern(g: Graph, pat: TriplePattern, sol: Solution) -> list[Solution
     return out
 
 
-def _extend(g: Graph, pat: TriplePattern, sols: list[Solution]) -> list[Solution]:
+def _extend(g: Graph, pat: TriplePattern, sols: list[Solution],
+            fixed: bool = False,
+            misses: Optional[list[Solution]] = None) -> list[Solution]:
     """Every row extended by every match of ``pat``, in row order and then
-    the order of :meth:`Graph.match`. The pattern's positions are resolved
-    once; per row there is one ``match`` call and, per triple, one copy of
-    the row with only the variables the row leaves unbound set. ``p+`` and
-    a pattern that repeats a variable take :func:`_match_pattern` per row."""
+    the order of :meth:`Graph.match`; a row with no match goes to
+    ``misses`` when given. The pattern's positions are resolved once; per
+    row there is one ``match`` call and, per triple, one copy of the row
+    with only the variables the row leaves unbound set. With ``fixed``,
+    each of the pattern's variables is bound in every row or in none, so
+    those variables are found once, from the first row. ``p+`` and a
+    pattern that repeats a variable take :func:`_match_pattern` per row."""
     parts = (pat.s, pat.p, pat.o)
     names = [part.name if isinstance(part, Var) else None for part in parts]
     variables = [name for name in names if name is not None]
+    out: list[Solution] = []
     if pat.plus or len(set(variables)) < len(variables):
-        return [ext for sol in sols for ext in _match_pattern(g, pat, sol)]
+        for sol in sols:
+            found = _match_pattern(g, pat, sol)
+            if found:
+                out.extend(found)
+            elif misses is not None:
+                misses.append(sol)
+        return out
     # A constant reads as sol.get(None, constant): no row binds the name None.
     (sn, s0), (pn, p0), (on, o0) = [(name, None if name else part)
                                     for name, part in zip(names, parts)]
     slots = [(name, _TRIPLE_POSITIONS[i]) for i, name in enumerate(names) if name]
+    free = [slot for slot in slots if slot[0] not in sols[0]] if fixed and sols else None
     match = g.match
-    out: list[Solution] = []
     append = out.append
     for sol in sols:
-        free = [slot for slot in slots if slot[0] not in sol]
-        for t in match(sol.get(sn, s0), sol.get(pn, p0), sol.get(on, o0)):
-            ext = sol.copy()
-            for name, get in free:
-                ext[name] = get(t)
-            append(ext)
+        found = match(sol.get(sn, s0), sol.get(pn, p0), sol.get(on, o0))
+        if found:
+            unbound = free if fixed else [slot for slot in slots if slot[0] not in sol]
+            for t in found:
+                ext = sol.copy()
+                for name, get in unbound:
+                    ext[name] = get(t)
+                append(ext)
+        elif misses is not None:
+            misses.append(sol)
     return out
 
 
@@ -788,13 +820,107 @@ def _show(part: TermOrVar) -> str:
     return f"?{part.name}" if isinstance(part, Var) else nt_term(part)
 
 
+def _pattern_line(pat: TriplePattern, estimate: int, rows: int) -> str:
+    plus = "+" if pat.plus else ""
+    return (f"pattern {_show(pat.s)} {_show(pat.p)}{plus} {_show(pat.o)} "
+            f"estimate={estimate} rows={rows}")
+
+
+def _pattern_vars(pat: TriplePattern) -> set[str]:
+    return {part.name for part in (pat.s, pat.p, pat.o) if isinstance(part, Var)}
+
+
+def _bindable(elements: list) -> set[str]:
+    """The variables that rows of these group elements may bind: those of
+    their triple patterns, VALUES, UNION branches and OPTIONAL groups,
+    nested ones included. A MINUS group binds none."""
+    names: set[str] = set()
+    for el in elements:
+        if isinstance(el, TriplePattern):
+            names |= _pattern_vars(el)
+        elif isinstance(el, Values):
+            names.add(el.var.name)
+        elif isinstance(el, OptionalGroup):
+            names |= _bindable(el.group.elements)
+        elif isinstance(el, Union):
+            for branch in el.branches:
+                names |= _bindable(branch.elements)
+    return names
+
+
+class _Extension(NamedTuple):
+    """An OPTIONAL group that extends each outer row in place of being
+    seeded and joined (:func:`_extension`)."""
+
+    pattern: TriplePattern
+    bound: set[str]  # the variables every row it extends binds
+    fixed: bool  # each of the pattern's variables bound in all rows or none
+    nested: list  # the group's own OPTIONALs, as extensions
+
+
+def _extension(group: Group, bound: set[str],
+               outer: set[str]) -> Optional[_Extension]:
+    """How an OPTIONAL ``group`` extends rows that all bind ``bound`` and
+    may bind ``outer``, or None when it must be seeded and joined. It
+    qualifies when it is one triple pattern that is not ``p+`` and shares a
+    variable with ``bound``, plus nested OPTIONALs that qualify over the
+    rows it makes, and it is well-designed: a nested group's variables that
+    ``outer`` holds are all the pattern's. Then a nested group sees the
+    same bindings in an outer row as in the pattern's own row, so extending
+    each outer row gives SPARQL's left join of the outer rows with the
+    group evaluated alone (Pérez, Arenas & Gutierrez, ACM TODS 34(3), 2009).
+    The answer depends on the query and ``bound`` alone (the caller reads
+    ``outer`` from the query), so a replayed plan takes the same path as
+    the one it records."""
+    patterns = [el for el in group.elements if isinstance(el, TriplePattern)]
+    nested = [el.group for el in group.elements if isinstance(el, OptionalGroup)]
+    if (len(patterns) != 1 or len(group.elements) != 1 + len(nested)
+            or patterns[0].plus):
+        return None
+    own = _pattern_vars(patterns[0])
+    if bound.isdisjoint(own):
+        return None
+    inner_bound, inner_outer = bound | own, outer | own
+    steps = []
+    for inner in nested:
+        names = _bindable(inner.elements)
+        if not (names & outer) <= own:
+            return None
+        step = _extension(inner, inner_bound, inner_outer)
+        if step is None:
+            return None
+        steps.append(step)
+        inner_outer = inner_outer | names
+    return _Extension(patterns[0], bound, own.isdisjoint(outer - bound), steps)
+
+
+def _extend_optional(g: Graph, ext: _Extension, sols: list[Solution],
+                     plan: Optional[list[str]], depth: int) -> list[Solution]:
+    """``sols`` left-joined with an extended OPTIONAL: each row extended by
+    every match of the pattern and those rows by each nested extension in
+    turn, then the rows with no match, unchanged."""
+    indent = "  " * depth
+    estimate = _estimate(g, ext.pattern, sols, ext.bound) if plan is not None else 0
+    misses: list[Solution] = []
+    rows = _extend(g, ext.pattern, sols, ext.fixed, misses)
+    if plan is not None:
+        plan.append(indent + _pattern_line(ext.pattern, estimate, len(rows)))
+    for inner in ext.nested:
+        if not rows:
+            break
+        rows = _extend_optional(g, inner, rows, plan, depth + 1)
+        if plan is not None:
+            plan.append(f"{indent}optional extend rows={len(rows)}")
+    return rows + misses
+
+
 def _seed(outer: list[Solution], group: Group) -> Optional[list[Solution]]:
     """The rows an OPTIONAL or MINUS ``group`` is seeded with: the distinct
     tuples, in first-seen order, of the variables that every ``outer`` row
     binds and that the group's own triple patterns bind; None when there
     are no such variables."""
-    names = {part.name for el in group.elements if isinstance(el, TriplePattern)
-             for part in (el.s, el.p, el.o) if isinstance(part, Var)}
+    names = set().union(*(_pattern_vars(el) for el in group.elements
+                          if isinstance(el, TriplePattern)))
     names.intersection_update(*outer)
     if not names:
         return None
@@ -850,7 +976,7 @@ def _eval_group(group: Group, g: Graph, choices: _Choices,
     indent = "  " * depth
 
     sols: list[Solution] = [{}]
-    bound: set[str] = set()
+    bound: set[str] = set()  # the variables every row binds
     for el in values + unions:
         if isinstance(el, Values):
             right = [{el.var.name: term} for term in el.terms]
@@ -867,6 +993,9 @@ def _eval_group(group: Group, g: Graph, choices: _Choices,
                 f"values ?{el.var.name} terms={len(el.terms)} rows={len(sols)}"
                 if isinstance(el, Values) else
                 f"union branches={len(el.branches)} {stats}"))
+
+    # The variables that only some rows may bind.
+    partial = _bindable(unions) - bound
 
     # A triple pattern of this group binds every seed variable, so the rows
     # the seed keeps out would have paired with no outer row. Starting from
@@ -897,23 +1026,28 @@ def _eval_group(group: Group, g: Graph, choices: _Choices,
 
         best = choices.choose(len(remaining), cheapest) if len(remaining) > 1 else 0
         pat = remaining.pop(best)
-        sols = _extend(g, pat, sols)
-        for part in (pat.s, pat.p, pat.o):
-            if isinstance(part, Var):
-                bound.add(part.name)
+        own = _pattern_vars(pat)
+        sols = _extend(g, pat, sols, partial.isdisjoint(own))
+        bound |= own
+        partial -= own
         if plan is not None:
-            plus = "+" if pat.plus else ""
-            plan.append(f"{indent}pattern {_show(pat.s)} {_show(pat.p)}{plus} "
-                        f"{_show(pat.o)} estimate={estimates[best]} "
-                        f"rows={len(sols)}")
+            plan.append(indent + _pattern_line(pat, estimates[best], len(sols)))
 
     for nested in optionals + minuses:
         if not sols:
             break
         mode = "minus" if isinstance(nested, Minus) else "optional"
-        inner = _eval_group(nested.group, g, choices, plan, depth + 1,
-                            _seed(sols, nested.group))
-        sols, stats = _join(mode, sols, inner)
+        ext = (_extension(nested.group, bound, bound | partial)
+               if mode == "optional" else None)
+        if ext is not None:
+            sols = _extend_optional(g, ext, sols, plan, depth + 1)
+            stats = f"extend rows={len(sols)}"
+        else:
+            inner = _eval_group(nested.group, g, choices, plan, depth + 1,
+                                _seed(sols, nested.group))
+            sols, stats = _join(mode, sols, inner)
+        if mode == "optional":
+            partial |= _bindable(nested.group.elements) - bound
         if plan is not None:
             plan.append(f"{indent}{mode} {stats}")
 
@@ -923,14 +1057,6 @@ def _eval_group(group: Group, g: Graph, choices: _Choices,
             plan.append(f"{indent}filter rows={len(sols)}")
 
     return sols
-
-
-class _Serialized(dict):
-    """Terms to their N-Triples text, each serialized on its first lookup."""
-
-    def __missing__(self, term: Term) -> str:
-        text = self[term] = nt_term(term)
-        return text
 
 
 def evaluate(query: SelectQuery, g: Graph, plan: Optional[list[str]] = None,
@@ -954,9 +1080,13 @@ def evaluate(query: SelectQuery, g: Graph, plan: Optional[list[str]] = None,
     rows = [tuple(map(sol.get, header)) for sol in sols]
     if query.distinct:
         rows = list(dict.fromkeys(rows))
-    # Each distinct term is serialized once; every sort key reuses it.
-    text = _Serialized({None: ""})
-    keys = [tuple(map(text.__getitem__, row)) for row in rows]
+    # Each distinct term object is serialized once, keyed by its id (the
+    # rows keep every term alive), and every sort key reuses the text.
+    cells = list(chain.from_iterable(rows))
+    terms = dict(zip(map(id, cells), cells))
+    text = {key: "" if term is None else nt_term(term)
+            for key, term in terms.items()}
+    keys = [tuple(map(text.__getitem__, map(id, row))) for row in rows]
     order = sorted(range(len(rows)), key=keys.__getitem__)
     for key in reversed(query.order_by):
         i = header.index(key.var.name)
@@ -979,6 +1109,10 @@ def explain(query: SelectQuery, g: Graph) -> list[str]:
       ``key``, where ``pairs`` counts the outer/inner row pairs sharing a
       key (the pairs checked); the inner group's own steps come just before
       it, indented one level deeper;
+    - ``optional extend rows=R``: a one-pattern OPTIONAL that extended the
+      outer rows, R rows after it. Just before it, one level deeper, comes
+      its ``pattern`` line, whose estimate is over the outer rows and whose
+      rows are the extended ones, then its nested OPTIONALs' lines;
     - ``seed start rows=N``: an OPTIONAL or MINUS group starts from the N
       distinct seed rows of the outer rows;
     - ``seed key=(?k ...) pairs=C rows=R``: the seed rows joined in, just

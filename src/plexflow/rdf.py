@@ -17,8 +17,9 @@ Design notes:
   of Hexastore (Weiss, Karras & Bernstein, VLDB 2008): subject → predicate
   → bucket, object → predicate → bucket, and predicate → bucket. A pattern
   with ``(s, p)``, ``(p, o)`` or only ``p`` bound is one bucket, read
-  without a scan or a term comparison; other shapes filter the smallest
-  candidate set. On a frozen graph each bucket is sorted into canonical
+  without a scan or a term comparison; with all three bound it is the
+  ``(s, p)`` bucket's one triple whose object equals ``o``, if any; other
+  shapes filter the smallest candidate set. On a frozen graph each bucket is sorted into canonical
   order once, on its first read. :meth:`Graph.bucket_size` reports the
   smallest one-position bucket's size for the query planner; a frozen
   graph keeps a subject's or an object's total over its predicates once it
@@ -315,19 +316,30 @@ class Graph:
         Results come back in canonical (sorted serialization) order, as a
         new list the caller may change.
         """
-        if p is not None and (s is None or o is None):
-            # (s, p), (p, o) or p alone: exactly one bucket.
+        if p is not None:
             if s is not None:
                 by_p = self._by_s.get(s)
             elif o is not None:
                 by_p = self._by_o.get(o)
             else:
                 by_p = self._by_p
-            return list(self._canonical(by_p, p)) if by_p else []
+            bucket = by_p.get(p) if by_p else None
+            if bucket is None:
+                return []
+            if s is not None and o is not None:
+                # All three bound: the (s, p) bucket holds the triple or not.
+                for t in bucket:
+                    if t.o is o or t.o == o:
+                        return [t]
+                return []
+            # (s, p), (p, o) or p alone: exactly one bucket.
+            if type(bucket) is not tuple:
+                bucket = self._canonical(by_p, p)
+            return list(bucket)
         if s is None and o is None:
             candidates: Iterable[Triple] = self._triples
         else:
-            # s or o bound, p too or not: the smaller position's buckets.
+            # s or o bound, p not: the smaller position's buckets.
             chosen: Optional[tuple[int, list[Bucket]]] = None
             for term, index in ((s, self._by_s), (o, self._by_o)):
                 if term is None:
@@ -335,27 +347,22 @@ class Graph:
                 by_p = index.get(term)
                 if by_p is None:
                     return []
-                buckets = list(by_p.values()) if p is None else [by_p.get(p, ())]
+                buckets = list(by_p.values())
                 size = sum(map(len, buckets))
                 if chosen is None or size < chosen[0]:
                     chosen = size, buckets
             candidates = [t for bucket in chosen[1] for t in bucket]
         out = [t for t in candidates
-               if (s is None or t.s == s)
-               and (p is None or t.p == p)
-               and (o is None or t.o == o)]
+               if (s is None or t.s == s) and (o is None or t.o == o)]
         if len(out) > 1:
             out.sort(key=_triple_key)
         return out
 
     def _canonical(self, by_p: "dict[Term, Bucket]", p: Term) -> Bucket:
-        """``by_p[p]`` in canonical order (empty when absent). A frozen
-        graph keeps the sorted tuple in place of the list; the list itself
-        is never sorted in place, so concurrent readers of it stay safe."""
-        bucket = by_p.get(p, ())
-        if isinstance(bucket, tuple):
-            return bucket
-        ordered = tuple(sorted(bucket, key=_triple_key))
+        """The list ``by_p[p]`` in canonical order. A frozen graph keeps the
+        sorted tuple in place of the list; the list itself is never sorted
+        in place, so concurrent readers of it stay safe."""
+        ordered = tuple(sorted(by_p[p], key=_triple_key))
         if self._frozen:
             by_p[p] = ordered
         return ordered

@@ -47,16 +47,9 @@ from .vocab import BPMN, DC, DCAT, DUL, MLS, PPLAN, PROV, PWO, RDF, RDFS, SH, XS
 MANUAL = "manual"
 SCRIPT = "script"
 
-NATURAL_LANGUAGE = "natural-language"
-COMPUTER_LANGUAGE = "computer-language"
-
 
 class WorkflowError(ValueError):
     """Structural failure that prevents loading a workflow at all."""
-
-
-class UnknownLanguageError(WorkflowError):
-    """Instruction language IRI is not registered."""
 
 
 @dataclass(frozen=True)
@@ -335,31 +328,10 @@ def _add(g: Graph, s: str, p: str, o: Term):
     g.add(Triple(iri(s), iri(p), o))
 
 
-# -- language registry ------------------------------------------------------
+# -- instruction languages --------------------------------------------------
 
 LANGUAGE_ENGLISH = vocab.OPREDICT.LinguisticSystem_English
 LANGUAGE_PYTHON_3_5 = vocab.OPREDICT.LinguisticSystem_Python_3_5
-
-_language_kinds: dict[str, str] = {
-    LANGUAGE_ENGLISH: NATURAL_LANGUAGE,
-    LANGUAGE_PYTHON_3_5: COMPUTER_LANGUAGE,
-}
-
-
-def instruction_kind(instruction: Instruction) -> str:
-    """Classify an instruction by its language IRI.
-
-    Returns ``natural-language`` or ``computer-language``; unregistered
-    languages are an error rather than a silent guess.
-    """
-    if len(instruction.language) != 1:
-        raise UnknownLanguageError(
-            f"instruction {instruction.iri} must have exactly one language")
-    language = instruction.language[0]
-    try:
-        return _language_kinds[language]
-    except KeyError:
-        raise UnknownLanguageError(f"unregistered language IRI: {language}") from None
 
 
 # -- workflow heads ---------------------------------------------------------

@@ -132,10 +132,9 @@ def test_query_explain_goes_to_stderr_only(fixture_file, tmp_path, capsys):
     assert explained.err.splitlines() == [
         "pattern ?s <http://purl.org/net/p-plan#isStepOfPlan> ?w "
         "estimate=78 rows=78",
-        "  seed start rows=78",
         "  pattern ?s <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> ?t "
         "estimate=525 rows=178",
-        "optional key=(?s) pairs=178 rows=178",
+        "optional extend rows=178",
     ]
 
 

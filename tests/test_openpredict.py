@@ -6,16 +6,27 @@ import pytest
 from plexflow.fixture import MODEL_TRAINING_STEP_V01, generate_fixture
 from plexflow.openpredict import (
     FeatureMatrix, GoldStandard, HIDE_ASSOCIATIONS, HIDE_DRUGS, Hyper,
-    PipelineError, SimilarityBundle, build_features, cross_validate,
-    generate_bundle, load_bundle_csv, load_gold_csv, load_similarity_csv,
-    logistic_loss_and_grad, metrics, predict_proba, roc_auc, run_and_trace,
-    train_logistic, weighted_geometric_mean,
+    PipelineError, SimilarityBundle, _check_weights, build_features,
+    cross_validate, generate_bundle, load_bundle_csv, load_gold_csv,
+    load_similarity_csv, logistic_loss_and_grad, metrics, predict_proba,
+    roc_auc, run_and_trace, train_logistic,
 )
 from plexflow.trace import load_trace
 from plexflow.vocab import OPREDICT as OP
 
 
-# -- weighted geometric mean ---------------------------------------------------
+# -- weighted geometric mean: the scalar oracle of build_features -------------
+
+def weighted_geometric_mean(x: float, y: float,
+                            weights: tuple[float, float] = (0.5, 0.5)) -> float:
+    """x**w1 * y**w2 with w1 + w2 = 1; zero inputs give zero (continuous limit)."""
+    w1, w2 = _check_weights(weights)
+    if x < 0 or y < 0:
+        raise PipelineError("similarities must be nonnegative")
+    if x == 0.0 or y == 0.0:
+        return 0.0
+    return float(x ** w1 * y ** w2)
+
 
 def test_wgm_examples():
     assert weighted_geometric_mean(0.25, 1.0) == pytest.approx(0.5, abs=1e-15)

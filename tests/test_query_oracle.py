@@ -591,3 +591,120 @@ def test_seed_shapes_reach_the_seeded_start_and_the_semi_join():
             if words[0] == "seed":
                 seen[words[1].split("=")[0]] += 1
     assert seen["start"] >= 10 and seen["key"] >= 10, seen
+
+
+# ---------------------------------------------------------------------------
+# One-pattern OPTIONAL groups that extend each outer row
+
+EXTEND_SHAPES = ("one-pattern", "nested", "union-outer", "repeated-var",
+                 "literal-object", "closure")
+
+
+def random_extend_query(rng: random.Random, g: Graph, shape: str) -> SelectQuery:
+    """A query of one shape whose OPTIONAL groups are mostly one triple
+    pattern, so that they extend the outer rows one by one.
+
+    The outer rows always bind ``?a``. ``nested`` draws its nested groups'
+    variables freely, so some are not well-designed and stay seeded. In
+    ``union-outer`` a UNION binds ``?e`` in one branch only.
+    ``repeated-var`` repeats a variable in a group's pattern.
+    ``literal-object`` fixes a pattern's object to a literal that equals the
+    graph's without being the same object. ``closure`` uses ``p+``, which
+    keeps the seeded path.
+    """
+    preds = sorted({t.p for t in g.match()}, key=nt_term)
+    literals = sorted({t.o for t in g.match() if isinstance(t.o, Literal)},
+                      key=nt_term)
+    names = ("a", "b", "c", "d")
+
+    def var(*pool):
+        return Var(rng.choice(pool or names))
+
+    def pattern(s=None, o=None, plus=False):
+        return TriplePattern(s or var(), rng.choice(preds), o or var(), plus)
+
+    def optional(*elements):
+        return OptionalGroup(Group(list(elements)))
+
+    outer = [pattern(Var("a"), var("b", "c"))]
+    if rng.random() < 0.5:
+        outer.append(pattern(var("a", "b", "c"), var("b", "c", "d")))
+    if shape == "one-pattern":
+        elements = outer + [optional(pattern(var("a", "b", "c")))
+                            for _ in range(rng.randrange(1, 3))]
+    elif shape == "nested":
+        nested = [optional(pattern()) for _ in range(rng.randrange(1, 3))]
+        if rng.random() < 0.5:
+            nested[0].group.elements.append(optional(pattern()))
+        elements = outer + [optional(pattern(var("a", "b")), *nested)]
+    elif shape == "union-outer":
+        branches = [Group([pattern(Var("a"), Var("e"))]),
+                    Group([pattern(Var("a"), var("b", "c"))])]
+        elements = [Union(branches), optional(pattern(Var("a"), var("b", "e")))]
+        if rng.random() < 0.5:
+            elements.append(optional(pattern(var("a", "e"))))
+    elif shape == "repeated-var":
+        same = var("a", "c")
+        repeated = pattern(same, same)
+        elements = outer + [optional(repeated) if rng.random() < 0.5 else
+                            optional(pattern(Var("a"), var("c", "d")),
+                                     optional(repeated))]
+    elif shape == "literal-object":
+        def literal():
+            if not literals:
+                return var()
+            term = rng.choice(literals)
+            return Literal(term.lexical, term.datatype, term.lang)
+
+        elements = outer + [optional(pattern(var("a", "b", "c"), literal()))]
+        if rng.random() < 0.5:
+            elements.append(optional(pattern(Var("a"), var("c", "d")),
+                                     optional(pattern(var("c", "d"), literal()))))
+    else:  # closure
+        closure = pattern(Var("a"), var("c", "d"), plus=True)
+        elements = outer + [optional(closure) if rng.random() < 0.5 else
+                            optional(pattern(Var("a"), Var("c")),
+                                     optional(pattern(Var("c"), plus=True)))]
+    if rng.random() < 0.2:
+        elements.append(Filter(BoundTest(var("b", "c", "d"), rng.random() < 0.5)))
+    projected = None
+    if rng.random() < 0.5:
+        projected = [Var(n) for n in sorted(rng.sample(names, 2))]
+    return SelectQuery({}, projected, rng.random() < 0.3, Group(elements), [])
+
+
+def test_extended_optionals_match_oracle_and_join_order_on_180_cases():
+    check_join_shapes(20261022, EXTEND_SHAPES, 180, random_extend_query)
+
+
+def test_extend_shapes_reach_both_the_extension_and_the_seeded_path():
+    rng = random.Random(20261023)
+    seen = {"extend": 0, "seed": 0}
+    for case in range(60):
+        g = random_graph(rng)
+        query = random_extend_query(rng, g, EXTEND_SHAPES[case % len(EXTEND_SHAPES)])
+        for line in explain(query, g):
+            words = line.split()
+            if words[:2] == ["optional", "extend"]:
+                seen["extend"] += 1
+            elif words[0] == "seed":
+                seen["seed"] += 1
+    assert seen["extend"] >= 10 and seen["seed"] >= 10, seen
+
+
+def test_a_nested_optional_that_is_not_well_designed_stays_joined():
+    # The nested group binds ?b, which the outer rows bind and the group's
+    # own pattern does not. Evaluated alone, the group gives (a, c1, b2),
+    # which does not fit the outer row (a, b1), so SPARQL keeps that row
+    # alone. Extending the outer row would give (a, b1, c1).
+    g = Graph([Triple(iri("urn:a"), iri("urn:p"), iri("urn:b1")),
+               Triple(iri("urn:a"), iri("urn:q"), iri("urn:c1")),
+               Triple(iri("urn:c1"), iri("urn:r"), iri("urn:b2"))]).freeze()
+    query = parse_query("SELECT ?a ?b ?c WHERE { ?a <urn:p> ?b . OPTIONAL { "
+                        "?a <urn:q> ?c . OPTIONAL { ?c <urn:r> ?b } } }")
+    expected = [(iri("urn:a"), iri("urn:b1"), None)]
+    assert evaluate(query, g).rows == expected
+    assert oracle_evaluate(query, g) == expected
+    # The group is seeded and joined; its own nested OPTIONAL may still
+    # extend the group's rows, which no outer row then fits.
+    assert explain(query, g)[-1] == "optional key=(?a ?b) pairs=0 rows=1"

@@ -120,6 +120,33 @@ def test_match_agrees_with_linear_scan_randomized():
                 assert g.match(s, p, o) == expected, (state, s, p, o)
 
 
+def test_fully_bound_match_equals_the_subject_predicate_match_filtered():
+    # match(s, p, o) reads the one (s, p) bucket. The parsed graph shares
+    # one object per term, so the hand-built literals equal the parsed ones
+    # without being them.
+    rng = random.Random(23)
+    absent = iri("urn:absent")
+    hand_built = [Literal("v1"), Literal("2", XSD_INTEGER)]
+    for _ in range(40):
+        lines = []
+        for _ in range(rng.randrange(1, 80)):
+            o = (f'"v{rng.randrange(3)}"' if rng.random() < 0.2 else
+                 f'"{rng.randrange(3)}"^^<{XSD_INTEGER}>' if rng.random() < 0.2
+                 else f"<urn:n{rng.randrange(8)}>")
+            lines.append(f"<urn:n{rng.randrange(8)}> <urn:p{rng.randrange(3)}> {o} .")
+        g = parse_ntriples("\n".join(lines) + "\n")
+        subjects = sorted({t.s for t in g}, key=nt_term) + [absent]
+        preds = sorted({t.p for t in g}, key=nt_term) + [absent]
+        objects = sorted({t.o for t in g}, key=nt_term) + [absent] + hand_built
+        assert not any(o is term for o in hand_built for term in objects[:-2])
+        for state in ("unfrozen", "frozen", "frozen, buckets sorted"):
+            if state == "frozen":
+                g.freeze()
+            for s, p, o in itertools.product(subjects, preds, objects):
+                expected = [t for t in g.match(s, p, None) if t.o == o]
+                assert g.match(s, p, o) == expected, (state, s, p, o)
+
+
 @pytest.mark.parametrize("frozen", [False, True])
 def test_match_returns_a_fresh_list(frozen):
     nodes = [iri(f"urn:n{i}") for i in range(3)]

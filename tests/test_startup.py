@@ -109,3 +109,12 @@ def test_run_openpredict_loads_numpy_but_not_the_fixture(workdir):
     loaded = _loaded_after(_main(argv), workdir)
     assert {"numpy", "plexflow.openpredict"} <= loaded
     assert not {"plexflow.fixture", "plexflow.trace", "plexflow.workflow"} & loaded
+
+
+def test_run_openpredict_does_not_load_numpy_ma(workdir):
+    # Importing numpy.ma costs a run-openpredict process about 15 ms.
+    argv = ["run-openpredict", "--scheme", "drugs", "--drugs", "30",
+            "--diseases", "20", "--folds", "2", "--metrics", "metrics.json"]
+    loaded = _loaded_after(_main(argv), workdir)
+    assert "plexflow.openpredict" in loaded
+    assert "numpy.ma" not in loaded

@@ -11,12 +11,12 @@ from plexflow.vocab import (
     EDAM, MEASURES, OPREDICT as OP, PPLAN, RDF, prefixes_turtle,
 )
 from plexflow.workflow import (
-    _FIELDS, _IRI, _IRI_OR_NONE, COMPUTER_LANGUAGE, ActivityRecord, AgentAssociation, AgentDef,
+    _FIELDS, _IRI, _IRI_OR_NONE, ActivityRecord, AgentAssociation, AgentDef,
     ArtifactRecord, DatasetRecord,
-    Instruction, LANGUAGE_ENGLISH, LANGUAGE_PYTHON_3_5, MANUAL, NATURAL_LANGUAGE,
+    Instruction, LANGUAGE_ENGLISH, LANGUAGE_PYTHON_3_5, MANUAL,
     SCRIPT, QueryShape, StepDef, DistributionDef, UsageBinding,
-    UnknownLanguageError, VariableDef, WorkflowDef, WorkflowError, WorkflowView,
-    emit_triples, instruction_kind, load_workflow, step_order, validate,
+    VariableDef, WorkflowDef, WorkflowError, WorkflowView,
+    emit_triples, load_workflow, step_order, validate,
 )
 
 from conftest import k_copy_graph, load_listing
@@ -211,7 +211,7 @@ def test_manual_step_with_computer_language_instruction_is_valid():
     step = view.steps[OP.Step_One]
     instr = view.instructions[step.instruction]
     assert step.kind == MANUAL
-    assert instruction_kind(instr) == COMPUTER_LANGUAGE
+    assert instr.language == (LANGUAGE_PYTHON_3_5,)
 
 
 def test_shape_with_invalid_query_text_flagged():
@@ -252,16 +252,6 @@ opredict:Constraint_Q rdf:type sh:SPARQLConstraint ;
     view = load_workflow(g, OP.Plan_Tiny)
     (violation,) = [v for v in validate(view) if v.code == "E_SHAPE_SPARQL"]
     assert "nested deeper than" in violation.detail
-
-
-def test_instruction_kind_registry():
-    natural = Instruction(iri="urn:i1", language=(LANGUAGE_ENGLISH,))
-    computer = Instruction(iri="urn:i2", language=(LANGUAGE_PYTHON_3_5,))
-    assert instruction_kind(natural) == NATURAL_LANGUAGE
-    assert instruction_kind(computer) == COMPUTER_LANGUAGE
-    unknown = Instruction(iri="urn:i3", language=("urn:lang:klingon",))
-    with pytest.raises(UnknownLanguageError):
-        instruction_kind(unknown)
 
 
 # -- step ordering -----------------------------------------------------------
