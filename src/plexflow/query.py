@@ -83,10 +83,10 @@ every sort key reuses that text.
   VALUES, UNION, ``p+``, not well-designed), is seeded from the outer
   rows (sideways information passing, as in RDF-3X): the seed is the
   distinct tuples of the variables that every outer row binds and the
-  group's own triple patterns bind. A group without VALUES or UNION whose seed is no larger
-  than its smallest first-step estimate starts from the seed rows;
-  otherwise the seed is joined ``"inner"`` as soon as the group's rows bind
-  every seed variable. Either way the group keeps only the rows whose
+  group's own triple patterns bind. A group without VALUES or UNION whose
+  seed is no larger than its smallest first-step estimate starts from the
+  seed rows; otherwise the seed is joined ``"inner"`` as soon as the
+  group's rows bind every seed variable. Either way the group keeps only the rows whose
   seed variables some outer row has. Those variables are part of the
   outer join's key, so the dropped rows would pair with no outer row; the
   seed holds no variable the group would not bind itself, so its FILTERs
@@ -701,7 +701,8 @@ def _extend(g: Graph, pat: TriplePattern, sols: list[Solution],
     (sn, s0), (pn, p0), (on, o0) = [(name, None if name else part)
                                     for name, part in zip(names, parts)]
     slots = [(name, _TRIPLE_POSITIONS[i]) for i, name in enumerate(names) if name]
-    free = [slot for slot in slots if slot[0] not in sols[0]] if fixed and sols else None
+    free = ([slot for slot in slots if slot[0] not in sols[0]]
+            if fixed and sols else None)
     match = g.match
     append = out.append
     for sol in sols:

@@ -19,13 +19,14 @@ Design notes:
   with ``(s, p)``, ``(p, o)`` or only ``p`` bound is one bucket, read
   without a scan or a term comparison; with all three bound it is the
   ``(s, p)`` bucket's one triple whose object equals ``o``, if any; other
-  shapes filter the smallest candidate set. On a frozen graph each bucket is sorted into canonical
-  order once, on its first read. :meth:`Graph.bucket_size` reports the
-  smallest one-position bucket's size for the query planner; a frozen
-  graph keeps a subject's or an object's total over its predicates once it
-  has summed it, filled lazily as the sorts are. There is no
-  closure index: the query engine answers ``p+`` by walking these buckets
-  one hop at a time. Insertion is idempotent (set semantics).
+  shapes filter the smallest candidate set. On a frozen graph each bucket
+  is sorted into canonical order once, on its first read.
+  :meth:`Graph.bucket_size` reports the smallest one-position bucket's
+  size for the query planner; a frozen graph keeps a subject's or an
+  object's total over its predicates once it has summed it, filled lazily
+  as the sorts are. There is no closure index: the query engine answers
+  ``p+`` by walking these buckets one hop at a time. Insertion is
+  idempotent (set semantics).
 - Serialization is canonical: statements sorted by their serialized
   (subject, predicate, object) forms, one per line, ``\\n`` endings. Byte
   identity of output is therefore a pure function of the triple set.
