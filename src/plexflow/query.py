@@ -56,8 +56,9 @@ every sort key reuses that text.
   only the variables the row leaves unbound are set. Where each of the
   pattern's variables is bound in every row or in none (always, in a
   group without UNION), those variables are found once per step, not per
-  row. ``p+`` and a pattern that repeats a variable match row by row
-  (:func:`_match_pattern`).
+  row. ``p+`` takes the same path, with :func:`_hops` in place of
+  ``match``, and a pattern that repeats a variable keeps only the triples
+  whose repeated positions agree.
 - Outer and inner rows meet in one hash join, :func:`_join`, in the modes
   of SPARQL's algebra (SPARQL 1.1 Query, §18.5): VALUES tables (one row
   per term) and UNION rows join ``"inner"``, seeded OPTIONAL groups
@@ -78,7 +79,11 @@ every sort key reuses that text.
   bind occurs in the enclosing pattern. Otherwise an outer binding would
   reach a nested group that SPARQL evaluates without it. "May bind" is
   read from the query: the group's VALUES, UNION, pattern and earlier
-  OPTIONAL variables, so a plan and its replay take the same path.
+  OPTIONAL variables, so a plan and its replay take the same path. A
+  ``p+`` group stays seeded: extended, it walks from each outer row in
+  turn, where a seeded group with a constant end walks once from it. On a
+  1,500-step ``dul:precedes`` chain, ``?s rdfs:label ?l . OPTIONAL { ?s
+  dul:precedes+ <last> }`` took about 1.8 s extended and 0.03 s seeded.
 - A MINUS group, and any other OPTIONAL group (several patterns, FILTER,
   VALUES, UNION, ``p+``, not well-designed), is seeded from the outer
   rows (sideways information passing, as in RDF-3X): the seed is the
@@ -117,6 +122,7 @@ import json
 import re
 import weakref
 from dataclasses import dataclass, field, fields, is_dataclass
+from functools import partial
 from itertools import chain
 from operator import attrgetter, itemgetter
 from typing import Callable, NamedTuple, Optional
@@ -580,6 +586,8 @@ def parse_query(text: str) -> SelectQuery:
 Solution = dict[str, Term]
 
 _TRIPLE_POSITIONS = (attrgetter("s"), attrgetter("p"), attrgetter("o"))
+# A p+ hop is a plain tuple: building a Triple per hop cost CQ2.1 about 8%.
+_HOP_POSITIONS = (itemgetter(0), itemgetter(1), itemgetter(2))
 
 
 class ResultTable:
@@ -600,9 +608,6 @@ class ResultTable:
     def column(self, name: str) -> list:
         idx = self.variables.index(name)
         return [row[idx] for row in self.rows]
-
-    def distinct_values(self, name: str) -> set:
-        return {v for v in self.column(name) if v is not None}
 
     def to_tsv(self) -> str:
         lines = ["\t".join(f"?{v}" for v in self.variables)]
@@ -643,67 +648,50 @@ def _walk(g: Graph, p: IRI, start: Term, forward: bool,
     return list(reached) if stop is None else []
 
 
-def _match_pattern(g: Graph, pat: TriplePattern, sol: Solution) -> list[Solution]:
-    s = _substitute(pat.s, sol)
-    o = _substitute(pat.o, sol)
-    if pat.plus:  # the parser guarantees an IRI predicate
-        parts = (pat.s, pat.o)
-        if s is not None:
-            found = [(s, t) for t in _walk(g, pat.p, s, True, o)]
-        elif o is not None:
-            found = [(src, o) for src in _walk(g, pat.p, o, False)]
-        else:
-            found = [(src, t)
-                     for src in dict.fromkeys(t.s for t in g.match(None, pat.p, None))
-                     for t in _walk(g, pat.p, src, True)]
-    else:
-        parts = (pat.s, pat.p, pat.o)
-        found = g.match(s, _substitute(pat.p, sol), o)
-    out: list[Solution] = []
-    for values in found:
-        ext = dict(sol)
-        ok = True
-        for part, val in zip(parts, values):
-            if isinstance(part, Var):
-                if part.name in ext and ext[part.name] != val:
-                    ok = False
-                    break
-                ext[part.name] = val
-        if ok:
-            out.append(ext)
-    return out
+def _hops(g: Graph, s: Optional[Term], p: IRI, o: Optional[Term]) -> list[tuple]:
+    """The matches of ``s p+ o`` as ``(s, p, o)`` tuples: :func:`_walk` from
+    the bound end, or from each subject of ``p`` when neither is bound."""
+    if s is not None:
+        return [(s, p, t) for t in _walk(g, p, s, True, o)]
+    if o is not None:
+        return [(src, p, o) for src in _walk(g, p, o, False)]
+    return [(src, p, t)
+            for src in dict.fromkeys(t.s for t in g.match(None, p, None))
+            for t in _walk(g, p, src, True)]
 
 
 def _extend(g: Graph, pat: TriplePattern, sols: list[Solution],
             fixed: bool = False,
             misses: Optional[list[Solution]] = None) -> list[Solution]:
     """Every row extended by every match of ``pat``, in row order and then
-    the order of :meth:`Graph.match`; a row with no match goes to
-    ``misses`` when given. The pattern's positions are resolved once; per
-    row there is one ``match`` call and, per triple, one copy of the row
-    with only the variables the row leaves unbound set. With ``fixed``,
-    each of the pattern's variables is bound in every row or in none, so
-    those variables are found once, from the first row. ``p+`` and a
-    pattern that repeats a variable take :func:`_match_pattern` per row."""
+    the order of :meth:`Graph.match` (of :func:`_hops` for ``p+``); a row
+    with no match goes to ``misses`` when given. The pattern's positions
+    are resolved once; per row there is one ``match`` call and, per triple,
+    one copy of the row with only the variables the row leaves unbound set.
+    A pattern that repeats a variable keeps only the triples whose repeated
+    positions agree. With ``fixed``, each of the pattern's variables is
+    bound in every row or in none, so those variables are found once, from
+    the first row."""
     parts = (pat.s, pat.p, pat.o)
     names = [part.name if isinstance(part, Var) else None for part in parts]
-    variables = [name for name in names if name is not None]
-    out: list[Solution] = []
-    if pat.plus or len(set(variables)) < len(variables):
-        for sol in sols:
-            found = _match_pattern(g, pat, sol)
-            if found:
-                out.extend(found)
-            elif misses is not None:
-                misses.append(sol)
-        return out
     # A constant reads as sol.get(None, constant): no row binds the name None.
     (sn, s0), (pn, p0), (on, o0) = [(name, None if name else part)
                                     for name, part in zip(names, parts)]
-    slots = [(name, _TRIPLE_POSITIONS[i]) for i, name in enumerate(names) if name]
+    match, positions = ((partial(_hops, g), _HOP_POSITIONS) if pat.plus
+                        else (g.match, _TRIPLE_POSITIONS))
+    slots = [(name, positions[i]) for i, name in enumerate(names) if name]
+    first = dict(reversed(slots))  # each variable's first position
+    if len(first) < len(slots):
+        repeats = [(first[name], get) for name, get in slots if first[name] is not get]
+        unfiltered = match
+
+        def match(s, p, o):
+            return [t for t in unfiltered(s, p, o)
+                    if all(a(t) == b(t) for a, b in repeats)]
+
     free = ([slot for slot in slots if slot[0] not in sols[0]]
             if fixed and sols else None)
-    match = g.match
+    out: list[Solution] = []
     append = out.append
     for sol in sols:
         found = match(sol.get(sn, s0), sol.get(pn, p0), sol.get(on, o0))
@@ -875,6 +863,8 @@ def _extension(group: Group, bound: set[str],
     the one it records."""
     patterns = [el for el in group.elements if isinstance(el, TriplePattern)]
     nested = [el.group for el in group.elements if isinstance(el, OptionalGroup)]
+    # p+ stays seeded: a walk per outer row is quadratic on a long chain,
+    # where a seeded group with a constant end walks once (module docstring).
     if (len(patterns) != 1 or len(group.elements) != 1 + len(nested)
             or patterns[0].plus):
         return None

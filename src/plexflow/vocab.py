@@ -191,11 +191,6 @@ def expand_str(curie: str) -> str:
     return NAMESPACES[prefix] + local
 
 
-def expand(curie: str) -> IRI:
-    """Expand a CURIE to an :class:`~plexflow.rdf.IRI` term."""
-    return IRI(expand_str(curie))
-
-
 # Longest base first, so e.g. rdf# beats any shorter shared base. The empty
 # prefix aliases opredict and must lose the tie, so sort it after.
 _BASES = sorted(

@@ -29,8 +29,9 @@ on its constraint node, and only a ``sh:NodeShape`` whose first
 ``sh:targetClass`` is a loaded usage is kept. The trace's hand-written
 parts are listed in ``plexflow.trace``.
 
-Instructions deliberately carry no manual/computational flag of their own;
-that classification is derived from the instruction language, so a Python
+Instructions deliberately carry no manual/computational flag of their own:
+a step's kind comes from its type, ``bpmn:ManualTask`` or
+``bpmn:ScriptTask``, whatever its instruction's language, so a Python
 instruction may well sit behind a manual step (run by hand, cell by cell).
 """
 

@@ -90,7 +90,7 @@ def test_criterion_1_cq_counts(fixture_graph):
         assert delta_counts(t) == {"removed": 0, "changed": 0, "added": 2}
 
         t = run_cq("CQ3.5", fixture_graph)
-        assert len(t.distinct_values("activity")) == 14
+        assert len(set(t.column("activity")) - {None}) == 14
         v01_values = {row[3].lexical for row in t.rows
                       if row[1] == IRI(V01) and row[3] is not None}
         assert REFERENCE_ACCURACY in v01_values

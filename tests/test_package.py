@@ -1,3 +1,8 @@
+import ast
+import pathlib
+import re
+from collections import Counter
+
 import pytest
 
 import plexflow
@@ -34,3 +39,35 @@ def test_unknown_attribute_raises_attribute_error_naming_it():
     with pytest.raises(AttributeError, match="no_such_name"):
         plexflow.no_such_name
     assert not hasattr(plexflow, "no_such_name")
+
+
+def test_every_definition_is_used_or_exported():
+    """No function or method of ``src/plexflow/*.py``, dunders and exported
+    names aside, has a name that occurs in no Python file under
+    ``src/plexflow`` or ``perfbench`` except in its own ``def`` lines. One
+    the README names as ``Owner.name`` (a class or module) is public API."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    words: Counter[str] = Counter()
+    defs: Counter[str] = Counter()
+    for top in ("src/plexflow", "perfbench"):
+        for path in (root / top).rglob("*.py"):
+            text = path.read_text(encoding="utf-8")
+            words.update(re.findall(r"\w+", text))
+            defs.update(re.findall(r"\bdef (\w+)", text))
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    unused = []
+    for path in sorted((root / "src/plexflow").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {id(node): cls.name for cls in ast.walk(tree)
+                 if isinstance(cls, ast.ClassDef) for node in cls.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = node.name
+            dunder = name.startswith("__") and name.endswith("__")
+            if dunder or name in plexflow.__all__:
+                continue
+            qualified = f"{owner.get(id(node), path.stem)}.{name}"
+            if f"`{qualified}`" not in readme and words[name] <= defs[name]:
+                unused.append(f"{path.name}: {qualified}")
+    assert unused == []

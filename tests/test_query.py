@@ -165,12 +165,19 @@ def test_closure_on_chain():
 
 
 def test_closure_with_bound_subject_and_cycles():
-    g = g_of(("urn:a", "urn:p", "urn:b"), ("urn:b", "urn:p", "urn:a"))
+    g = g_of(("urn:a", "urn:p", "urn:b"), ("urn:b", "urn:p", "urn:a"),
+             ("urn:c", "urn:p", "urn:a"), ("urn:a", "urn:t", "urn:T"),
+             ("urn:c", "urn:t", "urn:T"))
     table = run_query("SELECT ?x WHERE { <urn:a> <urn:p>+ ?x }", g)
     assert {row[0].value for row in table.rows} == {"urn:a", "urn:b"}
-    # Self-join through the closure only keeps cyclic nodes.
+    # Self-join through the closure only keeps cyclic nodes: urn:c reaches
+    # the cycle but never returns to itself.
     table = run_query("SELECT ?x WHERE { ?x <urn:p>+ ?x }", g)
-    assert {row[0].value for row in table.rows} == {"urn:a", "urn:b"}
+    assert [row[0].value for row in table.rows] == ["urn:a", "urn:b"]
+    # The same with ?x bound first by the smaller rdf:type-like bucket.
+    query = parse_query("SELECT ?x WHERE { ?x <urn:t> <urn:T> . ?x <urn:p>+ ?x }")
+    assert explain(query, g)[0].startswith("pattern ?x <urn:t> <urn:T>")
+    assert [row[0].value for row in evaluate(query, g).rows] == ["urn:a"]
 
 
 def test_minus_removes_compatible_rows():
@@ -366,9 +373,19 @@ def test_evaluate_requires_frozen_graph():
 
 
 def test_repeated_variable_in_pattern():
-    g = g_of(("urn:a", "urn:p", "urn:a"), ("urn:b", "urn:p", "urn:c"))
+    g = g_of(("urn:a", "urn:p", "urn:a"), ("urn:b", "urn:p", "urn:c"),
+             ("urn:c", "urn:p", "urn:b"), ("urn:d", "urn:p", "urn:d"),
+             ("urn:a", "urn:t", "urn:T"), ("urn:c", "urn:t", "urn:T"),
+             ("urn:p", "urn:p", "urn:o"))
     table = run_query("SELECT ?x WHERE { ?x <urn:p> ?x }", g)
-    assert [row[0].value for row in table.rows] == ["urn:a"]
+    assert [row[0].value for row in table.rows] == ["urn:a", "urn:d"]
+    # ?x bound first by the smaller <urn:t> bucket, then matched as both ends.
+    query = parse_query("SELECT ?x WHERE { ?x <urn:t> <urn:T> . ?x <urn:p> ?x }")
+    assert explain(query, g)[0].startswith("pattern ?x <urn:t> <urn:T>")
+    assert [row[0].value for row in evaluate(query, g).rows] == ["urn:a"]
+    # A subject that is also the predicate.
+    table = run_query("SELECT ?x ?y WHERE { ?x ?x ?y }", g)
+    assert [(x.value, y.value) for x, y in table.rows] == [("urn:p", "urn:o")]
 
 
 def test_unsubstituted_parameter_is_an_error():

@@ -6,30 +6,31 @@ from plexflow.turtle import parse_turtle
 
 
 def test_expand_known_terms():
-    assert vocab.expand("p-plan:Step") == IRI("http://purl.org/net/p-plan#Step")
-    assert vocab.expand("rdf:type") == IRI(
+    assert IRI(vocab.expand_str("p-plan:Step")) == IRI(
+        "http://purl.org/net/p-plan#Step")
+    assert IRI(vocab.expand_str("rdf:type")) == IRI(
         "http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
-    assert vocab.expand("opredict:Plan_Main_Protocol_v01") == IRI(
+    assert IRI(vocab.expand_str("opredict:Plan_Main_Protocol_v01")) == IRI(
         "https://w3id.org/fair/openpredict/Plan_Main_Protocol_v01")
 
 
 def test_expand_unknown_prefix():
     with pytest.raises(vocab.UnknownPrefixError):
-        vocab.expand("nope:thing")
+        IRI(vocab.expand_str("nope:thing"))
     with pytest.raises(vocab.UnknownPrefixError):
-        vocab.expand("not-a-curie")
+        IRI(vocab.expand_str("not-a-curie"))
 
 
 def test_compress_roundtrips_with_expand():
     for curie in ("p-plan:Step", "rdf:type", "opredict:Plan_Main_Protocol_v01",
                   "edam:format_3256", "dc:hasVersion"):
-        assert vocab.compress(vocab.expand(curie)) == curie
+        assert vocab.compress(IRI(vocab.expand_str(curie))) == curie
 
 
 def test_compress_identity_on_catalog():
     for curie, iri_str in vocab.TERM_CATALOG.items():
         assert vocab.expand_str(vocab.compress(iri_str)) == iri_str
-        assert vocab.compress(vocab.expand(curie)) == curie
+        assert vocab.compress(IRI(vocab.expand_str(curie))) == curie
 
 
 def test_compress_leaves_foreign_iris_alone():
@@ -74,7 +75,7 @@ def test_catalog_covers_required_terms():
 def test_catalog_total_over_fixture_vocabulary(fixture_graph):
     # Every predicate and every class used in the example graph must be a
     # catalog term; instance IRIs just need a registered namespace.
-    rdf_type = vocab.expand("rdf:type")
+    rdf_type = IRI(vocab.expand_str("rdf:type"))
     for t in fixture_graph.match():
         assert vocab.in_catalog_namespace(t.p.value), t.p.value
         pred_curie = vocab.compress(t.p.value)
