@@ -246,6 +246,10 @@ def _cmd_run_openpredict(args) -> int:
                                            seed=args.seed)
     except op_mod.PipelineError as exc:
         raise _CliError(str(exc), EXIT_USAGE) from exc
+    except MemoryError as exc:
+        # numpy's message names the size it could not allocate.
+        detail = f": {exc}" if str(exc) else ""
+        raise _CliError(f"not enough memory{detail}", EXIT_USAGE) from exc
     payload = json.dumps(record.to_payload(), sort_keys=True, indent=2) + "\n"
     _write_output(payload, args.metrics)
     return EXIT_OK

@@ -29,20 +29,29 @@ A synthetic generator produces block-structured similarity bundles with a
 planted cluster signal (or none), sized for tests rather than for real
 corpora; real matrices can be loaded from CSV instead.
 
-The feature kernel groups the maximum by gold disease. The similarity
-tensors are raised to w1 and w2 once per call; for each candidate drug a
-table holds, per gold disease k, the largest powered drug similarity to
-the gold drugs of k, and a feature is max_k table[drug, k] * spow[disease, k].
+The feature kernel groups the maximum by gold disease. Each call raises
+the similarity tensors to w1 and w2 and builds one table for every drug
+of the bundle: per gold disease k, the largest powered drug similarity to
+the gold drugs of k. A feature is max_k table[drug, k] * spow[disease, k].
 This equals the pairwise maximum bit for bit: inside one group the disease
 factor b >= 0 is fixed, and correctly rounded multiplication by b is
 monotone, so max fl(a * b) == fl(max(a) * b), while max itself never
-rounds. With ``exclude_self`` a candidate that is a gold pair gets its own
-group's entry recomputed with its own drug's value replaced by 0.0, as the
-pairwise form replaced its own product by 0.0. Candidates, and distinct
-candidate drugs while the table is built, go ``_ROW_BLOCK`` at a time, so
-temporaries are bounded by the block size and the bundle, never by the
-number of candidates: at 593 x 313 with 1,779 gold pairs an 18,600-candidate
-call peaks near 30 MB instead of the pairwise tensor's 6.8 GB.
+rounds. The table is built rank by rank: each group starts from its first
+gold drug's row, and each further rank folds the next gold drug's row in
+with ``np.maximum``, in the left-to-right order a reduction would take.
+With ``exclude_self`` a candidate that is a gold pair gets its own group's
+entry recomputed with its own drug's value replaced by 0.0, as the
+pairwise form replaced its own product by 0.0.
+
+Cross-validation makes one call per fold. The training pairs and the test
+pairs go in together with ``exclude_self``, and the rows are split after:
+no test pair is a training gold pair, so the test rows are those of a call
+without it. Candidates go ``_ROW_BLOCK`` at a time through one product
+buffer, so temporaries are bounded by the block size and the bundle, never
+by the number of candidates. At 593 x 313 under ``tracemalloc``, an
+18,600-candidate training call peaks at 32.5 MiB, and a hide-drugs fold's
+call (3,198 training rows and an 18,780-row test grid) at 32.7 MiB; the
+pairwise tensor for the first needs about 6.8 GB.
 
 Training minimizes the mean cross-entropy plus 0.5 * l2 * ||w||^2 (the
 bias is not penalized) by Newton's method from zero weights. Each step
@@ -75,9 +84,10 @@ N_DRUG_MEASURES = 5
 N_DISEASE_MEASURES = 2
 N_FEATURES = N_DRUG_MEASURES * N_DISEASE_MEASURES
 
-# Candidate rows (and distinct candidate drugs) handled per step of
-# build_features; its temporaries scale with this, not with the candidates.
-_ROW_BLOCK = 64
+# Candidate rows per step of build_features. Its product buffer holds this
+# many rows, so its temporaries scale with this, not with the candidates.
+# 32 was the fastest of 16 to 128 at 200 x 120 and at 593 x 313.
+_ROW_BLOCK = 32
 
 
 class PipelineError(ValueError):
@@ -184,26 +194,38 @@ def build_features(bundle: SimilarityBundle, gold: GoldStandard,
     dpow = np.ascontiguousarray((bundle.drug_sims ** w1).transpose(2, 1, 0))
     spow = np.ascontiguousarray(
         (bundle.disease_sims ** w2)[:, :, group_disease].transpose(1, 0, 2))
-    drugs, drug_row = np.unique(cd, return_inverse=True)
-    table = np.empty((len(drugs), N_DRUG_MEASURES, len(group_disease)),
-                     dtype=dpow.dtype)                               # (U, 5, K)
-    for lo in range(0, len(drugs), _ROW_BLOCK):
-        block = drugs[lo:lo + _ROW_BLOCK]
-        grouped = np.maximum.reduceat(dpow[gd[:, None], block[None, :]],
-                                      start, axis=0)                 # (K, b, 5)
-        table[lo:lo + len(block)] = grouped.transpose(1, 2, 0)
+    # Row r of grouped is the largest dpow[d', :, :] over the gold drugs d'
+    # of gold disease order[r], folded in rank by rank in ascending d'
+    # order. Longest groups come first, so the groups that a rank still
+    # extends are a prefix of the rows.
+    length = end - start
+    order = np.argsort(-length)
+    first = start[order]
+    grouped = dpow[gd[first]]                                        # (K, D, 5)
+    for rank in range(1, int(length.max())):
+        live = grouped[:np.count_nonzero(length > rank)]
+        np.maximum(live, dpow[gd[first[:len(live)] + rank]], out=live)
+    table = np.empty((bundle.n_drugs, N_DRUG_MEASURES, len(order)),
+                     dtype=dpow.dtype)                               # (D, 5, K)
+    table.transpose(2, 0, 1)[order] = grouped
+    del grouped
 
     X = np.empty((len(pairs), N_FEATURES), dtype=np.result_type(dpow, spow))
+    by_measure = X.reshape(-1, N_DRUG_MEASURES, N_DISEASE_MEASURES)
+    product = np.empty((_ROW_BLOCK, N_DRUG_MEASURES, len(group_disease)),
+                       dtype=X.dtype)
     for lo in range(0, len(pairs), _ROW_BLOCK):
         rows = slice(lo, lo + _ROW_BLOCK)
-        drug_part = table[drug_row[rows]]                            # (b, 5, K)
+        drug_part = table[cd[rows]]                                  # (b, 5, K)
         if exclude_self:
             _drop_self_column(drug_part, dpow, gd, cd[rows], cs[rows],
                               np.flatnonzero(y[rows]), group_disease,
                               start, end)
         disease_part = spow[cs[rows]]                                # (b, 2, K)
-        feats = (drug_part[:, :, None] * disease_part[:, None]).max(axis=3)
-        X[rows] = feats.reshape(-1, N_FEATURES)
+        block = product[:len(drug_part)]
+        for j in range(N_DISEASE_MEASURES):
+            np.multiply(drug_part, disease_part[:, j, None], out=block)
+            block.max(axis=2, out=by_measure[rows, :, j])
     return FeatureMatrix(pairs=pairs, X=X, y=y)
 
 
@@ -541,21 +563,30 @@ def _folds(scheme, labels, n_diseases, folds, repetitions, seed):
             yield train_pos, pool[draw(len(pool), len(train_pos), rng_fold)], test
 
 
-def _fold_metrics(bundle, train_pos, train_neg, test, labels, hyper,
-                  weights) -> MetricsRecord:
-    """Train on the fold's gold pairs and sampled negatives, and score the
-    test pairs against the full gold standard."""
+def _fold_features(bundle, train_pos, train_neg, test,
+                   weights) -> tuple[FeatureMatrix, np.ndarray]:
+    """A fold's training features and its test pairs' feature rows, from
+    one ``build_features`` call against its training gold pairs."""
     def pairs(flat):
         return np.stack(np.divmod(flat, bundle.n_diseases), axis=1)
 
     train_gold = GoldStandard(frozenset(map(tuple, pairs(train_pos).tolist())))
-    train = build_features(bundle, train_gold,
-                           pairs(np.concatenate([train_pos, train_neg])),
-                           exclude_self=True, weights=weights)
-    test_features = build_features(bundle, train_gold, pairs(test),
-                                   exclude_self=False, weights=weights)
+    features = build_features(
+        bundle, train_gold, pairs(np.concatenate([train_pos, train_neg, test])),
+        exclude_self=True, weights=weights)
+    n_train = len(train_pos) + len(train_neg)
+    train = FeatureMatrix(pairs=features.pairs[:n_train],
+                          X=features.X[:n_train], y=features.y[:n_train])
+    return train, features.X[n_train:]
+
+
+def _fold_metrics(bundle, train_pos, train_neg, test, labels, hyper,
+                  weights) -> MetricsRecord:
+    """Train on the fold's gold pairs and sampled negatives, and score the
+    test pairs against the full gold standard."""
+    train, test_X = _fold_features(bundle, train_pos, train_neg, test, weights)
     model = train_logistic(train, hyper)
-    return metrics(predict_proba(model, test_features.X), labels[test])
+    return metrics(predict_proba(model, test_X), labels[test])
 
 
 # ---------------------------------------------------------------------------

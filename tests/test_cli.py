@@ -417,6 +417,24 @@ USAGE_ERRORS = {
 }
 
 
+def test_run_openpredict_out_of_memory_exits_2_with_one_error_line(
+        monkeypatch, capsys):
+    # A real allocation of this size could start touching pages on a host
+    # that overcommits memory, so the generator raises instead.
+    message = ("Unable to allocate 931. GiB for an array with shape "
+               "(5, 1000000, 1000000) and data type float64")
+
+    def too_large(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("plexflow.openpredict.generate_bundle", too_large)
+    argv = ["run-openpredict", "--scheme", "drugs", "--drugs", "1000000",
+            "--diseases", "1000000"]
+    assert main(argv) == EXIT_USAGE
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"error: not enough memory: {message}"]
+
+
 @pytest.mark.parametrize("argv, part", USAGE_ERRORS.values(),
                          ids=USAGE_ERRORS.keys())
 def test_bad_argument_exits_2_with_one_error_line(fixture_file, tmp_path, capsys,

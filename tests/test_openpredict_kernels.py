@@ -3,12 +3,13 @@
 ``build_features`` takes the maximum grouped by gold disease, ``_sigmoid``
 uses one branch-free expression, and the midranks and average precision
 find their tie blocks with array operations; each must agree with the
-direct form below bit for bit. ``train_logistic`` uses Newton's method,
-which gradient descent cannot match bit for bit; it must reach a
-stationary point, agree with a long gradient-descent run, and give the
-same bytes on every run and at any BLAS thread count. Pinned digests of
-cross-validation output close the file: any change to the draws, the folds
-or the metrics breaks them.
+direct form below bit for bit. Cross-validation's one ``build_features``
+call per fold must give each side the bytes of the call it replaces.
+``train_logistic`` uses Newton's method, which gradient descent cannot
+match bit for bit; it must reach a stationary point, agree with a long
+gradient-descent run, and give the same bytes on every run and at any
+BLAS thread count. Pinned digests of cross-validation output close the
+file: any change to the draws, the folds or the metrics breaks them.
 """
 
 import hashlib
@@ -20,6 +21,7 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -27,9 +29,9 @@ import plexflow
 from plexflow.cli import EXIT_OK, main
 from plexflow.openpredict import (
     HIDE_ASSOCIATIONS, HIDE_DRUGS, N_FEATURES, FeatureMatrix, GoldStandard,
-    Hyper, PipelineError, SimilarityBundle, _ROW_BLOCK, _midranks, _sigmoid,
-    average_precision, build_features, cross_validate, generate_bundle,
-    logistic_loss_and_grad, train_logistic,
+    Hyper, PipelineError, SimilarityBundle, _ROW_BLOCK, _fold_features, _folds,
+    _midranks, _sigmoid, average_precision, build_features, cross_validate,
+    generate_bundle, logistic_loss_and_grad, train_logistic,
 )
 
 WEIGHTS = [(0.5, 0.5), (0.3, 0.7), (1.0, 0.0), (0.0, 1.0)]
@@ -265,23 +267,87 @@ def test_tie_blocks_equal_the_loops_bytes(case):
             == np.float64(loop_average_precision(scores, labels)).tobytes())
 
 
-def test_paper_scale_features_stay_in_bounded_memory():
-    # 593 drugs x 313 diseases is the paper's data scale; 18,600 candidates
-    # is a hide-drugs training fold. The dense tensor needs about 6.8 GB here.
-    bundle, gold = generate_bundle(593, 313, seed=3)
+def _gold_labels(gold, n_drugs, n_diseases):
+    labels = np.zeros(n_drugs * n_diseases)
+    labels[[d * n_diseases + s for d, s in gold.pairs]] = 1.0
+    return labels
+
+
+def _pairs(flat, n_diseases):
+    return np.stack(np.divmod(flat, n_diseases), axis=1)
+
+
+def _gold_of(flat, n_diseases):
+    return GoldStandard(frozenset(map(tuple, _pairs(flat, n_diseases).tolist())))
+
+
+def _training_candidates(bundle, gold):
+    """18,600 candidates: every gold pair, then every 9th unlabeled pair."""
     positives = sorted(gold.pairs)
-    negatives = [(d, s) for d in range(593) for s in range(313)
+    negatives = [(d, s) for d in range(bundle.n_drugs)
+                 for s in range(bundle.n_diseases)
                  if (d, s) not in gold.pairs][::9]
     candidates = (positives + negatives)[:18_600]
     assert len(candidates) == 18_600
-    tracemalloc.start()
-    try:
-        fm = build_features(bundle, gold, candidates, exclude_self=True)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert fm.X.shape == (18_600, N_FEATURES)
-    assert peak < 256 * 2**20, f"peak {peak / 2**20:.0f} MiB"
+    return gold, candidates
+
+
+def _shared_fold_candidates(bundle, gold):
+    """The training rows and the test grid of the first hide-drugs fold."""
+    labels = _gold_labels(gold, bundle.n_drugs, bundle.n_diseases)
+    train_pos, train_neg, test = next(
+        _folds(HIDE_DRUGS, labels, bundle.n_diseases, 10, 1, 3))
+    assert 18_500 < len(test) < 19_000
+    return _gold_of(train_pos, bundle.n_diseases), _pairs(np.concatenate([train_pos, train_neg, test]),
+                              bundle.n_diseases)
+
+
+def test_paper_scale_features_stay_in_bounded_memory():
+    # 593 drugs x 313 diseases is the paper's data scale. The inputs are a
+    # hide-drugs training fold (18,600 candidates) and the one call that a
+    # hide-drugs fold makes for its training rows and its test grid (about
+    # 22,000 candidates). The dense tensor needs about 6.8 GB for the first.
+    bundle, full_gold = generate_bundle(593, 313, seed=3)
+    for make_candidates in (_training_candidates, _shared_fold_candidates):
+        gold, candidates = make_candidates(bundle, full_gold)
+        tracemalloc.start()
+        try:
+            fm = build_features(bundle, gold, candidates, exclude_self=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fm.X.shape == (len(candidates), N_FEATURES)
+        assert peak < 256 * 2**20, (make_candidates.__name__,
+                                    f"peak {peak / 2**20:.0f} MiB")
+
+
+@pytest.mark.parametrize("n_drugs, n_diseases", [(11, 7), (13, 8), (23, 13)])
+def test_one_call_per_fold_equals_separate_calls_bytes(n_drugs, n_diseases):
+    # Cross-validation makes one build_features call per fold, with
+    # exclude_self, and splits its rows. Each side must equal the call it
+    # replaces: the training rows with exclude_self, the test rows without.
+    # Four folds over these sizes are uneven under both schemes.
+    for seed, planted, weights in ((1, True, (0.5, 0.5)), (2, False, (0.3, 0.7))):
+        bundle, gold = generate_bundle(n_drugs, n_diseases, seed, planted=planted)
+        labels = _gold_labels(gold, n_drugs, n_diseases)
+        for scheme in (HIDE_DRUGS, HIDE_ASSOCIATIONS):
+            folds = _folds(scheme, labels, n_diseases, 4, 2, seed)
+            for train_pos, train_neg, test in folds:
+                assert not np.isin(test, train_pos).any()
+                train_gold = _gold_of(train_pos, n_diseases)
+                train_pairs = _pairs(np.concatenate([train_pos, train_neg]),
+                                     n_diseases)
+                want_train = build_features(bundle, train_gold, train_pairs,
+                                            exclude_self=True, weights=weights)
+                want_test = build_features(bundle, train_gold,
+                                           _pairs(test, n_diseases),
+                                           exclude_self=False, weights=weights)
+                train, test_X = _fold_features(bundle, train_pos, train_neg,
+                                               test, weights)
+                assert train.pairs.tobytes() == want_train.pairs.tobytes()
+                assert train.X.tobytes() == want_train.X.tobytes()
+                assert train.y.tobytes() == want_train.y.tobytes()
+                assert test_X.tobytes() == want_test.X.tobytes()
 
 
 # SHA-256 of the metrics JSON of a 60 x 40, 4-fold run with Newton
