@@ -85,13 +85,12 @@ every sort key reuses that text.
   1,500-step ``dul:precedes`` chain, ``?s rdfs:label ?l . OPTIONAL { ?s
   dul:precedes+ <last> }`` took about 1.8 s extended and 0.03 s seeded.
 - A MINUS group, and any other OPTIONAL group (several patterns, FILTER,
-  VALUES, UNION, ``p+``, not well-designed), is seeded from the outer
-  rows (sideways information passing, as in RDF-3X): the seed is the
+  VALUES, UNION, ``p+``, not well-designed), is evaluated on its own and
+  joined. One without VALUES or UNION may start from the outer rows
+  instead (sideways information passing, as in RDF-3X): from its seed, the
   distinct tuples of the variables that every outer row binds and the
-  group's own triple patterns bind. A group without VALUES or UNION whose
-  seed is no larger than its smallest first-step estimate starts from the
-  seed rows; otherwise the seed is joined ``"inner"`` as soon as the
-  group's rows bind every seed variable. Either way the group keeps only the rows whose
+  group's own triple patterns bind. It does when the seed is no larger
+  than its smallest first-step estimate. It then keeps only the rows whose
   seed variables some outer row has. Those variables are part of the
   outer join's key, so the dropped rows would pair with no outer row; the
   seed holds no variable the group would not bind itself, so its FILTERs
@@ -380,7 +379,7 @@ class _Parser(TriplesParser):
             self._error(f"unexpected trailing token {self.tok.value!r}")
 
         query = SelectQuery(self.prefixes, variables, distinct, where, order_by)
-        in_scope = _group_vars_ordered(where)
+        in_scope = _bindable(where.elements)
         for v in (variables or []):
             if v.name not in in_scope:
                 raise QueryError(
@@ -551,28 +550,6 @@ class _TemplateParser(_Parser):
     """A template: ``$name`` stands for a whole IRI term (:class:`Param`)."""
 
     lexer_class = _TemplateLexer
-
-
-def _group_vars_ordered(group: Group) -> list[str]:
-    """The variables of a group and its nested groups, in first-use order."""
-    names: dict[str, None] = {}
-
-    def visit(g: Group):
-        for el in g.elements:
-            if isinstance(el, TriplePattern):
-                for part in (el.s, el.p, el.o):
-                    if isinstance(part, Var):
-                        names.setdefault(part.name)
-            elif isinstance(el, Values):
-                names.setdefault(el.var.name)
-            elif isinstance(el, (Minus, OptionalGroup)):
-                visit(el.group)
-            elif isinstance(el, Union):
-                for branch in el.branches:
-                    visit(branch)
-
-    visit(group)
-    return list(names)
 
 
 def parse_query(text: str) -> SelectQuery:
@@ -819,22 +796,29 @@ def _pattern_vars(pat: TriplePattern) -> set[str]:
     return {part.name for part in (pat.s, pat.p, pat.o) if isinstance(part, Var)}
 
 
-def _bindable(elements: list) -> set[str]:
-    """The variables that rows of these group elements may bind: those of
-    their triple patterns, VALUES, UNION branches and OPTIONAL groups,
-    nested ones included. A MINUS group binds none."""
-    names: set[str] = set()
-    for el in elements:
-        if isinstance(el, TriplePattern):
-            names |= _pattern_vars(el)
-        elif isinstance(el, Values):
-            names.add(el.var.name)
-        elif isinstance(el, OptionalGroup):
-            names |= _bindable(el.group.elements)
-        elif isinstance(el, Union):
-            for branch in el.branches:
-                names |= _bindable(branch.elements)
-    return names
+def _bindable(elements: list) -> list[str]:
+    """The variables that rows of these group elements may bind, in
+    first-use order: those of their triple patterns, VALUES, UNION branches
+    and OPTIONAL groups, nested ones included. A MINUS group binds none
+    (SPARQL 1.1 Query, §18.2.1), so none of its variables is in scope."""
+    names: dict[str, None] = {}
+
+    def visit(elements: list):
+        for el in elements:
+            if isinstance(el, TriplePattern):
+                for part in (el.s, el.p, el.o):
+                    if isinstance(part, Var):
+                        names.setdefault(part.name)
+            elif isinstance(el, Values):
+                names.setdefault(el.var.name)
+            elif isinstance(el, OptionalGroup):
+                visit(el.group.elements)
+            elif isinstance(el, Union):
+                for branch in el.branches:
+                    visit(branch.elements)
+
+    visit(elements)
+    return list(names)
 
 
 class _Extension(NamedTuple):
@@ -875,13 +859,13 @@ def _extension(group: Group, bound: set[str],
     steps = []
     for inner in nested:
         names = _bindable(inner.elements)
-        if not (names & outer) <= own:
+        if not outer.intersection(names) <= own:
             return None
         step = _extension(inner, inner_bound, inner_outer)
         if step is None:
             return None
         steps.append(step)
-        inner_outer = inner_outer | names
+        inner_outer = inner_outer.union(names)
     return _Extension(patterns[0], bound, own.isdisjoint(outer - bound), steps)
 
 
@@ -906,12 +890,17 @@ def _extend_optional(g: Graph, ext: _Extension, sols: list[Solution],
 
 
 def _seed(outer: list[Solution], group: Group) -> Optional[list[Solution]]:
-    """The rows an OPTIONAL or MINUS ``group`` is seeded with: the distinct
+    """The rows an OPTIONAL or MINUS ``group`` may start from: the distinct
     tuples, in first-seen order, of the variables that every ``outer`` row
-    binds and that the group's own triple patterns bind; None when there
-    are no such variables."""
-    names = set().union(*(_pattern_vars(el) for el in group.elements
-                          if isinstance(el, TriplePattern)))
+    binds and that the group's own triple patterns bind. None when there
+    are no such variables, or when the group has VALUES or UNION, whose
+    rows the seed rows would cross."""
+    names: set[str] = set()
+    for el in group.elements:
+        if isinstance(el, (Values, Union)):
+            return None
+        if isinstance(el, TriplePattern):
+            names |= _pattern_vars(el)
     names.intersection_update(*outer)
     if not names:
         return None
@@ -986,26 +975,18 @@ def _eval_group(group: Group, g: Graph, choices: _Choices,
                 f"union branches={len(el.branches)} {stats}"))
 
     # The variables that only some rows may bind.
-    partial = _bindable(unions) - bound
+    partial = set(_bindable(unions)) - bound
 
-    # A triple pattern of this group binds every seed variable, so the rows
-    # the seed keeps out would have paired with no outer row. Starting from
-    # the seed rows beside VALUES or UNION rows would cross the two.
-    seed_vars = set(seed[0]) if seed else set()
-    if seed and not values and not unions and choices.choose(2, lambda: int(
+    # Every seed variable is in the outer join's key, so the rows a seeded
+    # start leaves out would have paired with no outer row.
+    if seed and choices.choose(2, lambda: int(
             len(seed) <= min(_estimate(g, pat, sols, bound) for pat in patterns))):
-        sols, bound, seed = seed, set(seed_vars), None
+        sols, bound = seed, set(seed[0])
         if plan is not None:
             plan.append(f"{indent}seed start rows={len(sols)}")
 
     remaining = list(patterns)
-    while sols and (remaining or seed):
-        if seed and seed_vars <= bound:
-            sols, stats = _join("inner", sols, seed)
-            seed = None
-            if plan is not None:
-                plan.append(f"{indent}seed {stats}")
-            continue
+    while sols and remaining:
         # With one pattern left the estimates choose nothing; only the plan
         # shows them. Over seeded rows they cost a bucket lookup per row.
         estimates = ([_estimate(g, pat, sols, bound) for pat in remaining]
@@ -1038,7 +1019,7 @@ def _eval_group(group: Group, g: Graph, choices: _Choices,
                                 _seed(sols, nested.group))
             sols, stats = _join(mode, sols, inner)
         if mode == "optional":
-            partial |= _bindable(nested.group.elements) - bound
+            partial |= set(_bindable(nested.group.elements)) - bound
         if plan is not None:
             plan.append(f"{indent}{mode} {stats}")
 
@@ -1065,7 +1046,7 @@ def evaluate(query: SelectQuery, g: Graph, plan: Optional[list[str]] = None,
     sols = _eval_group(query.where, g, choices, plan)
     choices.finish()
     if query.variables is None:
-        header = _group_vars_ordered(query.where)
+        header = _bindable(query.where.elements)
     else:
         header = [v.name for v in query.variables]
     rows = [tuple(map(sol.get, header)) for sol in sols]
@@ -1106,8 +1087,6 @@ def explain(query: SelectQuery, g: Graph) -> list[str]:
       rows are the extended ones, then its nested OPTIONALs' lines;
     - ``seed start rows=N``: an OPTIONAL or MINUS group starts from the N
       distinct seed rows of the outer rows;
-    - ``seed key=(?k ...) pairs=C rows=R``: the seed rows joined in, just
-      after the step that bound the last seed variable;
     - ``filter rows=R``: the rows a FILTER keeps.
     """
     plan: list[str] = []

@@ -11,7 +11,7 @@ import random
 from plexflow.query import (
     BoundTest, Comparison, Filter, Group, Minus, OptionalGroup, RegexTest,
     SelectQuery, TriplePattern, Union, Values, Var, evaluate, explain,
-    parse_query,
+    _seed, parse_query,
 )
 from plexflow.rdf import Graph, IRI, Literal, Triple, iri, lit, nt_term
 
@@ -167,7 +167,7 @@ def oracle_evaluate(query: SelectQuery, g: Graph) -> list[tuple]:
                 elif isinstance(el, Values):
                     if el.var.name not in names:
                         names.append(el.var.name)
-                elif isinstance(el, (Minus, OptionalGroup)):
+                elif isinstance(el, OptionalGroup):  # no MINUS variable is in scope
                     collect(el.group)
                 elif isinstance(el, Union):
                     for branch in el.branches:
@@ -580,17 +580,28 @@ def test_seeded_groups_match_oracle_and_join_order_on_90_cases():
     check_join_shapes(20261020, SEED_SHAPES, 90, random_seed_query)
 
 
-def test_seed_shapes_reach_the_seeded_start_and_the_semi_join():
+def test_seed_shapes_reach_the_seeded_start_and_the_unseeded_run(monkeypatch):
+    # A group whose triple patterns share a variable with every outer row
+    # either starts from its seed or runs unseeded: its first-step
+    # estimates decide, and a group with VALUES or UNION gets no seed. The
+    # cases must reach both.
+    shared = []
+
+    def counted_seed(outer, group):
+        patterns = [el for el in group.elements if isinstance(el, TriplePattern)]
+        shared.append(_seed(outer, Group(patterns)) is not None)
+        return _seed(outer, group)
+
+    monkeypatch.setattr("plexflow.query._seed", counted_seed)
     rng = random.Random(20261021)
-    seen = {"start": 0, "key": 0}
+    starts = 0
     for case in range(60):
         g = random_graph(rng)
         query = random_seed_query(rng, g, SEED_SHAPES[case % len(SEED_SHAPES)])
-        for line in explain(query, g):
-            words = line.split()
-            if words[0] == "seed":
-                seen[words[1].split("=")[0]] += 1
-    assert seen["start"] >= 10 and seen["key"] >= 10, seen
+        starts += sum(line.split()[:2] == ["seed", "start"]
+                      for line in explain(query, g))
+    unseeded = sum(shared) - starts
+    assert starts >= 10 and unseeded >= 10, (starts, unseeded)
 
 
 # ---------------------------------------------------------------------------
