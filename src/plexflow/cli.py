@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 
-from .rdf import IRI, Graph, RdfError, parse_ntriples, serialize_ntriples
+from .rdf import Graph, RdfError, parse_ntriples, plain_iri, serialize_ntriples
 
 EXIT_OK = 0
 EXIT_FAILURES = 1
@@ -83,7 +83,7 @@ def _iri_argument(flag: str, value: str) -> str:
     """A workflow IRI given on the command line; anything else is a usage
     error naming the flag."""
     try:
-        IRI(value)
+        plain_iri(value)
     except RdfError as exc:
         raise _CliError(f"parameter --{flag} must be an absolute IRI: {value!r}",
                         EXIT_USAGE) from exc

@@ -27,7 +27,7 @@ import os
 from dataclasses import dataclass
 
 from .query import PreparedQuery, ResultTable, TriplePattern, evaluate
-from .rdf import Graph, IRI, Term, iri, nt_term
+from .rdf import Graph, IRI, RdfError, Term, nt_term, plain_iri
 
 
 class CqError(ValueError):
@@ -134,14 +134,10 @@ def run_cq(cq_id: str, g: Graph, params: dict[str, str] | None = None) -> Result
     for name in entry.params:
         value = params[name]
         try:
-            term = iri(value)
-        except ValueError:
-            term = None
-        # Bound as the IRI that <value> in the query text would name, so
-        # nothing an IRI reference cannot hold unescaped gets through.
-        if term is None or nt_term(term) != f"<{value}>":
-            raise CqError(f"parameter --{name} must be an absolute IRI: {value!r}")
-        values[name] = term
+            values[name] = plain_iri(value)
+        except RdfError as exc:
+            raise CqError(f"parameter --{name} must be an absolute IRI: "
+                          f"{value!r}") from exc
     prepared = _prepared(entry.file)
     query, choices = prepared.bind_for(g, values)
     table = evaluate(query, g, choices=choices)

@@ -2,23 +2,27 @@
 
 Each rule encodes one machine-checkable reading of a FAIR criterion against
 the profile's graph shapes (datasets, distributions, workflows, usages).
+F2, F3, R1.1 and R1.2 ask only that each IRI target has an object of some
+kind on some predicates, so each is one ``_RULES`` row of targets and
+(predicate, kind) pairs over one routine; the other rules stay functions.
 Two criteria - metadata registry publication (A2) and the no-authentication
 claim (A1.2) - are process-level statements about how a deployment is run,
 not graph shapes, so the report carries them as ``not-machine-checkable``
 instead of pretending to verify them.
 
-Findings are data, never exceptions: the report is a pure function of the
-graph and serializes to byte-identical JSON across runs.
+Findings are data, never exceptions: checks return sets of offenders,
+which the report sorts, and it serializes to byte-identical JSON across runs.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 from . import vocab
-from .rdf import RDF_TYPE, Graph, IRI, Literal, Term
+from .rdf import RDF_TYPE, Graph, IRI, Literal, Term, iri
 from .vocab import DC, DCAT, DUL, EDAM, PROV, RDFS
 from .workflow import workflow_iris
 
@@ -98,118 +102,83 @@ class AuditReport:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _typed(g: Graph, class_iri: str) -> list[Term]:
-    return [s for s in g.subjects(RDF_TYPE, IRI(class_iri))]
+def _datasets(g: Graph) -> list[Term]:
+    return g.subjects(RDF_TYPE, IRI(DCAT.Dataset))
+
+
+def _distributions(g: Graph) -> list[Term]:
+    return g.subjects(RDF_TYPE, IRI(DCAT.Distribution))
+
+
+def _workflows(g: Graph) -> list[Term]:
+    """The workflow heads: typed both dul:Workflow and p-plan:Plan."""
+    return [IRI(w) for w in workflow_iris(g)]
 
 
 def _name(term: Term) -> str:
     return vocab.compress(term.value) if isinstance(term, IRI) else str(term)
 
 
-def _check_f1(g: Graph) -> tuple[str, ...]:
-    offenders = []
-    for class_iri in (DCAT.Dataset, DCAT.Distribution, DUL.Workflow):
-        for s in _typed(g, class_iri):
-            if not isinstance(s, IRI):
-                offenders.append(f"_:{s.label}")
-    return tuple(sorted(set(offenders)))
+def _lacking(shapes: dict, g: Graph) -> set[str]:
+    """The IRI subjects that lack, on some required predicate, an object of
+    the required kind: SHACL Core's qualified min-count 1 (W3C SHACL, 2017,
+    §4.7.3). ``shapes`` maps targets, each listing subjects, to their
+    requirements, each mapping a predicate to a kind: ``Literal``, ``IRI``
+    or ``Term`` (any object)."""
+    return {_name(s) for targets, required in shapes.items()
+            for target in targets for s in target(g)
+            if isinstance(s, IRI) and not all(
+                any(isinstance(o, kind) for o in g.objects(s, iri(p)))
+                for p, kind in required.items())}
 
 
-def _check_f2(g: Graph) -> tuple[str, ...]:
-    offenders = []
-    for s in _typed(g, DCAT.Dataset) + [IRI(w) for w in workflow_iris(g)]:
-        if not isinstance(s, IRI):
-            continue
-        has_label = any(isinstance(t.o, Literal) for t in g.match(s, IRI(RDFS.label)))
-        has_desc = any(isinstance(t.o, Literal)
-                       for t in g.match(s, IRI(DC.description)))
-        if not (has_label and has_desc):
-            offenders.append(_name(s))
-    return tuple(sorted(set(offenders)))
+def _check_f1(g: Graph) -> set[str]:
+    return {f"_:{s.label}" for c in (DCAT.Dataset, DCAT.Distribution, DUL.Workflow)
+            for s in g.subjects(RDF_TYPE, IRI(c)) if not isinstance(s, IRI)}
 
 
-def _check_f3(g: Graph) -> tuple[str, ...]:
-    offenders = []
-    for ds in _typed(g, DCAT.Dataset):
-        if not isinstance(ds, IRI):
-            continue
-        if not g.iri_objects(ds, DCAT.distribution):
-            offenders.append(_name(ds))
-    for dist in _typed(g, DCAT.Distribution):
-        if not isinstance(dist, IRI):
-            continue
-        urls = [t for t in g.objects(dist, IRI(DCAT.downloadURL))
-                if isinstance(t, Literal)]
-        if not urls:
-            offenders.append(_name(dist))
-    return tuple(sorted(set(offenders)))
+def _check_a1_1(g: Graph) -> set[str]:
+    return {_name(t.s) for t in g.match(None, IRI(DCAT.downloadURL), None)
+            if isinstance(t.o, Literal)
+            and not t.o.lexical.startswith(_ALLOWED_URL_SCHEMES)}
 
 
-def _check_a1_1(g: Graph) -> tuple[str, ...]:
-    offenders = []
-    for t in g.match(None, IRI(DCAT.downloadURL), None):
-        if isinstance(t.o, Literal):
-            url = t.o.lexical
-            if not url.startswith(_ALLOWED_URL_SCHEMES):
-                offenders.append(_name(t.s))
-    return tuple(sorted(set(offenders)))
+def _check_i1(g: Graph) -> set[str]:
+    return {vocab.compress(p.value) for p in g.predicates()
+            if not vocab.in_catalog_namespace(p.value)}
 
 
-def _check_i1(g: Graph) -> tuple[str, ...]:
-    return tuple(sorted(vocab.compress(p.value) for p in g.predicates()
-                        if not vocab.in_catalog_namespace(p.value)))
+def _check_i2(g: Graph) -> set[str]:
+    offenders = set()
+    for dist in _distributions(g):
+        media = g.objects(dist, IRI(DCAT.mediaType))
+        edam = bool(media) and all(isinstance(m, IRI) and m.value in EDAM for m in media)
+        if isinstance(dist, IRI) and not edam:
+            offenders.add(_name(dist))
+    return offenders
 
 
-def _check_i2(g: Graph) -> tuple[str, ...]:
-    offenders = []
-    for dist in _typed(g, DCAT.Distribution):
-        if not isinstance(dist, IRI):
-            continue
-        media = [t for t in g.objects(dist, IRI(DCAT.mediaType))]
-        if not media or not all(isinstance(m, IRI) and m.value in EDAM
-                                for m in media):
-            offenders.append(_name(dist))
-    return tuple(sorted(set(offenders)))
-
-
-def _check_i3(g: Graph) -> tuple[str, ...]:
+def _check_i3(g: Graph) -> set[str]:
     used = set()
-    for usage in _typed(g, PROV.Usage):
+    for usage in g.subjects(RDF_TYPE, IRI(PROV.Usage)):
         used.update(g.iri_objects(usage, PROV.entity))
-    offenders = [_name(d) for d in _typed(g, DCAT.Distribution)
-                 if isinstance(d, IRI) and d.value not in used]
-    return tuple(sorted(set(offenders)))
+    return {_name(d) for d in _distributions(g)
+            if isinstance(d, IRI) and d.value not in used}
 
 
-def _has_license(g: Graph, s: IRI) -> bool:
-    return bool(g.objects(s, IRI(DC.license)))
-
-
-def _check_r1_1(g: Graph) -> tuple[str, ...]:
-    offenders = []
-    for s in _typed(g, DCAT.Dataset) + [IRI(w) for w in workflow_iris(g)]:
-        if isinstance(s, IRI) and not _has_license(g, s):
-            offenders.append(_name(s))
-    return tuple(sorted(set(offenders)))
-
-
-def _check_r1_2(g: Graph) -> tuple[str, ...]:
-    offenders = []
-    for s in map(IRI, workflow_iris(g)):
-        if not g.objects(s, IRI(DC.creator)) or not g.objects(s, IRI(DC.created)):
-            offenders.append(_name(s))
-    return tuple(sorted(set(offenders)))
-
-
-_RULES: list[tuple[AuditRule, Optional[Callable[[Graph], tuple[str, ...]]], str]] = [
+_RULES: list[tuple[AuditRule, Optional[Callable[[Graph], set[str]]], str]] = [
     (AuditRule("F1", "datasets, distributions and workflows are identified by "
                "IRIs, not blank nodes", "dcat:Dataset dcat:Distribution dul:Workflow",
                ERROR), _check_f1, ""),
     (AuditRule("F2", "datasets and workflows carry rdfs:label and dc:description "
-               "metadata", "dcat:Dataset dul:Workflow", ERROR), _check_f2, ""),
+               "metadata", "dcat:Dataset dul:Workflow", ERROR),
+     partial(_lacking, {(_datasets, _workflows): {RDFS.label: Literal,
+                                                  DC.description: Literal}}), ""),
     (AuditRule("F3", "every dataset links at least one distribution and every "
                "distribution has a dcat:downloadURL", "dcat:Dataset dcat:Distribution",
-               ERROR), _check_f3, ""),
+               ERROR),
+     partial(_lacking, {(_datasets,): {DCAT.distribution: IRI},
+                        (_distributions,): {DCAT.downloadURL: Literal}}), ""),
     (AuditRule("A1.1", "download URLs use an open, standardized protocol "
                "(http, https or ftp)", "dcat:downloadURL", ERROR), _check_a1_1, ""),
     (AuditRule("A1.2", "data access requires no authentication or authorization",
@@ -226,9 +195,11 @@ _RULES: list[tuple[AuditRule, Optional[Callable[[Graph], tuple[str, ...]]], str]
                "prov:Usage binding", "dcat:Distribution prov:Usage", ERROR),
      _check_i3, ""),
     (AuditRule("R1.1", "workflows and datasets declare a license", "dcat:Dataset "
-               "dul:Workflow", ERROR), _check_r1_1, ""),
+               "dul:Workflow", ERROR),
+     partial(_lacking, {(_datasets, _workflows): {DC.license: Term}}), ""),
     (AuditRule("R1.2", "workflows carry dc:creator and dc:created provenance",
-               "dul:Workflow", ERROR), _check_r1_2, ""),
+               "dul:Workflow", ERROR),
+     partial(_lacking, {(_workflows,): {DC.creator: Term, DC.created: Term}}), ""),
 ]
 
 RULES: tuple[AuditRule, ...] = tuple(rule for rule, _, _ in _RULES)
@@ -240,9 +211,8 @@ def audit(g: Graph) -> AuditReport:
         raise AuditError("graph must be frozen before auditing")
     results = []
     for rule, check, note in _RULES:
-        if check is None:
-            results.append(RuleResult(rule, NOT_MACHINE_CHECKABLE, (), note))
-            continue
-        offenders = check(g)
-        results.append(RuleResult(rule, FAIL if offenders else PASS, offenders))
+        offenders = () if check is None else tuple(sorted(check(g)))
+        status = (NOT_MACHINE_CHECKABLE if check is None
+                  else FAIL if offenders else PASS)
+        results.append(RuleResult(rule, status, offenders, note))
     return AuditReport(results)

@@ -67,8 +67,12 @@ every sort key reuses that text.
   keys are paired, and each pair is then checked on the variables outside
   the key. An empty key puts all inner rows in one bucket. An outer row
   extends with every compatible inner row; with none, an inner join drops
-  it and OPTIONAL keeps it alone. MINUS removes an outer row when some
-  compatible inner row shares at least one variable with it.
+  it and OPTIONAL keeps it alone. An OPTIONAL group's own FILTERs are
+  the left join's condition (§18.2.2.6): they test each merged row, so
+  they see the outer row's bindings, and an outer row none of whose
+  merged rows passes is kept alone. MINUS removes an outer row when some
+  compatible inner row shares at least one variable with it; a MINUS
+  group's FILTERs test the group's own rows.
 - An OPTIONAL group that is one triple pattern, not ``p+``, sharing a
   variable that every outer row binds, plus nested OPTIONALs of the same
   kind, extends the outer rows directly (:func:`_extension`): one
@@ -93,9 +97,9 @@ every sort key reuses that text.
   than its smallest first-step estimate. It then keeps only the rows whose
   seed variables some outer row has. Those variables are part of the
   outer join's key, so the dropped rows would pair with no outer row; the
-  seed holds no variable the group would not bind itself, so its FILTERs
-  see what they saw unseeded, and its distinct tuples keep every row's
-  multiplicity.
+  seed holds no variable the group would not bind itself, so a MINUS
+  group's FILTERs see what they saw unseeded, and its distinct tuples
+  keep every row's multiplicity.
 - :func:`explain` returns the steps the evaluator took, recorded during
   the run: join order, estimates, join keys and row counts.
 
@@ -382,13 +386,13 @@ class _Parser(TriplesParser):
         in_scope = _bindable(where.elements)
         for v in (variables or []):
             if v.name not in in_scope:
-                raise QueryError(
-                    f"projected variable ?{v.name} does not appear in the pattern")
+                raise QueryError(f"projected variable ?{v.name} does not occur "
+                                 "in the pattern outside MINUS")
         projected = in_scope if variables is None else [v.name for v in variables]
         for key in order_by:
             if key.var.name not in in_scope:
                 raise QueryError(f"ORDER BY variable ?{key.var.name} does not "
-                                 "appear in the pattern")
+                                 "occur in the pattern outside MINUS")
             if key.var.name not in projected:
                 raise QueryError(f"ORDER BY variable ?{key.var.name} is not "
                                  "projected")
@@ -707,12 +711,14 @@ def _no_key(row: Solution) -> tuple:
     return ()
 
 
-def _join(mode: str, left: list[Solution],
-          right: list[Solution]) -> tuple[list[Solution], str]:
+def _join(mode: str, left: list[Solution], right: list[Solution],
+          condition: tuple[FilterExpr, ...] = ()) -> tuple[list[Solution], str]:
     """``left`` joined with ``right`` as SPARQL's Join (``"inner"``),
     LeftJoin (``"optional"``) or Minus (``"minus"``), hashing ``right`` on
     the key of the module docstring; and the plan text ``key=(...) pairs=N
-    rows=R``. Rows come out in left order, then right order."""
+    rows=R``. A merged row is kept only when it passes every ``condition``
+    expression (a LeftJoin's filter). Rows come out in left order, then
+    right order."""
     key: set[str] = set(left[0]) if left and right else set()
     for row in chain(left, right):
         if not key:
@@ -739,8 +745,11 @@ def _join(mode: str, left: list[Solution],
             if not any(sol.keys() & r.keys() for r in agree):
                 out.append(sol)
         else:
-            out.extend([{**sol, **r} for r in agree]
-                       or ([sol] if mode == "optional" else []))
+            merged = [{**sol, **r} for r in agree]
+            if condition:
+                merged = [row for row in merged
+                          if all(_eval_filter(expr, row) for expr in condition)]
+            out.extend(merged or ([sol] if mode == "optional" else []))
     shown = " ".join(f"?{k}" for k in names)
     return out, f"key=({shown}) pairs={pairs} rows={len(out)}"
 
@@ -1015,9 +1024,17 @@ def _eval_group(group: Group, g: Graph, choices: _Choices,
             sols = _extend_optional(g, ext, sols, plan, depth + 1)
             stats = f"extend rows={len(sols)}"
         else:
-            inner = _eval_group(nested.group, g, choices, plan, depth + 1,
-                                _seed(sols, nested.group))
-            sols, stats = _join(mode, sols, inner)
+            inner_group, condition = nested.group, ()
+            if mode == "optional":
+                # LeftJoin(G, P, F) (SPARQL 1.1 Query, §18.2.2.6): the
+                # group's own FILTERs test each merged row.
+                condition = tuple(el.expr for el in inner_group.elements
+                                  if isinstance(el, Filter))
+                inner_group = Group([el for el in inner_group.elements
+                                     if not isinstance(el, Filter)])
+            inner = _eval_group(inner_group, g, choices, plan, depth + 1,
+                                _seed(sols, inner_group))
+            sols, stats = _join(mode, sols, inner, condition)
         if mode == "optional":
             partial |= set(_bindable(nested.group.elements)) - bound
         if plan is not None:

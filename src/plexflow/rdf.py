@@ -146,6 +146,15 @@ def iri(value: str) -> IRI:
     return IRI(value)
 
 
+def plain_iri(value: str) -> IRI:
+    """The IRI that ``<value>`` names in N-Triples or query text, for a
+    ``value`` given from outside: it must be absolute and hold nothing an
+    IRI reference cannot hold unescaped, or :class:`RdfError` is raised."""
+    if _IRI_SPECIAL_RE.search(value) is not None:
+        raise RdfError(f"not a plain IRI: {value!r}")
+    return iri(value)
+
+
 def bnode(label: str) -> BlankNode:
     return BlankNode(label)
 

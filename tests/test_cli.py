@@ -389,6 +389,10 @@ USAGE_ERRORS = {
                           "parameter --from must be an absolute IRI"),
     "diff-to-not-iri": (["diff", "--graph", "FX", "--from", V01, "--to", "bar"],
                         "parameter --to must be an absolute IRI"),
+    "validate-workflow-space": (["validate", "FX", "--workflow", "http://a b"],
+                                "parameter --workflow must be an absolute IRI"),
+    "diff-from-space": (["diff", "--graph", "FX", "--from", "http://a b",
+                         "--to", V02], "parameter --from must be an absolute IRI"),
     "fixture-out": (["fixture", "--out", "BAD"], "BAD"),
     "fixture-out-empty": (["fixture", "--out", ""], "''"),
     "fixture-prefixes": (["fixture", "--out", "OK", "--prefixes", "BAD"], "BAD"),

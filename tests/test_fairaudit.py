@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -5,9 +6,9 @@ import pytest
 from plexflow.fairaudit import (
     AuditError, FAIL, NOT_MACHINE_CHECKABLE, PASS, RULES, audit,
 )
-from plexflow.rdf import Graph, IRI
+from plexflow.rdf import RDF_TYPE, Graph, IRI
 from plexflow.turtle import parse_turtle
-from plexflow.vocab import DCAT, OPREDICT as OP, prefixes_turtle
+from plexflow.vocab import DCAT, DUL, OPREDICT as OP, PROV, prefixes_turtle
 
 
 def _without(g, predicate=None, subject=None):
@@ -145,3 +146,26 @@ def test_report_bytes_identical_across_runs(fixture_graph):
     payload = json.loads(a)
     assert payload["summary"]["not_machine_checkable"] == 2
     assert [r["id"] for r in payload["results"]] == [r.id for r in RULES]
+
+
+def test_offender_lists_under_mutations_are_pinned(fixture_graph):
+    # One digest over the reports of 64 mutated fixtures: each predicate
+    # dropped, then each rdf:type triple of a class the rules target
+    # dropped alone. It pins every rule's offender list, not only its status.
+    triples = list(fixture_graph.match())
+    targeted = {IRI(c) for c in (DCAT.Dataset, DCAT.Distribution, DUL.Workflow,
+                                 PROV.Usage)}
+    drops = [{t for t in triples if t.p == p}
+             for p in sorted(fixture_graph.predicates(), key=lambda p: p.value)]
+    typings = [t for t in triples if t.p == RDF_TYPE and t.o in targeted]
+    drops += [{t} for t in sorted(typings, key=lambda t: (t.s.value, t.o.value))]
+    digest = hashlib.sha256()
+    for drop in drops:
+        mutated = Graph()
+        for t in triples:
+            if t not in drop:
+                mutated.add(t)
+        digest.update(audit(mutated.freeze()).to_json().encode())
+    assert len(drops) == 64
+    assert digest.hexdigest() == (
+        "15382c70140c63e54711e95151673aeb3a4397f45bcbfab51c8135a0a265208e")

@@ -241,6 +241,27 @@ def test_optional_left_join_and_bound_filter():
     assert [row[0].value for row in table.rows] == ["urn:b"]
 
 
+def test_a_filter_inside_optional_tests_the_merged_row():
+    # SPARQL 1.1 Query, §18.2.2.6: OPTIONAL { P FILTER(F) } is
+    # LeftJoin(G, P, F), so F sees the outer row's ?x.
+    g = g_of(("urn:a", "urn:p", lit("1")), ("urn:a", "urn:q", "urn:o"),
+             ("urn:b", "urn:p", lit("2")), ("urn:b", "urn:q", "urn:o2"))
+    table = run_query('SELECT ?s ?x ?o WHERE { ?s <urn:p> ?x . '
+                      'OPTIONAL { ?s <urn:q> ?o . FILTER(?x = "1") } }', g)
+    assert table.rows == [(iri("urn:a"), lit("1"), iri("urn:o")),
+                          (iri("urn:b"), lit("2"), None)]
+
+
+def test_a_filter_inside_minus_sees_only_the_groups_own_rows():
+    # Minus(G, Filter(F, P)): ?x is unbound inside the group, so the
+    # FILTER drops every group row and MINUS removes nothing.
+    g = g_of(("urn:a", "urn:p", lit("1")), ("urn:a", "urn:q", "urn:o"),
+             ("urn:b", "urn:p", lit("2")), ("urn:b", "urn:q", "urn:o2"))
+    table = run_query('SELECT ?s ?x WHERE { ?s <urn:p> ?x . '
+                      'MINUS { ?s <urn:q> ?o . FILTER(?x = "1") } }', g)
+    assert table.rows == [(iri("urn:a"), lit("1")), (iri("urn:b"), lit("2"))]
+
+
 def test_filter_comparisons():
     g = Graph()
     g.add(Triple(iri("urn:a"), iri("urn:v"), lit("alpha")))
@@ -370,9 +391,11 @@ def test_a_variable_only_in_minus_is_out_of_scope():
     g = g_of(("urn:a", "urn:p", "urn:b"), ("urn:b", "urn:q", "urn:c"))
     pattern = "WHERE { ?x <urn:p> ?y . MINUS { ?y <urn:q> ?z } }"
     assert run_query(f"SELECT * {pattern}", g).variables == ["x", "y"]
-    with pytest.raises(QueryError, match="projected variable [?]z"):
+    with pytest.raises(QueryError, match="projected variable [?]z does not "
+                       "occur in the pattern outside MINUS"):
         parse_query(f"SELECT ?x ?z {pattern}")
-    with pytest.raises(QueryError, match="ORDER BY variable [?]z"):
+    with pytest.raises(QueryError, match="ORDER BY variable [?]z does not "
+                       "occur in the pattern outside MINUS"):
         parse_query(f"SELECT * {pattern} ORDER BY ?z")
 
 

@@ -122,7 +122,10 @@ def oracle_group(group: Group, g: Graph) -> list[dict]:
                     if all(sol.get(k, v) == v for k, v in r.items())]
     for el in group.elements:
         if isinstance(el, OptionalGroup):
-            right = oracle_group(el.group, g)
+            # LeftJoin(G, P, F): the group's FILTERs test each merged row.
+            conditions = [e.expr for e in el.group.elements if isinstance(e, Filter)]
+            right = oracle_group(Group([e for e in el.group.elements
+                                        if not isinstance(e, Filter)]), g)
             joined = []
             for sol in sols:
                 hits = []
@@ -130,7 +133,8 @@ def oracle_group(group: Group, g: Graph) -> list[dict]:
                     if all(sol.get(k, v) == v for k, v in r.items()):
                         merged = dict(sol)
                         merged.update(r)
-                        hits.append(merged)
+                        if all(_oracle_filter(c, merged) for c in conditions):
+                            hits.append(merged)
                 joined.extend(hits if hits else [sol])
             sols = joined
     for el in group.elements:
