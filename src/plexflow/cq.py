@@ -3,10 +3,11 @@
 Twelve questions over a workflow provenance graph, each answered by one
 query template shipped as an inspectable ``.rq`` asset under ``queries/``.
 Templates take workflow IRIs through ``$workflow`` / ``$from`` / ``$to``
-parameters. Each template is parsed once per process into a
-:class:`plexflow.query.PreparedQuery`, and every call binds the IRIs into
-it as terms, so the IRI is a constant everywhere (MINUS blocks included);
-repeated calls over one frozen graph reuse the planner's choices. The
+parameters. Each template is read once per process into a
+:class:`plexflow.query.PreparedQuery`, which writes the IRIs into its text
+as N-Triples terms and parses it, so the IRI is a constant everywhere
+(MINUS blocks included); repeated calls with the same IRIs over one frozen
+graph reuse the parsed query and the planner's choices. The
 templates are read as plain files beside this module, so the package must
 be installed unzipped.
 
@@ -138,12 +139,11 @@ def run_cq(cq_id: str, g: Graph, params: dict[str, str] | None = None) -> Result
         except RdfError as exc:
             raise CqError(f"parameter --{name} must be an absolute IRI: "
                           f"{value!r}") from exc
-    prepared = _prepared(entry.file)
-    query, choices = prepared.bind_for(g, values)
+    query, choices = _prepared(entry.file).bind_for(g, values)
     table = evaluate(query, g, choices=choices)
     if not entry.chain:
         return table
-    (path,) = [el for el in prepared.template.where.elements
+    (path,) = [el for el in query.where.elements
                if isinstance(el, TriplePattern) and el.plus]
     return _chain_order(table, g, path.p)
 

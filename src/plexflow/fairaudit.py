@@ -12,13 +12,15 @@ instead of pretending to verify them.
 
 Findings are data, never exceptions: checks return sets of offenders,
 which the report sorts, and it serializes to byte-identical JSON across runs.
+Each check reads its target subject lists through ``read``, which lists
+each target once per :func:`audit` call however many rules use it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Optional
 
 from . import vocab
@@ -119,38 +121,38 @@ def _name(term: Term) -> str:
     return vocab.compress(term.value) if isinstance(term, IRI) else str(term)
 
 
-def _lacking(shapes: dict, g: Graph) -> set[str]:
+def _lacking(shapes: dict, g: Graph, read: Callable) -> set[str]:
     """The IRI subjects that lack, on some required predicate, an object of
     the required kind: SHACL Core's qualified min-count 1 (W3C SHACL, 2017,
     §4.7.3). ``shapes`` maps targets, each listing subjects, to their
     requirements, each mapping a predicate to a kind: ``Literal``, ``IRI``
     or ``Term`` (any object)."""
     return {_name(s) for targets, required in shapes.items()
-            for target in targets for s in target(g)
+            for target in targets for s in read(target)
             if isinstance(s, IRI) and not all(
                 any(isinstance(o, kind) for o in g.objects(s, iri(p)))
                 for p, kind in required.items())}
 
 
-def _check_f1(g: Graph) -> set[str]:
+def _check_f1(g: Graph, read: Callable) -> set[str]:
     return {f"_:{s.label}" for c in (DCAT.Dataset, DCAT.Distribution, DUL.Workflow)
             for s in g.subjects(RDF_TYPE, IRI(c)) if not isinstance(s, IRI)}
 
 
-def _check_a1_1(g: Graph) -> set[str]:
+def _check_a1_1(g: Graph, read: Callable) -> set[str]:
     return {_name(t.s) for t in g.match(None, IRI(DCAT.downloadURL), None)
             if isinstance(t.o, Literal)
             and not t.o.lexical.startswith(_ALLOWED_URL_SCHEMES)}
 
 
-def _check_i1(g: Graph) -> set[str]:
+def _check_i1(g: Graph, read: Callable) -> set[str]:
     return {vocab.compress(p.value) for p in g.predicates()
             if not vocab.in_catalog_namespace(p.value)}
 
 
-def _check_i2(g: Graph) -> set[str]:
+def _check_i2(g: Graph, read: Callable) -> set[str]:
     offenders = set()
-    for dist in _distributions(g):
+    for dist in read(_distributions):
         media = g.objects(dist, IRI(DCAT.mediaType))
         edam = bool(media) and all(isinstance(m, IRI) and m.value in EDAM for m in media)
         if isinstance(dist, IRI) and not edam:
@@ -158,15 +160,15 @@ def _check_i2(g: Graph) -> set[str]:
     return offenders
 
 
-def _check_i3(g: Graph) -> set[str]:
+def _check_i3(g: Graph, read: Callable) -> set[str]:
     used = set()
     for usage in g.subjects(RDF_TYPE, IRI(PROV.Usage)):
         used.update(g.iri_objects(usage, PROV.entity))
-    return {_name(d) for d in _distributions(g)
+    return {_name(d) for d in read(_distributions)
             if isinstance(d, IRI) and d.value not in used}
 
 
-_RULES: list[tuple[AuditRule, Optional[Callable[[Graph], set[str]]], str]] = [
+_RULES: list[tuple[AuditRule, Optional[Callable[[Graph, Callable], set[str]]], str]] = [
     (AuditRule("F1", "datasets, distributions and workflows are identified by "
                "IRIs, not blank nodes", "dcat:Dataset dcat:Distribution dul:Workflow",
                ERROR), _check_f1, ""),
@@ -209,9 +211,10 @@ def audit(g: Graph) -> AuditReport:
     """Evaluate every FAIR rule against a frozen graph."""
     if not g.frozen:
         raise AuditError("graph must be frozen before auditing")
+    read = cache(lambda target: target(g))
     results = []
     for rule, check, note in _RULES:
-        offenders = () if check is None else tuple(sorted(check(g)))
+        offenders = () if check is None else tuple(sorted(check(g, read)))
         status = (NOT_MACHINE_CHECKABLE if check is None
                   else FAIL if offenders else PASS)
         results.append(RuleResult(rule, status, offenders, note))

@@ -103,20 +103,21 @@ every sort key reuses that text.
 - :func:`explain` returns the steps the evaluator took, recorded during
   the run: join order, estimates, join keys and row counts.
 
-A :class:`PreparedQuery` is a template parsed once, where ``$name`` is a
-parameter node (:class:`Param`) that stands for a whole IRI term;
-:func:`parse_query` still rejects a ``$`` left in its text. Binding puts
-the terms into a new query and shares every parameter-free part of the
-template. The prepared query also keeps, per parameter values, the
-planner's choices for one frozen graph at a time: whether a seeded group
-starts from its seed, and the pattern picked at each step with more than
-one left. Both are functions of the bound query and the frozen graph
-alone, so a later evaluation with the same values on the same graph
-replays them and skips every estimate, with the same plan. A replay that
-does not use up exactly its record raises. The memo holds the graph
-weakly, never replays on another graph, and reaches the evaluator as an
-argument, never through shared state, as frozen graphs have concurrent
-readers. :func:`explain` and :func:`run_query` always estimate.
+A :class:`PreparedQuery` is a template text where ``$name`` stands for a
+whole IRI term. Binding writes each value in as its N-Triples term
+(:func:`nt_term`) and parses the text with :func:`parse_query`, which
+rejects any ``$`` left over, so there is one query grammar. The prepared
+query also keeps, per parameter values, the bound query and the planner's
+choices for one frozen graph at a time: whether a seeded group starts
+from its seed, and the pattern picked at each step with more than one
+left. Both are functions of the bound query and the frozen graph alone,
+so a later evaluation with the same values on the same graph reuses the
+query, replays the choices and skips every estimate, with the same plan.
+A replay that does not use up exactly its record raises. The memo holds
+the graph weakly, never replays on another graph, and reaches the
+evaluator as an argument, never through shared state, as frozen graphs
+have concurrent readers. :func:`explain` and :func:`run_query` always
+estimate.
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ from __future__ import annotations
 import json
 import re
 import weakref
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
 from operator import attrgetter, itemgetter
@@ -173,16 +174,6 @@ class Var:
 
     def __repr__(self):
         return f"?{self.name}"
-
-
-@dataclass(frozen=True)
-class Param:
-    """A template's ``$name``: an IRI given each time the query is bound."""
-
-    name: str
-
-    def __repr__(self):
-        return f"${self.name}"
 
 
 TermOrVar = Term | Var
@@ -282,11 +273,9 @@ _PUNCTUATION = {"{": "LBRACE", "}": "RBRACE", "(": "LPAREN", ")": "RPAREN",
 
 class _Lexer(Lexer):
     """Token kinds: the shared ones (:meth:`Lexer._shared_token`), VAR,
-    NUMBER, WORD, NEQ, BANG, those of ``_PUNCTUATION`` and EOF; PARAM only
-    in a template."""
+    NUMBER, WORD, NEQ, BANG, those of ``_PUNCTUATION`` and EOF."""
 
     error_class = QueryParseError
-    parameters = False
 
     def _cut(self) -> Token:
         tok = self._shared_token()
@@ -300,13 +289,8 @@ class _Lexer(Lexer):
                 self._error("malformed variable name")
             return self._take("VAR", m.end(), m.group(1))
         if ch == "$":
-            if not self.parameters:
-                self._error("unsubstituted query parameter (did you supply all "
-                            "required parameters?)")
-            m = _PARAM_RE.match(text, pos)
-            if not m:
-                self._error("malformed parameter name")
-            return self._take("PARAM", m.end(), m.group(1))
+            self._error("unsubstituted query parameter (did you supply all "
+                        "required parameters?)")
         if text.startswith("!=", pos):
             return self._take("NEQ", pos + 2, "!=")
         if ch == "!":
@@ -448,9 +432,6 @@ class _Parser(TriplesParser):
         if tok.kind == "VAR":
             self._next()
             return Var(tok.value)
-        if tok.kind == "PARAM":
-            self._next()
-            return Param(tok.value)
         if tok.kind in ("IRIREF", "PNAME"):
             self._next()
             return self._iri(tok)
@@ -475,7 +456,7 @@ class _Parser(TriplesParser):
         predicate = self._term("predicate")
         if self.tok.kind != "PLUS":
             return predicate, False
-        if not isinstance(predicate, (IRI, Param)):
+        if not isinstance(predicate, IRI):
             self._error("closure modifier '+' requires an IRI predicate")
         self._next()
         return predicate, True
@@ -544,16 +525,6 @@ class _Parser(TriplesParser):
             if isinstance(t, Var):
                 raise QueryError("VALUES terms must be constants")
         return Values(var, terms)
-
-
-class _TemplateLexer(_Lexer):
-    parameters = True
-
-
-class _TemplateParser(_Parser):
-    """A template: ``$name`` stands for a whole IRI term (:class:`Param`)."""
-
-    lexer_class = _TemplateLexer
 
 
 def parse_query(text: str) -> SelectQuery:
@@ -1116,57 +1087,27 @@ def run_query(text: str, g: Graph) -> ResultTable:
 
 
 class PreparedQuery:
-    """A query template, parsed once and bound per call (see the module
-    docstring).
+    """A query template, bound per call (see the module docstring).
 
     ``params`` names the template's parameters in first-use order.
-    :meth:`bind` gives the query with a term for each, which equals
-    :func:`parse_query` of the text with ``<iri>`` written in for each
-    ``$name``. :meth:`bind_for` also gives the choices to evaluate it with,
-    from the memo of the graph it last ran on.
+    :meth:`bind` gives :func:`parse_query` of the text with each ``$name``
+    written in as its value's N-Triples term. :meth:`bind_for` also gives
+    the choices to evaluate it with, from the memo of the graph it last ran
+    on.
     """
 
     def __init__(self, text: str):
-        self.template = _TemplateParser(text).parse()
-        # The ids of the template's parts that hold a parameter: nodes,
-        # lists of them and the Param leaves. The template keeps them alive.
-        self._holders: set[int] = set()
-        names: dict[str, None] = {}
-        self._mark(self.template, names)
-        self.params = tuple(names)
+        self.text = text
+        self.params = tuple(dict.fromkeys(_PARAM_RE.findall(text)))
         self._memo: tuple[Optional[weakref.ref], dict] = (None, {})
-
-    def _mark(self, node: object, names: dict[str, None]) -> bool:
-        if isinstance(node, Param):
-            names.setdefault(node.name)
-            held = True
-        elif isinstance(node, list):
-            held = any([self._mark(item, names) for item in node])
-        elif is_dataclass(node):
-            held = any([self._mark(getattr(node, f.name), names)
-                        for f in fields(node)])
-        else:
-            return False
-        if held:
-            self._holders.add(id(node))
-        return held
 
     def bind(self, values: dict[str, Term]) -> SelectQuery:
         """The query with ``values[name]`` in place of each ``$name``."""
         missing = [name for name in self.params if name not in values]
         if missing:
             raise QueryError(f"missing query parameter ${missing[0]}")
-        return self._bind(self.template, values)
-
-    def _bind(self, node, values: dict[str, Term]):
-        if id(node) not in self._holders:
-            return node
-        if isinstance(node, Param):
-            return values[node.name]
-        if isinstance(node, list):
-            return [self._bind(item, values) for item in node]
-        return type(node)(*[self._bind(getattr(node, f.name), values)
-                            for f in fields(node)])
+        return parse_query(_PARAM_RE.sub(
+            lambda m: nt_term(values[m.group(1)]), self.text))
 
     def bind_for(self, g: Graph,
                  values: dict[str, Term]) -> tuple[SelectQuery, _Choices]:

@@ -1,6 +1,6 @@
-"""Prepared competency questions: each template parsed once, parameters
-bound as terms, and the planner's choices replayed on the same frozen
-graph."""
+"""Prepared competency questions: parameters written into the template
+text as terms, and the parsed query and the planner's choices reused per
+parameter values on the same frozen graph."""
 
 import gc
 import re
@@ -12,9 +12,9 @@ import plexflow.query
 from plexflow.cq import CATALOGUE, CqError, query_text, run_cq
 from plexflow.fixture import V01, V02, generate_fixture
 from plexflow.query import (
-    Param, PreparedQuery, QueryError, QueryParseError, _Choices, evaluate, parse_query,
+    PreparedQuery, QueryError, QueryParseError, _Choices, _Lexer, evaluate, parse_query,
 )
-from plexflow.rdf import Graph, iri
+from plexflow.rdf import IRI, Graph, iri
 from plexflow.vocab import PPLAN
 
 from conftest import relabel
@@ -51,37 +51,40 @@ def test_binding_equals_parsing_the_substituted_text_for_every_copy():
             assert bound == parse_query(_substituted(entry.file, params)), (cq_id, copy)
 
 
-def test_binding_shares_every_parameter_free_part_of_the_template():
-    entry = CATALOGUE["CQ3.2"]
-    prepared = PreparedQuery(query_text(entry.file))
-    bound = prepared.bind(_values(_copy_params(3), entry.params))
-    assert bound.prefixes is prepared.template.prefixes
-    assert bound.order_by is prepared.template.order_by
-    (union,) = prepared.template.where.elements
-    (bound_union,) = bound.where.elements
-    # Each branch tags its rows with a parameter-free VALUES block.
-    for branch, bound_branch in zip(union.branches, bound_union.branches):
-        assert branch is not bound_branch
-        assert bound_branch.elements[0] is branch.elements[0]
-    unparameterised = PreparedQuery(query_text(CATALOGUE["CQ3.1"].file))
-    assert unparameterised.bind({}) is unparameterised.template
-
-
 def test_a_parameter_stands_for_a_whole_iri_term():
     prepared = PreparedQuery("SELECT ?s WHERE { ?s $p+ $o . FILTER(?s != $o) }")
     assert prepared.params == ("p", "o")
-    pattern = prepared.template.where.elements[0]
-    assert (pattern.p, pattern.o, pattern.plus) == (Param("p"), Param("o"), True)
     bound = prepared.bind({"p": iri("urn:p"), "o": iri("urn:o")})
     assert bound == parse_query(
         "SELECT ?s WHERE { ?s <urn:p>+ <urn:o> . FILTER(?s != <urn:o>) }")
     with pytest.raises(QueryError, match=r"missing query parameter \$o"):
         prepared.bind({"p": iri("urn:p")})
-    with pytest.raises(QueryParseError, match="malformed parameter name"):
-        PreparedQuery("SELECT ?s WHERE { ?s <urn:p> $ }")
+    # A '$' that starts no parameter name is left in the text it parses.
+    with pytest.raises(QueryParseError, match="unsubstituted query parameter"):
+        PreparedQuery("SELECT ?s WHERE { ?s <urn:p> $ }").bind({})
     # parse_query still refuses a parameter left in the text.
     with pytest.raises(QueryParseError, match="unsubstituted query parameter"):
         parse_query("SELECT ?s WHERE { ?s <urn:p> $o }")
+
+
+def test_every_dollar_in_a_template_starts_a_parameter_outside_strings():
+    # Binding substitutes text, so a '$' inside a string or IRI, or one
+    # naming no parameter, would change what a template means.
+    marker = "urn:x-param:"
+    for cq_id, entry in CATALOGUE.items():
+        text = query_text(entry.file)
+        assert set(re.findall(r"\$(\w*)", text)) <= set(entry.params), cq_id
+        lexer = _Lexer(_substituted(entry.file, {n: marker + n for n in entry.params}))
+        while (tok := lexer.next_token()).kind != "EOF":
+            if marker in str(tok.value):
+                assert tok.kind == "IRIREF", (cq_id, tok)
+
+
+def test_a_bound_iri_that_nt_term_escapes_keeps_its_value():
+    prepared = PreparedQuery("SELECT ?s WHERE { ?s <urn:p> $o }")
+    value = IRI("urn:a b")
+    bound = prepared.bind({"o": value})
+    assert bound.where.elements[0].o == value
 
 
 @pytest.mark.parametrize("value", ["http://a b", "http://a>b", "http://a/\\u0041"])
@@ -179,15 +182,26 @@ def test_a_replay_must_use_up_exactly_its_record(fixture_graph):
             evaluate(query, g, choices=_Choices(wrong))
 
 
-def test_each_template_is_parsed_once_per_process(fixture_graph, monkeypatch):
+def test_each_template_is_parsed_once_per_parameters_and_graph(
+        fixture_graph, monkeypatch):
     g = fixture_graph.copy().freeze()
-    params = {"workflow": V01, "from": V01, "to": V02}
-    for cq_id, entry in CATALOGUE.items():
-        run_cq(cq_id, g, {n: params[n] for n in entry.params})
+    param_sets = [{"workflow": V01, "from": V01, "to": V02},
+                  {"workflow": V02, "from": V02, "to": V01}]
     parsed = []
-    monkeypatch.setattr(plexflow.query, "_TemplateParser",
-                        lambda text: parsed.append(text))
-    monkeypatch.setattr(plexflow.query, "_Parser", lambda text: parsed.append(text))
-    for cq_id, entry in CATALOGUE.items():
-        run_cq(cq_id, g, {n: params[n] for n in entry.params})
+    parser = plexflow.query._Parser
+
+    def counted(text):
+        parsed.append(text)
+        return parser(text)
+
+    monkeypatch.setattr(plexflow.query, "_Parser", counted)
+    for params in param_sets:
+        for cq_id, entry in CATALOGUE.items():
+            run_cq(cq_id, g, {n: params[n] for n in entry.params})
+    assert len(parsed) == sum(len(param_sets) if entry.params else 1
+                              for entry in CATALOGUE.values())
+    parsed.clear()
+    for params in param_sets:
+        for cq_id, entry in CATALOGUE.items():
+            run_cq(cq_id, g, {n: params[n] for n in entry.params})
     assert not parsed
