@@ -155,7 +155,7 @@ def _cmd_cq(args) -> int:
         raise _CliError(str(exc), EXIT_USAGE) from exc
     if args.format == "tsv":
         _write_output(table.to_tsv(), args.out)
-    elif args.id in ("CQ3.2", "CQ3.4"):
+    elif "change" in table.variables:  # a version-delta table
         counts = cq_mod.delta_counts(table)
         _write_output(json.dumps(counts, sort_keys=True) + "\n", args.out)
     else:

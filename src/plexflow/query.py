@@ -61,45 +61,49 @@ every sort key reuses that text.
   whose repeated positions agree.
 - Outer and inner rows meet in one hash join, :func:`_join`, in the modes
   of SPARQL's algebra (SPARQL 1.1 Query, §18.5): VALUES tables (one row
-  per term) and UNION rows join ``"inner"``, seeded OPTIONAL groups
-  ``"optional"`` and MINUS groups ``"minus"``. The key is the variables
-  bound in every outer row and in every inner row; only rows with equal
-  keys are paired, and each pair is then checked on the variables outside
-  the key. An empty key puts all inner rows in one bucket. An outer row
-  extends with every compatible inner row; with none, an inner join drops
-  it and OPTIONAL keeps it alone. An OPTIONAL group's own FILTERs are
-  the left join's condition (§18.2.2.6): they test each merged row, so
-  they see the outer row's bindings, and an outer row none of whose
-  merged rows passes is kept alone. MINUS removes an outer row when some
-  compatible inner row shares at least one variable with it; a MINUS
-  group's FILTERs test the group's own rows.
-- An OPTIONAL group that is one triple pattern, not ``p+``, sharing a
-  variable that every outer row binds, plus nested OPTIONALs of the same
-  kind, extends the outer rows directly (:func:`_extension`): one
-  :meth:`Graph.match` call per outer row, a row with no match kept as it
-  is, and the nested groups run on the rows that matched. This needs the
-  group to be well-designed (Pérez, Arenas & Gutierrez, ACM TODS 34(3),
-  2009): every variable of a nested OPTIONAL that the rows it extends may
-  bind occurs in the enclosing pattern. Otherwise an outer binding would
-  reach a nested group that SPARQL evaluates without it. "May bind" is
-  read from the query: the group's VALUES, UNION, pattern and earlier
-  OPTIONAL variables, so a plan and its replay take the same path. A
-  ``p+`` group stays seeded: extended, it walks from each outer row in
-  turn, where a seeded group with a constant end walks once from it. On a
-  1,500-step ``dul:precedes`` chain, ``?s rdfs:label ?l . OPTIONAL { ?s
-  dul:precedes+ <last> }`` took about 1.8 s extended and 0.03 s seeded.
-- A MINUS group, and any other OPTIONAL group (several patterns, FILTER,
-  VALUES, UNION, ``p+``, not well-designed), is evaluated on its own and
-  joined. One without VALUES or UNION may start from the outer rows
-  instead (sideways information passing, as in RDF-3X): from its seed, the
-  distinct tuples of the variables that every outer row binds and the
-  group's own triple patterns bind. It does when the seed is no larger
-  than its smallest first-step estimate. It then keeps only the rows whose
+  per term) and UNION rows join ``"inner"``, OPTIONAL groups that do not
+  extend the outer rows (below) ``"optional"`` and MINUS groups
+  ``"minus"``. The key is the variables bound in every outer row and in
+  every inner row; only rows with equal keys are paired, and each pair is
+  then checked on the variables outside the key. An empty key puts all
+  inner rows in one bucket. An outer row extends with every compatible
+  inner row; with none, an inner join drops it and OPTIONAL keeps it
+  alone. An OPTIONAL group's own FILTERs are the left join's condition
+  (§18.2.2.6): they test each merged row, so they see the outer row's
+  bindings, and an outer row none of whose merged rows passes is kept
+  alone. MINUS removes an outer row when some compatible inner row shares
+  at least one variable with it; a MINUS group's FILTERs test the group's
+  own rows.
+- A group runs from start rows (:func:`_eval_group`): the rows it starts
+  from, given with the variables they all bind and those only some bind.
+  The WHERE group and a UNION branch start from one empty row. An OPTIONAL
+  group that is one triple pattern, not ``p+``, sharing a variable that
+  every outer row binds, plus nested OPTIONALs of the same kind
+  (:func:`_extends`), starts from the outer rows and extends them in place
+  of a join: one :meth:`Graph.match` call per outer row, a row with no
+  match kept as it is, and the nested groups run on the rows that matched.
+  This needs the group to be well-designed (Pérez, Arenas & Gutierrez, ACM
+  TODS 34(3), 2009): every variable of a nested OPTIONAL that the rows it
+  extends may bind occurs in the enclosing pattern. Otherwise an outer
+  binding would reach a nested group that SPARQL evaluates without it.
+  "May bind" is read from the query: the group's VALUES, UNION, pattern
+  and earlier OPTIONAL variables, so a plan and its replay take the same
+  path. Any other group (a MINUS group; an OPTIONAL group with several
+  patterns, FILTER, VALUES, UNION or ``p+``, or not well-designed) is
+  joined, and starts from one empty row or, without VALUES or UNION, from
+  its seed (sideways information passing, as in RDF-3X): the distinct
+  tuples of the variables that every outer row binds and the group's own
+  triple patterns bind, when the seed is no larger than its smallest
+  first-step estimate. The join then keeps only the rows whose
   seed variables some outer row has. Those variables are part of the
   outer join's key, so the dropped rows would pair with no outer row; the
   seed holds no variable the group would not bind itself, so a MINUS
-  group's FILTERs see what they saw unseeded, and its distinct tuples
-  keep every row's multiplicity.
+  group's FILTERs see what they saw unseeded, and its distinct tuples keep
+  every row's multiplicity. A ``p+`` group is joined because, extended, it
+  walks from each outer row in turn, where a joined group with a constant
+  end walks once from it. On a 1,500-step ``dul:precedes`` chain, ``?s
+  rdfs:label ?l . OPTIONAL { ?s dul:precedes+ <last> }`` took about 1.8 s
+  extended and 0.03 s joined.
 - :func:`explain` returns the steps the evaluator took, recorded during
   the run: join order, estimates, join keys and row counts.
 
@@ -129,7 +133,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
 from operator import attrgetter, itemgetter
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 from .lexing import PN_PREFIX_RE, Lexer, Token
 from .rdf import XSD_NS, XSD_STRING, RDF_TYPE, Graph, IRI, Literal, Term, nt_term
@@ -801,72 +805,36 @@ def _bindable(elements: list) -> list[str]:
     return list(names)
 
 
-class _Extension(NamedTuple):
-    """An OPTIONAL group that extends each outer row in place of being
-    seeded and joined (:func:`_extension`)."""
-
-    pattern: TriplePattern
-    bound: set[str]  # the variables every row it extends binds
-    fixed: bool  # each of the pattern's variables bound in all rows or none
-    nested: list  # the group's own OPTIONALs, as extensions
-
-
-def _extension(group: Group, bound: set[str],
-               outer: set[str]) -> Optional[_Extension]:
-    """How an OPTIONAL ``group`` extends rows that all bind ``bound`` and
-    may bind ``outer``, or None when it must be seeded and joined. It
-    qualifies when it is one triple pattern that is not ``p+`` and shares a
-    variable with ``bound``, plus nested OPTIONALs that qualify over the
-    rows it makes, and it is well-designed: a nested group's variables that
-    ``outer`` holds are all the pattern's. Then a nested group sees the
-    same bindings in an outer row as in the pattern's own row, so extending
-    each outer row gives SPARQL's left join of the outer rows with the
-    group evaluated alone (Pérez, Arenas & Gutierrez, ACM TODS 34(3), 2009).
-    The answer depends on the query and ``bound`` alone (the caller reads
-    ``outer`` from the query), so a replayed plan takes the same path as
-    the one it records."""
+def _extends(group: Group, bound: set[str], outer: set[str]) -> bool:
+    """Whether an OPTIONAL ``group`` extends rows that all bind ``bound`` and
+    may bind ``outer``, in place of being joined with them. It does when it
+    is one triple pattern that is not ``p+`` and shares a variable with
+    ``bound``, plus nested OPTIONALs that extend the rows it makes, and it
+    is well-designed: a nested group's variables that ``outer`` holds are
+    all the pattern's. Then a nested group sees the same bindings in an
+    outer row as in the pattern's own row, so extending each outer row gives
+    SPARQL's left join of the outer rows with the group evaluated alone
+    (Pérez, Arenas & Gutierrez, ACM TODS 34(3), 2009). The answer depends on
+    the query and ``bound`` alone (the caller reads ``outer`` from the
+    query), so a replayed plan takes the same path as the one it records."""
     patterns = [el for el in group.elements if isinstance(el, TriplePattern)]
     nested = [el.group for el in group.elements if isinstance(el, OptionalGroup)]
-    # p+ stays seeded: a walk per outer row is quadratic on a long chain,
-    # where a seeded group with a constant end walks once (module docstring).
+    # p+ stays joined: a walk per outer row is quadratic on a long chain,
+    # where a joined group with a constant end walks once (module docstring).
     if (len(patterns) != 1 or len(group.elements) != 1 + len(nested)
             or patterns[0].plus):
-        return None
+        return False
     own = _pattern_vars(patterns[0])
     if bound.isdisjoint(own):
-        return None
-    inner_bound, inner_outer = bound | own, outer | own
-    steps = []
+        return False
+    inner_outer = outer | own
     for inner in nested:
         names = _bindable(inner.elements)
-        if not outer.intersection(names) <= own:
-            return None
-        step = _extension(inner, inner_bound, inner_outer)
-        if step is None:
-            return None
-        steps.append(step)
+        if not (outer.intersection(names) <= own
+                and _extends(inner, bound | own, inner_outer)):
+            return False
         inner_outer = inner_outer.union(names)
-    return _Extension(patterns[0], bound, own.isdisjoint(outer - bound), steps)
-
-
-def _extend_optional(g: Graph, ext: _Extension, sols: list[Solution],
-                     plan: Optional[list[str]], depth: int) -> list[Solution]:
-    """``sols`` left-joined with an extended OPTIONAL: each row extended by
-    every match of the pattern and those rows by each nested extension in
-    turn, then the rows with no match, unchanged."""
-    indent = "  " * depth
-    estimate = _estimate(g, ext.pattern, sols, ext.bound) if plan is not None else 0
-    misses: list[Solution] = []
-    rows = _extend(g, ext.pattern, sols, ext.fixed, misses)
-    if plan is not None:
-        plan.append(indent + _pattern_line(ext.pattern, estimate, len(rows)))
-    for inner in ext.nested:
-        if not rows:
-            break
-        rows = _extend_optional(g, inner, rows, plan, depth + 1)
-        if plan is not None:
-            plan.append(f"{indent}optional extend rows={len(rows)}")
-    return rows + misses
+    return True
 
 
 def _seed(outer: list[Solution], group: Group) -> Optional[list[Solution]]:
@@ -924,19 +892,26 @@ class _Choices:
             self._keep(tuple(self.made))
 
 
-def _eval_group(group: Group, g: Graph, choices: _Choices,
-                plan: Optional[list[str]] = None, depth: int = 0,
-                seed: Optional[list[Solution]] = None) -> list[Solution]:
-    patterns = [el for el in group.elements if isinstance(el, TriplePattern)]
-    values = [el for el in group.elements if isinstance(el, Values)]
-    unions = [el for el in group.elements if isinstance(el, Union)]
-    optionals = [el for el in group.elements if isinstance(el, OptionalGroup)]
-    minuses = [el for el in group.elements if isinstance(el, Minus)]
-    filters = [el for el in group.elements if isinstance(el, Filter)]
-    indent = "  " * depth
+# The kinds of a group's elements, in the order _eval_group unpacks them.
+_ELEMENT_KINDS = (TriplePattern, Values, Union, OptionalGroup, Minus, Filter)
 
-    sols: list[Solution] = [{}]
-    bound: set[str] = set()  # the variables every row binds
+
+def _eval_group(group: Group, g: Graph, choices: _Choices,
+                plan: Optional[list[str]], depth: int, sols: list[Solution],
+                bound: set[str], partial: set[str] = frozenset(),
+                misses: Optional[list[Solution]] = None) -> list[Solution]:
+    """The rows of ``group`` evaluated from the rows ``sols``, which all
+    bind ``bound`` and some also ``partial``. An extending OPTIONAL
+    (:func:`_extends`) starts from the outer rows and puts those its
+    pattern does not match in ``misses``; any other group starts from one
+    empty row or from its seed."""
+    kinds: dict[type, list] = {kind: [] for kind in _ELEMENT_KINDS}
+    for el in group.elements:
+        kinds[type(el)].append(el)
+    patterns, values, unions, optionals, minuses, filters = kinds.values()
+    indent = "  " * depth
+    bound, partial = set(bound), set(partial)
+
     for el in values + unions:
         if isinstance(el, Values):
             right = [{el.var.name: term} for term in el.terms]
@@ -944,7 +919,8 @@ def _eval_group(group: Group, g: Graph, choices: _Choices,
             break
         else:
             right = [row for branch in el.branches
-                     for row in _eval_group(branch, g, choices, plan, depth + 1)]
+                     for row in _eval_group(branch, g, choices, plan, depth + 1,
+                                            [{}], set())]
         sols, stats = _join("inner", sols, right)
         if right:
             bound.update(set(right[0]).intersection(*right))
@@ -953,17 +929,7 @@ def _eval_group(group: Group, g: Graph, choices: _Choices,
                 f"values ?{el.var.name} terms={len(el.terms)} rows={len(sols)}"
                 if isinstance(el, Values) else
                 f"union branches={len(el.branches)} {stats}"))
-
-    # The variables that only some rows may bind.
-    partial = set(_bindable(unions)) - bound
-
-    # Every seed variable is in the outer join's key, so the rows a seeded
-    # start leaves out would have paired with no outer row.
-    if seed and choices.choose(2, lambda: int(
-            len(seed) <= min(_estimate(g, pat, sols, bound) for pat in patterns))):
-        sols, bound = seed, set(seed[0])
-        if plan is not None:
-            plan.append(f"{indent}seed start rows={len(sols)}")
+    partial |= set(_bindable(unions)) - bound
 
     remaining = list(patterns)
     while sols and remaining:
@@ -979,7 +945,7 @@ def _eval_group(group: Group, g: Graph, choices: _Choices,
         best = choices.choose(len(remaining), cheapest) if len(remaining) > 1 else 0
         pat = remaining.pop(best)
         own = _pattern_vars(pat)
-        sols = _extend(g, pat, sols, partial.isdisjoint(own))
+        sols = _extend(g, pat, sols, partial.isdisjoint(own), misses)
         bound |= own
         partial -= own
         if plan is not None:
@@ -989,13 +955,13 @@ def _eval_group(group: Group, g: Graph, choices: _Choices,
         if not sols:
             break
         mode = "minus" if isinstance(nested, Minus) else "optional"
-        ext = (_extension(nested.group, bound, bound | partial)
-               if mode == "optional" else None)
-        if ext is not None:
-            sols = _extend_optional(g, ext, sols, plan, depth + 1)
+        inner_group, condition = nested.group, ()
+        if mode == "optional" and _extends(inner_group, bound, bound | partial):
+            unmatched: list[Solution] = []
+            sols = _eval_group(inner_group, g, choices, plan, depth + 1,
+                               sols, bound, partial, unmatched) + unmatched
             stats = f"extend rows={len(sols)}"
         else:
-            inner_group, condition = nested.group, ()
             if mode == "optional":
                 # LeftJoin(G, P, F) (SPARQL 1.1 Query, §18.2.2.6): the
                 # group's own FILTERs test each merged row.
@@ -1003,8 +969,18 @@ def _eval_group(group: Group, g: Graph, choices: _Choices,
                                   if isinstance(el, Filter))
                 inner_group = Group([el for el in inner_group.elements
                                      if not isinstance(el, Filter)])
+            # Every seed variable is in the outer join's key, so the rows a
+            # seeded start leaves out would have paired with no outer row.
+            start = _seed(sols, inner_group)
+            if not (start and choices.choose(2, lambda: int(len(start) <= min(
+                    _estimate(g, el, [{}], set()) for el in inner_group.elements
+                    if isinstance(el, TriplePattern))))):
+                start = [{}]
+            elif plan is not None:
+                plan.append(f"{indent}  seed start rows={len(start)}")
             inner = _eval_group(inner_group, g, choices, plan, depth + 1,
-                                _seed(sols, inner_group))
+                                start, set(start[0]))
+            del start  # free the seed rows before the join (peak memory)
             sols, stats = _join(mode, sols, inner, condition)
         if mode == "optional":
             partial |= set(_bindable(nested.group.elements)) - bound
@@ -1031,7 +1007,7 @@ def evaluate(query: SelectQuery, g: Graph, plan: Optional[list[str]] = None,
         raise QueryError("graph must be frozen before evaluation")
     if choices is None:
         choices = _Choices()
-    sols = _eval_group(query.where, g, choices, plan)
+    sols = _eval_group(query.where, g, choices, plan, 0, [{}], set())
     choices.finish()
     if query.variables is None:
         header = _bindable(query.where.elements)

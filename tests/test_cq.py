@@ -161,6 +161,26 @@ def test_a_minus_on_a_long_chain_starts_from_its_seed():
     assert peak < 10_000_000, peak
 
 
+def test_an_optional_closure_on_a_long_chain_stays_joined_and_walks_once():
+    # The group is one p+ pattern sharing ?s with every outer row, but it
+    # does not extend them: that would walk from each outer row in turn.
+    # Run alone, it walks once back from the last step, then joins on ?s.
+    g, steps = _chain_graph(1500)
+    query = parse_query(f"SELECT * WHERE {{ ?s <{DUL.precedes}> ?t . "
+                        f"OPTIONAL {{ ?s <{DUL.precedes}>+ <{steps[-1].value}> }} }}")
+    tracemalloc.start()
+    try:
+        table = evaluate(query, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table.rows) == 1499
+    plan = explain(query, g)
+    assert plan[-1] == "optional key=(?s) pairs=1499 rows=1499"
+    assert not any(line.startswith("optional extend") for line in plan)
+    assert peak < 10_000_000, peak
+
+
 # CQ2.1 as it was answered before the ranking read the direct edges: the
 # template listed every (first, before, member) path, and the ranking
 # counted each member's rows with a bound ?before.

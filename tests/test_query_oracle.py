@@ -8,10 +8,11 @@ Agreement is checked on sorted row multisets.
 
 import random
 
+import plexflow.query
 from plexflow.query import (
     BoundTest, Comparison, Filter, Group, Minus, OptionalGroup, RegexTest,
     SelectQuery, TriplePattern, Union, Values, Var, evaluate, explain,
-    _seed, parse_query,
+    _Choices, _seed, parse_query,
 )
 from plexflow.rdf import Graph, IRI, Literal, Triple, iri, lit, nt_term
 
@@ -705,6 +706,37 @@ def test_extend_shapes_reach_both_the_extension_and_the_seeded_path():
             elif words[0] == "seed":
                 seen["seed"] += 1
     assert seen["extend"] >= 10 and seen["seed"] >= 10, seen
+
+
+def test_replayed_choices_answer_as_estimating_does_on_seed_and_extend_shapes(
+        monkeypatch):
+    # A record replays the seeded-start choices and the join order it
+    # recorded, over groups started from a seed, from the outer rows
+    # (extending) and from one empty row, with no estimate made.
+    calls = [0]
+    estimate = plexflow.query._estimate
+
+    def counted(*args):
+        calls[0] += 1
+        return estimate(*args)
+
+    monkeypatch.setattr(plexflow.query, "_estimate", counted)
+    rng = random.Random(20261024)
+    seeded = 0
+    for shapes, make in ((SEED_SHAPES, random_seed_query),
+                         (EXTEND_SHAPES, random_extend_query)):
+        for case in range(60):
+            g = random_graph(rng)
+            query = make(rng, g, shapes[case % len(shapes)])
+            choices = _Choices()
+            first = evaluate(query, g, choices=choices)
+            before = calls[0]
+            replayed = evaluate(query, g, choices=_Choices(tuple(choices.made)))
+            assert calls[0] == before, case
+            assert replayed.rows == first.rows, case
+            seeded += any(line.split()[:2] == ["seed", "start"]
+                          for line in explain(query, g))
+    assert seeded >= 10, seeded
 
 
 def test_a_nested_optional_that_is_not_well_designed_stays_joined():
