@@ -89,6 +89,9 @@ N_FEATURES = N_DRUG_MEASURES * N_DISEASE_MEASURES
 # 32 was the fastest of 16 to 128 at 200 x 120 and at 593 x 313.
 _ROW_BLOCK = 32
 
+# How far a similarity tensor may stray from symmetry and a unit diagonal.
+_SIM_TOL = 1e-12
+
 
 class PipelineError(ValueError):
     pass
@@ -109,7 +112,7 @@ class SimilarityBundle:
     def n_diseases(self) -> int:
         return len(self.disease_ids)
 
-    def validate(self, tol: float = 1e-12) -> None:
+    def validate(self) -> None:
         if not (self.n_drugs and self.n_diseases):
             raise PipelineError("the bundle needs at least one drug and one disease")
         if self.drug_sims.shape != (N_DRUG_MEASURES, self.n_drugs, self.n_drugs):
@@ -122,10 +125,10 @@ class SimilarityBundle:
             if not np.all((sims >= 0) & (sims <= 1)):
                 raise PipelineError(f"{name} similarities must be finite and "
                                     f"lie in [0, 1]")
-            if np.max(np.abs(sims - sims.transpose(0, 2, 1))) > tol:
+            if np.max(np.abs(sims - sims.transpose(0, 2, 1))) > _SIM_TOL:
                 raise PipelineError(f"{name} similarities must be symmetric")
             diag = sims[:, range(sims.shape[1]), range(sims.shape[1])]
-            if np.max(np.abs(diag - 1.0)) > tol:
+            if np.max(np.abs(diag - 1.0)) > _SIM_TOL:
                 raise PipelineError(f"{name} similarities need a unit diagonal")
 
 

@@ -18,15 +18,15 @@ Design notes:
   → bucket, object → predicate → bucket, and predicate → bucket. A pattern
   with ``(s, p)``, ``(p, o)`` or only ``p`` bound is one bucket, read
   without a scan or a term comparison; with all three bound it is the
-  ``(s, p)`` bucket's one triple whose object equals ``o``, if any; other
-  shapes filter the smallest candidate set. On a frozen graph each bucket
-  is sorted into canonical order once, on its first read.
+  ``(s, p)`` bucket's one triple whose object equals ``o``, if any; with
+  the predicate unbound it filters the bound subject's buckets, else the
+  bound object's, else every triple. On a frozen graph each bucket is
+  sorted into canonical order once, on its first read.
   :meth:`Graph.bucket_size` reports the smallest one-position bucket's
-  size for the query planner; a frozen graph keeps a subject's or an
-  object's total over its predicates once it has summed it, filled lazily
-  as the sorts are. There is no closure index: the query engine answers
-  ``p+`` by walking these buckets one hop at a time. Insertion is
-  idempotent (set semantics).
+  size for the query planner, summing a subject's or an object's
+  predicate buckets when it is read. There is no closure index: the
+  query engine answers ``p+`` by walking these buckets one hop at a time.
+  Insertion is idempotent (set semantics).
 - Serialization is canonical: statements sorted by their serialized
   (subject, predicate, object) forms, one per line, ``\\n`` endings. Byte
   identity of output is therefore a pure function of the triple set.
@@ -247,18 +247,14 @@ class Graph:
     """Indexed set of triples with deterministic iteration order."""
 
     # __weakref__: a prepared query keeps its memo for one graph, weakly.
-    __slots__ = ("_triples", "_by_s", "_by_p", "_by_o", "_s_sizes", "_o_sizes",
-                 "_frozen", "__weakref__")
+    __slots__ = ("_triples", "_by_s", "_by_p", "_by_o", "_frozen",
+                 "__weakref__")
 
     def __init__(self, triples: Iterable[Triple] = ()):
         self._triples: set[Triple] = set()
         self._by_s: dict[Term, dict[Term, Bucket]] = {}
         self._by_p: dict[Term, Bucket] = {}
         self._by_o: dict[Term, dict[Term, Bucket]] = {}
-        # A subject's or an object's triple count, kept once a frozen graph
-        # has read it.
-        self._s_sizes: dict[Term, int] = {}
-        self._o_sizes: dict[Term, int] = {}
         self._frozen = False
         for t in triples:
             self.add(t)
@@ -346,24 +342,15 @@ class Graph:
             if type(bucket) is not tuple:
                 bucket = self._canonical(by_p, p)
             return list(bucket)
-        if s is None and o is None:
-            candidates: Iterable[Triple] = self._triples
+        # p unbound: the bound subject's buckets, else the bound object's.
+        if s is not None:
+            buckets = self._by_s.get(s, {}).values()
+        elif o is not None:
+            buckets = self._by_o.get(o, {}).values()
         else:
-            # s or o bound, p not: the smaller position's buckets.
-            chosen: Optional[tuple[int, list[Bucket]]] = None
-            for term, index in ((s, self._by_s), (o, self._by_o)):
-                if term is None:
-                    continue
-                by_p = index.get(term)
-                if by_p is None:
-                    return []
-                buckets = list(by_p.values())
-                size = sum(map(len, buckets))
-                if chosen is None or size < chosen[0]:
-                    chosen = size, buckets
-            candidates = [t for bucket in chosen[1] for t in bucket]
-        out = [t for t in candidates
-               if (s is None or t.s == s) and (o is None or t.o == o)]
+            buckets = (self._triples,)
+        out = [t for bucket in buckets for t in bucket
+               if o is None or t.o == o]
         if len(out) > 1:
             out.sort(key=_triple_key)
         return out
@@ -411,29 +398,15 @@ class Graph:
         """The size of the smallest one-position index bucket among the
         bound positions: an upper bound on ``len(self.match(s, p, o))`` that
         costs no scan. A subject's or an object's size is the sum of its
-        predicates' buckets; a frozen graph keeps it once read, so each
-        term is summed once. The whole graph when nothing is bound, 0 when
-        a bound term is absent.
+        predicates' buckets, taken on each read. The whole graph when
+        nothing is bound, 0 when a bound term is absent.
         """
         size = len(self._triples)
         if p is not None:
             size = min(size, len(self._by_p.get(p, ())))
-        if s is not None:
-            size = min(size, self._term_size(self._by_s, self._s_sizes, s))
-        if o is not None:
-            size = min(size, self._term_size(self._by_o, self._o_sizes, o))
-        return size
-
-    def _term_size(self, index: "dict[Term, dict[Term, Bucket]]",
-                   sizes: "dict[Term, int]", term: Term) -> int:
-        size = sizes.get(term)
-        if size is None:
-            by_p = index.get(term)
-            if by_p is None:
-                return 0
-            size = sum(map(len, by_p.values()))
-            if self._frozen:
-                sizes[term] = size
+        for term, index in ((s, self._by_s), (o, self._by_o)):
+            if term is not None:
+                size = min(size, sum(map(len, index.get(term, {}).values())))
         return size
 
 

@@ -34,6 +34,9 @@ from .workflow import (
     ActivityRecord, AgentAssociation, ArtifactRecord, _add, _read, _write,
 )
 
+# Every minted activity, generation, artifact and association IRI starts here.
+_BASE = vocab.OPREDICT.base
+
 GENERIC_ARTIFACT = "generic-artifact"
 MODEL_EVALUATION = "model-evaluation"
 
@@ -80,9 +83,8 @@ def _local_name(iri_: str) -> str:
 class Tracer:
     """Single-writer recorder for the executions of one workflow graph."""
 
-    def __init__(self, workflow_graph: Graph, base: str = vocab.OPREDICT.base):
+    def __init__(self, workflow_graph: Graph):
         self._graph = workflow_graph
-        self._base = base
         self._activities: dict[str, ActivityRecord] = {}
         self._artifacts: dict[str, list[ArtifactRecord]] = {}
         self._generations: dict[tuple[str, str], str] = {}
@@ -111,7 +113,7 @@ class Tracer:
             raise UnknownStepError(f"not a p-plan:Step in the graph: {step}")
         step_local = _local_name(step).removeprefix("Step_")
         activity_iri = iri or self._mint(
-            f"{self._base}Activity_{step_local}_Execution_{_epoch_seconds(at)}")
+            f"{_BASE}Activity_{step_local}_Execution_{_epoch_seconds(at)}")
         if activity_iri in self._used_iris:
             raise TraceError(f"activity IRI already used: {activity_iri}")
         self._used_iris.add(activity_iri)
@@ -143,7 +145,7 @@ class Tracer:
         if key not in self._generations:
             suffix = activity.iri.rsplit("Activity_", 1)[-1]
             tail = suffix.rsplit("_Execution_", 1)[-1]
-            generation = self._mint(f"{self._base}Generation_Execution_{tail}")
+            generation = self._mint(f"{_BASE}Generation_Execution_{tail}")
             self._used_iris.add(generation)
             self._generations[key] = generation
         record.generation_iri, record.generated_at = self._generations[key], stamp
@@ -159,7 +161,7 @@ class Tracer:
         if artifact_iri is None:
             tail = activity.iri.rsplit("_Execution_", 1)[-1]
             measure_local = _local_name(measure).removeprefix("EvaluationMeasure_")
-            artifact_iri = (f"{self._base}ModelEvaluation_{measure_local}"
+            artifact_iri = (f"{_BASE}ModelEvaluation_{measure_local}"
                             f"_Execution_{tail}")
         return self._attach(activity, at, ArtifactRecord(
             artifact_iri, activity.iri, MODEL_EVALUATION, value, measure))
@@ -170,7 +172,7 @@ class Tracer:
         if artifact_iri is None:
             tail = activity.iri.rsplit("_Execution_", 1)[-1]
             n = len(self._artifacts[activity.iri]) + 1
-            artifact_iri = f"{self._base}Artifact_{n:02d}_Execution_{tail}"
+            artifact_iri = f"{_BASE}Artifact_{n:02d}_Execution_{tail}"
         return self._attach(activity, at, ArtifactRecord(
             artifact_iri, activity.iri, GENERIC_ARTIFACT, value))
 
@@ -181,7 +183,7 @@ class Tracer:
             _write(g, activity, PPLAN.Activity)
             for n, (agent, role) in enumerate(sorted(activity.associations), start=1):
                 assoc = AgentAssociation(
-                    f"{self._base}Association_{_local_name(activity.iri)}_{n}",
+                    f"{_BASE}Association_{_local_name(activity.iri)}_{n}",
                     agent, role)
                 _add(g, activity.iri, PROV.qualifiedAssociation, iri(assoc.iri))
                 _write(g, assoc, PROV.Association)

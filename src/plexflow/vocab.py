@@ -192,10 +192,10 @@ def expand_str(curie: str) -> str:
 
 
 # Longest base first, so e.g. rdf# beats any shorter shared base. The empty
-# prefix aliases opredict and must lose the tie, so sort it after.
+# prefix only aliases opredict's base, so it is left out.
 _BASES = sorted(
-    ((base, prefix) for prefix, base in NAMESPACES.items()),
-    key=lambda item: (-len(item[0]), item[1] == ""),
+    ((base, prefix) for prefix, base in NAMESPACES.items() if prefix),
+    key=lambda item: -len(item[0]),
 )
 
 
@@ -207,8 +207,6 @@ def compress(iri: "IRI | str") -> str:
     value = iri.value if isinstance(iri, IRI) else iri
     for base, prefix in _BASES:
         if value.startswith(base) and len(value) > len(base):
-            if prefix == "":
-                continue
             return f"{prefix}:{value[len(base):]}"
     return value
 

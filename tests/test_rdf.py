@@ -468,7 +468,7 @@ def test_bucket_size_predicates_and_inverse_closure_agree_with_scans(
     def check_frozen(g, nodes, preds):
         assert g.predicates() == sorted({t.p for t in g.match()}, key=nt_term)
         for term in nodes:
-            for _ in range(2):  # the second read is the kept total
+            for _ in range(2):  # a second read sums the buckets again
                 assert g.bucket_size(s=term) == len(g.match(term, None, None))
                 assert g.bucket_size(o=term) == len(g.match(None, None, term))
         for _ in range(20):

@@ -1,8 +1,11 @@
+import inspect
 import random
+import re
 from dataclasses import fields
 
 import pytest
 
+from plexflow import workflow
 from plexflow.fixture import V01, V02
 from plexflow.rdf import Graph, IRI, Triple, isomorphic, lit
 from plexflow.trace import Tracer, load_activity
@@ -252,6 +255,162 @@ opredict:Constraint_Q rdf:type sh:SPARQLConstraint ;
     view = load_workflow(g, OP.Plan_Tiny)
     (violation,) = [v for v in validate(view) if v.code == "E_SHAPE_SPARQL"]
     assert "nested deeper than" in violation.detail
+
+
+# -- one case per violation --------------------------------------------------
+# Each case changes the valid tiny workflow in one way: Turtle appended to
+# it, an (old, new) edit of its text, or an edit of the loaded view for
+# what load_workflow never builds. It lists every violation the change
+# causes, as (code, subject, detail).
+
+_USAGE = """
+opredict:Plan_Instruction_One prov:qualifiedUsage opredict:Usage_U .
+opredict:Usage_U rdf:type prov:Usage ;
+  prov:entity opredict:Variable_V{more} .
+opredict:Variable_V rdf:type p-plan:Variable .
+"""
+_SHAPE = _USAGE.format(more=" , opredict:Dist_V") + """
+opredict:Dist_V rdf:type dcat:Distribution ;
+  dcat:downloadURL "https://example.org/v.csv" .
+opredict:Shape_Q rdf:type sh:NodeShape ;
+  sh:targetClass opredict:Usage_U ;
+  sh:sparql opredict:Constraint_Q .
+opredict:Constraint_Q rdf:type sh:SPARQLConstraint ;
+  sh:select "SELECT ?x WHERE { ?x UNION }" .
+"""
+_INSTR = OP.Plan_Instruction_One
+
+VALIDATE_CASES = {
+    "version-empty": (
+        ('dc:hasVersion "1.0" ;', ""),
+        [("E_VERSION_EMPTY", OP.Plan_Tiny, "dc:hasVersion missing")]),
+    "no-first-step": (
+        ("pwo:hasFirstStep opredict:Step_One ;", ""),
+        [("E_NO_FIRST_STEP", OP.Plan_Tiny, "pwo:hasFirstStep missing")]),
+    "first-step-dangling": (
+        ("pwo:hasFirstStep opredict:Step_One", "pwo:hasFirstStep opredict:Step_Ghost"),
+        [("E_DANGLING_REF", OP.Plan_Tiny,
+          f"first step {OP.Step_Ghost} is not a loaded step")]),
+    "revision-missing": (
+        "opredict:Plan_Tiny prov:wasRevisionOf opredict:Plan_Gone .\n",
+        [("E_REVISION_MISSING", OP.Plan_Tiny,
+          f"prov:wasRevisionOf target {OP.Plan_Gone} not found")]),
+    "step-kind-both": (
+        "opredict:Step_One rdf:type bpmn:ScriptTask .\n",
+        [("E_STEP_KIND_BOTH", OP.Step_One,
+          "typed both bpmn:ManualTask and bpmn:ScriptTask")]),
+    "step-kind-none": (
+        ("rdf:type bpmn:ManualTask , p-plan:Step", "rdf:type p-plan:Step"),
+        [("E_STEP_KIND_NONE", OP.Step_One,
+          "typed neither bpmn:ManualTask nor bpmn:ScriptTask")]),
+    "step-no-instruction": (
+        ("dul:isDescribedBy opredict:Plan_Instruction_One ;", ""),
+        [("E_STEP_NO_INSTR", OP.Step_One,
+          "step has no dul:isDescribedBy instruction")]),
+    "step-two-instructions": (
+        "opredict:Step_One dul:isDescribedBy opredict:Plan_Other .\n",
+        [("E_STEP_MULTI_INSTR", OP.Step_One, "step has 2 instructions")]),
+    "instruction-not-loaded": (
+        lambda view: view.instructions.clear(),
+        [("E_DANGLING_REF", OP.Step_One, f"instruction {_INSTR} not loaded")]),
+    "precedes-dangling": (
+        "opredict:Step_One dul:precedes opredict:Step_Ghost .\n",
+        [("E_DANGLING_REF", OP.Step_One,
+          f"precedes target {OP.Step_Ghost} not a step")]),
+    "precedes-cross-plan": (
+        """
+opredict:Step_Two rdf:type bpmn:ManualTask , p-plan:Step ;
+  p-plan:isStepOfPlan opredict:Plan_Instruction_One ;
+  dul:isDescribedBy opredict:Plan_Instruction_One .
+opredict:Step_One dul:precedes opredict:Step_Two .
+""",
+        [("E_PRECEDES_CROSS_PLAN", OP.Step_One,
+          f"precedes {OP.Step_Two} in another plan")]),
+    "variable-dangling": (
+        "opredict:Step_One p-plan:hasInputVar opredict:Variable_Ghost .\n",
+        [("E_DANGLING_REF", OP.Step_One,
+          f"variable {OP.Variable_Ghost} not loaded")]),
+    "precedes-cycle": (
+        """
+opredict:Step_Two rdf:type bpmn:ManualTask , p-plan:Step ;
+  p-plan:isStepOfPlan opredict:Plan_Tiny ;
+  dul:isDescribedBy opredict:Plan_Instruction_One ;
+  dul:precedes opredict:Step_One .
+opredict:Step_One dul:precedes opredict:Step_Two .
+""",
+        [("E_PRECEDES_CYCLE", OP.Plan_Tiny,
+          f"dul:precedes cycle through {OP.Step_One}")]),
+    "instruction-two-languages": (
+        f"<{_INSTR}> dc:language opredict:LinguisticSystem_Python_3_5 .\n",
+        [("E_INSTR_LANG", _INSTR, "instruction has 2 languages")]),
+    # A self-reference is also the shortest cycle.
+    "described-by-self": (
+        f"<{_INSTR}> dul:isDescribedBy <{_INSTR}> .\n",
+        [("E_DESCRIBEDBY_SELF", _INSTR, "dul:isDescribedBy is self-referential"),
+         ("E_DESCRIBEDBY_CYCLE", _INSTR, "dul:isDescribedBy chain has a cycle")]),
+    "described-by-cycle": (
+        f"""<{_INSTR}> dul:isDescribedBy opredict:Plan_Spec .
+opredict:Plan_Spec rdf:type p-plan:Plan ;
+  dc:language opredict:LinguisticSystem_English ;
+  dul:isDescribedBy <{_INSTR}> .
+""",
+        [("E_DESCRIBEDBY_CYCLE", _INSTR, "dul:isDescribedBy chain has a cycle"),
+         ("E_DESCRIBEDBY_CYCLE", OP.Plan_Spec,
+          "dul:isDescribedBy chain has a cycle")]),
+    # load_workflow reads only referenced variables.
+    "variable-orphan": (
+        lambda view: view.variables.update(
+            {OP.Variable_Orphan: VariableDef(OP.Variable_Orphan)}),
+        [("E_VARIABLE_ORPHAN", OP.Variable_Orphan,
+          "variable referenced by no step or usage")]),
+    "usage-one-entity": (
+        _USAGE.format(more=""),
+        [("E_USAGE_TOO_FEW", OP.Usage_U,
+          "usage binding needs at least two entities")]),
+    "distribution-no-url": (
+        _USAGE.format(more=" , opredict:Dist_V")
+        + "opredict:Dist_V rdf:type dcat:Distribution .\n",
+        [("E_DIST_URL", OP.Dist_V, "distribution has 0 dcat:downloadURL values")]),
+    "association-incomplete": (
+        "opredict:Assoc_A rdf:type prov:Association ;\n"
+        "  prov:hadPlan opredict:Plan_Tiny .\n",
+        [("E_ASSOC_INCOMPLETE", OP.Assoc_A,
+          "association needs agent, role and plans")]),
+    "shape-sparql": (
+        _SHAPE,
+        [("E_SHAPE_SPARQL", OP.Shape_Q,
+          "line 1, column 22: expected predicate term, found WORD")]),
+}
+
+
+def _violations(mutation) -> list[tuple[str, str, str]]:
+    text = _mini_workflow_ttl()
+    if isinstance(mutation, str):
+        text += mutation
+    elif isinstance(mutation, tuple):
+        old, new = mutation
+        assert text.count(old) == 1, old
+        text = text.replace(old, new)
+    view = load_workflow(parse_turtle(text).freeze(), OP.Plan_Tiny)
+    if callable(mutation):
+        mutation(view)
+    return [(v.code, v.subject, v.detail) for v in validate(view)]
+
+
+@pytest.mark.parametrize("case", sorted(VALIDATE_CASES))
+def test_one_change_gives_exactly_its_violations(case):
+    mutation, expected = VALIDATE_CASES[case]
+    assert _violations(mutation) == expected
+
+
+def test_every_violation_code_in_the_workflow_module_has_a_case():
+    # A new profile check must come with a case in VALIDATE_CASES.
+    codes = set(re.findall(r'Violation\(\s*"(E_\w+)"',
+                           inspect.getsource(workflow)))
+    produced = {code for mutation, _ in VALIDATE_CASES.values()
+                for code, _, _ in _violations(mutation)}
+    assert {"E_DIST_URL", "E_VERSION_EMPTY"} <= codes  # a code on its own line too
+    assert codes - produced == set()
 
 
 # -- step ordering -----------------------------------------------------------
