@@ -8,8 +8,10 @@ import pytest
 
 from plexflow.cli import EXIT_FAILURES, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
 from plexflow.fixture import V01, V02
-from plexflow.rdf import parse_ntriples
+from plexflow.rdf import parse_ntriples, serialize_ntriples
 from plexflow.vocab import DUL, PWO, prefixes_turtle
+
+from conftest import mutated
 
 
 @pytest.fixture(scope="module")
@@ -296,6 +298,20 @@ def _every_answer(graph: str, capsys) -> list:
         code = main(argv)
         answers.append((code, *capsys.readouterr()))
     return answers
+
+
+def test_mutated_fixtures_exit_0_1_or_2_and_raise_nothing(fixture_graph, tmp_path,
+                                                          capsys):
+    triples = fixture_graph.match(None, None, None)
+    path = tmp_path / "mutated.nt"
+    seen = set()
+    for seed in range(6):  # about 2 s: each seed is 15 cli.main calls
+        path.write_text(serialize_ntriples(mutated(triples, random.Random(seed))),
+                        encoding="utf-8")
+        codes = {code for code, _, _ in _every_answer(str(path), capsys)}
+        assert codes <= {EXIT_OK, EXIT_FAILURES, EXIT_USAGE}, seed
+        seen |= codes
+    assert EXIT_FAILURES in seen  # the mutations do break the profile
 
 
 def test_one_input_answers_alike_as_nt_ttl_and_shuffled_nt(fixture_file, tmp_path,

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import random
 import re
@@ -19,10 +20,10 @@ from plexflow.workflow import (
     Instruction, LANGUAGE_ENGLISH, LANGUAGE_PYTHON_3_5, MANUAL,
     SCRIPT, QueryShape, StepDef, DistributionDef, UsageBinding,
     VariableDef, WorkflowDef, WorkflowError, WorkflowView,
-    emit_triples, load_workflow, step_order, validate,
+    emit_triples, load_workflow, step_order, validate, workflow_iris,
 )
 
-from conftest import k_copy_graph, load_listing
+from conftest import k_copy_graph, load_listing, mutated
 
 
 def _mini_workflow_ttl(extra: str = "") -> str:
@@ -284,6 +285,13 @@ VALIDATE_CASES = {
     "version-empty": (
         ('dc:hasVersion "1.0" ;', ""),
         [("E_VERSION_EMPTY", OP.Plan_Tiny, "dc:hasVersion missing")]),
+    # An empty first literal is no version, whatever follows it.
+    "version-empty-string": (
+        ('dc:hasVersion "1.0"', 'dc:hasVersion ""'),
+        [("E_VERSION_EMPTY", OP.Plan_Tiny, "dc:hasVersion missing")]),
+    "version-empty-string-first": (
+        ('dc:hasVersion "1.0"', 'dc:hasVersion "" , "1.0"'),
+        [("E_VERSION_EMPTY", OP.Plan_Tiny, "dc:hasVersion missing")]),
     "no-first-step": (
         ("pwo:hasFirstStep opredict:Step_One ;", ""),
         [("E_NO_FIRST_STEP", OP.Plan_Tiny, "pwo:hasFirstStep missing")]),
@@ -309,6 +317,11 @@ VALIDATE_CASES = {
           "step has no dul:isDescribedBy instruction")]),
     "step-two-instructions": (
         "opredict:Step_One dul:isDescribedBy opredict:Plan_Other .\n",
+        [("E_STEP_MULTI_INSTR", OP.Step_One, "step has 2 instructions")]),
+    # The step keeps the least IRI, the valid instruction; in canonical
+    # (N-Triples) order "<…One-b>" would come first.
+    "step-two-instructions-least-kept": (
+        f"opredict:Step_One dul:isDescribedBy <{_INSTR}-b> .\n",
         [("E_STEP_MULTI_INSTR", OP.Step_One, "step has 2 instructions")]),
     "instruction-not-loaded": (
         lambda view: view.instructions.clear(),
@@ -371,6 +384,12 @@ opredict:Plan_Spec rdf:type p-plan:Plan ;
         _USAGE.format(more=" , opredict:Dist_V")
         + "opredict:Dist_V rdf:type dcat:Distribution .\n",
         [("E_DIST_URL", OP.Dist_V, "distribution has 0 dcat:downloadURL values")]),
+    "distribution-two-literal-urls": (
+        _USAGE.format(more=" , opredict:Dist_V")
+        + "opredict:Dist_V rdf:type dcat:Distribution ;\n"
+        '  dcat:downloadURL "https://example.org/a.csv" , "https://example.org/b.csv" ,\n'
+        "    <https://example.org/c.csv> .\n",
+        [("E_DIST_URL", OP.Dist_V, "distribution has 2 dcat:downloadURL values")]),
     "association-incomplete": (
         "opredict:Assoc_A rdf:type prov:Association ;\n"
         "  prov:hadPlan opredict:Plan_Tiny .\n",
@@ -411,6 +430,28 @@ def test_every_violation_code_in_the_workflow_module_has_a_case():
                 for code, _, _ in _violations(mutation)}
     assert {"E_DIST_URL", "E_VERSION_EMPTY"} <= codes  # a code on its own line too
     assert codes - produced == set()
+
+
+# The sorted validate output of every workflow head in 100 mutated
+# fixtures; the mutations are seeded, so this is one fixed digest.
+MUTATION_DIGEST = "29c00f05ac6039bcc5375e74d9a8d75ae85cc450ee09d19605abe81e33e9d191"
+COUNT_CODES = {"E_VERSION_EMPTY", "E_NO_FIRST_STEP", "E_STEP_NO_INSTR",
+               "E_STEP_MULTI_INSTR", "E_INSTR_LANG", "E_USAGE_TOO_FEW",
+               "E_DIST_URL", "E_ASSOC_INCOMPLETE"}
+
+
+def test_validate_output_under_fixture_mutations_is_pinned(fixture_graph):
+    triples = fixture_graph.match(None, None, None)
+    digest, codes = hashlib.sha256(), set()
+    # Seeds 30-129: a window in which every code the module has shows up.
+    for seed in range(30, 130):
+        g = mutated(triples, random.Random(seed)).freeze()
+        for wf in workflow_iris(g):
+            found = validate(load_workflow(g, wf))
+            codes |= {v.code for v in found}
+            digest.update("\n".join([wf, *sorted(map(str, found)), "\n"]).encode())
+    assert COUNT_CODES < codes and len(codes) == 14
+    assert digest.hexdigest() == MUTATION_DIGEST
 
 
 # -- step ordering -----------------------------------------------------------
