@@ -210,15 +210,15 @@ def load_activity(g: Graph, activity_iri: str,
                          f"one step IRI, found {len(steps)} objects")
     if check_steps and not g.match(steps[0], RDF_TYPE, IRI(PPLAN.Step)):
         raise UnknownStepError(f"dangling step reference: {steps[0].value}")
-    associations = [_read(g, AgentAssociation, assoc)
+    associations = [_read(g, AgentAssociation, assoc, [])
                     for assoc in g.iri_objects(node, PROV.qualifiedAssociation)]
-    record = _read(g, ActivityRecord, activity_iri, associations=frozenset(
+    record = _read(g, ActivityRecord, activity_iri, [], associations=frozenset(
         (a.agent, a.role) for a in associations if a.agent and a.role))
     artifacts = []
     for target in g.iri_objects(node, PROV.generated):
         kind = (MODEL_EVALUATION if MLS.ModelEvaluation in g.types(IRI(target))
                 else GENERIC_ARTIFACT)
-        artifact = _read(g, ArtifactRecord, target, activity=activity_iri, kind=kind)
+        artifact = _read(g, ArtifactRecord, target, [], activity=activity_iri, kind=kind)
         if artifact.generation_iri:
             artifact.generated_at = g.str_value(IRI(artifact.generation_iri),
                                                 PROV.atTime)
