@@ -25,23 +25,26 @@ from __future__ import annotations
 
 import functools
 import os
-from dataclasses import dataclass
 
 from .query import PreparedQuery, ResultTable, TriplePattern, evaluate
 from .rdf import Graph, IRI, RdfError, Term, nt_term, plain_iri
+from .record import FrozenRecord, set_field
 
 
 class CqError(ValueError):
     """Unknown question id or missing/invalid parameter."""
 
 
-@dataclass(frozen=True)
-class CqEntry:
-    id: str
-    title: str
-    params: tuple[str, ...]  # the template's, in first-use order
-    file: str
-    chain: bool = False  # rows reordered by _chain_order
+class CqEntry(FrozenRecord):
+    __slots__ = _fields = ("id", "title", "params", "file", "chain")
+
+    def __init__(self, id: str, title: str, params: tuple[str, ...], file: str,
+                 chain: bool = False):
+        set_field(self, "id", id)
+        set_field(self, "title", title)
+        set_field(self, "params", params)  # the template's, in first-use order
+        set_field(self, "file", file)
+        set_field(self, "chain", chain)  # rows reordered by _chain_order
 
 
 CATALOGUE: dict[str, CqEntry] = {e.id: e for e in (

@@ -19,12 +19,12 @@ each target once per :func:`audit` call however many rules use it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cache, partial
 from typing import Callable, Optional
 
 from . import vocab
 from .rdf import RDF_TYPE, Graph, IRI, Literal, Term, iri
+from .record import FrozenRecord, Record, set_field
 from .vocab import DC, DCAT, DUL, EDAM, PROV, RDFS
 from .workflow import workflow_iris
 
@@ -42,25 +42,32 @@ class AuditError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class AuditRule:
-    id: str
-    description: str
-    scope: str
-    severity: str
+class AuditRule(FrozenRecord):
+    __slots__ = _fields = ("id", "description", "scope", "severity")
+
+    def __init__(self, id: str, description: str, scope: str, severity: str):
+        set_field(self, "id", id)
+        set_field(self, "description", description)
+        set_field(self, "scope", scope)
+        set_field(self, "severity", severity)
 
 
-@dataclass(frozen=True)
-class RuleResult:
-    rule: AuditRule
-    status: str
-    offenders: tuple[str, ...] = ()
-    note: str = ""
+class RuleResult(FrozenRecord):
+    __slots__ = _fields = ("rule", "status", "offenders", "note")
+
+    def __init__(self, rule: AuditRule, status: str,
+                 offenders: tuple[str, ...] = (), note: str = ""):
+        set_field(self, "rule", rule)
+        set_field(self, "status", status)
+        set_field(self, "offenders", offenders)
+        set_field(self, "note", note)
 
 
-@dataclass
-class AuditReport:
-    results: list[RuleResult]
+class AuditReport(Record):
+    __slots__ = _fields = ("results",)
+
+    def __init__(self, results: list[RuleResult]):
+        self.results = results
 
     def result(self, rule_id: str) -> RuleResult:
         for r in self.results:

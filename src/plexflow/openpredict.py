@@ -69,12 +69,12 @@ the loss to the same ``_gradient``. A problem without a finite minimum
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .rdf import Graph
+from .record import FrozenRecord, Record, set_field
 from .vocab import MEASURES
 
 HIDE_DRUGS = "drugs"
@@ -97,12 +97,15 @@ class PipelineError(ValueError):
     pass
 
 
-@dataclass
-class SimilarityBundle:
-    drug_ids: tuple[str, ...]
-    disease_ids: tuple[str, ...]
-    drug_sims: np.ndarray     # (5, D, D)
-    disease_sims: np.ndarray  # (2, S, S)
+class SimilarityBundle(Record):
+    __slots__ = _fields = ("drug_ids", "disease_ids", "drug_sims", "disease_sims")
+
+    def __init__(self, drug_ids: tuple[str, ...], disease_ids: tuple[str, ...],
+                 drug_sims: np.ndarray, disease_sims: np.ndarray):
+        self.drug_ids = drug_ids
+        self.disease_ids = disease_ids
+        self.drug_sims = drug_sims        # (5, D, D)
+        self.disease_sims = disease_sims  # (2, S, S)
 
     @property
     def n_drugs(self) -> int:
@@ -132,9 +135,11 @@ class SimilarityBundle:
                 raise PipelineError(f"{name} similarities need a unit diagonal")
 
 
-@dataclass(frozen=True)
-class GoldStandard:
-    pairs: frozenset[tuple[int, int]]
+class GoldStandard(FrozenRecord):
+    __slots__ = _fields = ("pairs",)
+
+    def __init__(self, pairs: frozenset[tuple[int, int]]):
+        set_field(self, "pairs", pairs)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -145,11 +150,13 @@ class GoldStandard:
                 raise PipelineError(f"association ({d}, {s}) is out of range")
 
 
-@dataclass
-class FeatureMatrix:
-    pairs: np.ndarray  # (n, 2) int64 rows of (drug, disease)
-    X: np.ndarray  # (n, 10), column order (drug measure i, disease measure j)
-    y: np.ndarray  # (n,) in {0, 1}
+class FeatureMatrix(Record):
+    __slots__ = _fields = ("pairs", "X", "y")
+
+    def __init__(self, pairs: np.ndarray, X: np.ndarray, y: np.ndarray):
+        self.pairs = pairs  # (n, 2) int64 rows of (drug, disease)
+        self.X = X  # (n, 10), column order (drug measure i, disease measure j)
+        self.y = y  # (n,) in {0, 1}
 
 
 def _check_weights(weights) -> tuple[float, float]:
@@ -258,19 +265,24 @@ def _drop_self_column(drug_part, dpow, gd, cd, cs, hits, group_disease,
 _STEP_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Hyper:
-    iterations: int = 50  # cap on Newton steps; 3 to 9 are typical
-    l2: float = 1e-4
+class Hyper(FrozenRecord):
+    __slots__ = _fields = ("iterations", "l2")
+
+    def __init__(self, iterations: int = 50, l2: float = 1e-4):
+        set_field(self, "iterations", iterations)  # cap on Newton steps; 3 to 9 are typical
+        set_field(self, "l2", l2)
 
 
-@dataclass
-class LogisticModel:
-    weights: np.ndarray
-    bias: float
-    hyper: Hyper
-    iterations: int = 0          # Newton steps taken
-    gradient_norm: float = 0.0   # max |gradient| at the returned point
+class LogisticModel(Record):
+    __slots__ = _fields = ("weights", "bias", "hyper", "iterations", "gradient_norm")
+
+    def __init__(self, weights: np.ndarray, bias: float, hyper: Hyper,
+                 iterations: int = 0, gradient_norm: float = 0.0):
+        self.weights = weights
+        self.bias = bias
+        self.hyper = hyper
+        self.iterations = iterations        # Newton steps taken
+        self.gradient_norm = gradient_norm  # max |gradient| at the returned point
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -369,28 +381,36 @@ def predict_proba(model: LogisticModel, X: np.ndarray) -> np.ndarray:
 # Metrics
 
 
-@dataclass(frozen=True)
-class MetricsRecord:
-    roc_auc: float
-    aupr: float
-    accuracy: float
-    precision: float
-    recall: float
-    f1: float
+class MetricsRecord(FrozenRecord):
+    __slots__ = _fields = ("roc_auc", "aupr", "accuracy", "precision", "recall", "f1")
+
+    def __init__(self, roc_auc: float, aupr: float, accuracy: float,
+                 precision: float, recall: float, f1: float):
+        set_field(self, "roc_auc", roc_auc)
+        set_field(self, "aupr", aupr)
+        set_field(self, "accuracy", accuracy)
+        set_field(self, "precision", precision)
+        set_field(self, "recall", recall)
+        set_field(self, "f1", f1)
 
     def as_dict(self) -> dict[str, float]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in self._fields}
 
 
-@dataclass
-class CrossValRecord:
-    scheme: str
-    folds: int
-    repetitions: int
-    seed: int
-    per_fold: list[MetricsRecord]
-    mean: MetricsRecord
-    std: MetricsRecord
+class CrossValRecord(Record):
+    __slots__ = _fields = ("scheme", "folds", "repetitions", "seed", "per_fold",
+                           "mean", "std")
+
+    def __init__(self, scheme: str, folds: int, repetitions: int, seed: int,
+                 per_fold: list[MetricsRecord], mean: MetricsRecord,
+                 std: MetricsRecord):
+        self.scheme = scheme
+        self.folds = folds
+        self.repetitions = repetitions
+        self.seed = seed
+        self.per_fold = per_fold
+        self.mean = mean
+        self.std = std
 
     def to_payload(self) -> dict:
         return {
@@ -476,8 +496,8 @@ def metrics(scores, labels, threshold: float = 0.5) -> MetricsRecord:
 
 
 def _aggregate(scheme, folds, repetitions, seed, records) -> CrossValRecord:
-    arrays = {f.name: np.array([getattr(r, f.name) for r in records])
-              for f in fields(MetricsRecord)}
+    arrays = {name: np.array([getattr(r, name) for r in records])
+              for name in MetricsRecord._fields}
     mean = MetricsRecord(**{k: float(np.mean(v)) for k, v in arrays.items()})
     std = MetricsRecord(**{k: float(np.std(v)) for k, v in arrays.items()})
     return CrossValRecord(scheme=scheme, folds=folds, repetitions=repetitions,

@@ -129,7 +129,6 @@ from __future__ import annotations
 import json
 import re
 import weakref
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
 from operator import attrgetter, itemgetter
@@ -137,6 +136,7 @@ from typing import Callable, Optional
 
 from .lexing import PN_PREFIX_RE, Lexer, Token
 from .rdf import XSD_NS, XSD_STRING, RDF_TYPE, Graph, IRI, Literal, Term, nt_term
+from .record import FrozenRecord, Record, set_field
 from .turtle import TriplesParser
 
 _NUMERIC_DATATYPES = {
@@ -172,9 +172,11 @@ class QueryParseError(QueryError):
 # AST
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(FrozenRecord):
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        set_field(self, "name", name)
 
     def __repr__(self):
         return f"?{self.name}"
@@ -183,86 +185,111 @@ class Var:
 TermOrVar = Term | Var
 
 
-@dataclass
-class TriplePattern:
-    s: TermOrVar
-    p: TermOrVar
-    o: TermOrVar
-    plus: bool = False  # one-or-more-hops closure on an IRI predicate
+class TriplePattern(Record):
+    __slots__ = _fields = ("s", "p", "o", "plus")
+
+    def __init__(self, s: TermOrVar, p: TermOrVar, o: TermOrVar, plus: bool = False):
+        self.s = s
+        self.p = p
+        self.o = o
+        self.plus = plus  # one-or-more-hops closure on an IRI predicate
 
 
-@dataclass
-class Comparison:
-    op: str  # = != < >
-    lhs: TermOrVar
-    rhs: TermOrVar
+class Comparison(Record):
+    __slots__ = _fields = ("op", "lhs", "rhs")
+
+    def __init__(self, op: str, lhs: TermOrVar, rhs: TermOrVar):
+        self.op = op  # = != < >
+        self.lhs = lhs
+        self.rhs = rhs
 
 
-@dataclass
-class BoundTest:
-    var: Var
-    negated: bool = False
+class BoundTest(Record):
+    __slots__ = _fields = ("var", "negated")
+
+    def __init__(self, var: Var, negated: bool = False):
+        self.var = var
+        self.negated = negated
 
 
-@dataclass
-class RegexTest:
-    var: Var
-    pattern: str
-    negated: bool = False
+class RegexTest(Record):
+    __slots__ = _fields = ("var", "pattern", "negated")
+
+    def __init__(self, var: Var, pattern: str, negated: bool = False):
+        self.var = var
+        self.pattern = pattern
+        self.negated = negated
 
 
 FilterExpr = Comparison | BoundTest | RegexTest
 
 
-@dataclass
-class Filter:
-    expr: FilterExpr
+class Filter(Record):
+    __slots__ = _fields = ("expr",)
+
+    def __init__(self, expr: FilterExpr):
+        self.expr = expr
 
 
-@dataclass
-class Values:
-    var: Var
-    terms: list
+class Values(Record):
+    __slots__ = _fields = ("var", "terms")
+
+    def __init__(self, var: Var, terms: list):
+        self.var = var
+        self.terms = terms
 
 
-@dataclass
-class Group:
-    elements: list = field(default_factory=list)
+class Group(Record):
+    __slots__ = _fields = ("elements",)
+
+    def __init__(self, elements: Optional[list] = None):
+        self.elements = [] if elements is None else elements
 
 
-@dataclass
-class Minus:
-    group: Group
+class Minus(Record):
+    __slots__ = _fields = ("group",)
+
+    def __init__(self, group: Group):
+        self.group = group
 
 
-@dataclass
-class OptionalGroup:
-    group: Group
+class OptionalGroup(Record):
+    __slots__ = _fields = ("group",)
+
+    def __init__(self, group: Group):
+        self.group = group
 
 
-@dataclass
-class Union:
-    branches: list[Group]
+class Union(Record):
+    __slots__ = _fields = ("branches",)
+
+    def __init__(self, branches: list[Group]):
+        self.branches = branches
 
 
-@dataclass(frozen=True)
-class OrderKey:
+class OrderKey(FrozenRecord):
     """An ORDER BY key; an ascending one prints as its bare variable."""
 
-    var: Var
-    descending: bool = False
+    __slots__ = _fields = ("var", "descending")
+
+    def __init__(self, var: Var, descending: bool = False):
+        set_field(self, "var", var)
+        set_field(self, "descending", descending)
 
     def __repr__(self):
         return f"DESC({self.var!r})" if self.descending else repr(self.var)
 
 
-@dataclass
-class SelectQuery:
-    prefixes: dict
-    variables: Optional[list[Var]]  # None means '*'
-    distinct: bool
-    where: Group
-    order_by: list[OrderKey] = field(default_factory=list)
+class SelectQuery(Record):
+    __slots__ = _fields = ("prefixes", "variables", "distinct", "where", "order_by")
+
+    def __init__(self, prefixes: dict, variables: Optional[list[Var]], distinct: bool,
+                 where: Group, order_by: Optional[list[OrderKey]] = None):
+        self.prefixes = prefixes
+        self.variables = variables  # None means '*'
+        self.distinct = distinct
+        self.where = where
+        self.order_by = [] if order_by is None else order_by
 
 
 # ---------------------------------------------------------------------------

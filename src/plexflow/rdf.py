@@ -2,15 +2,16 @@
 
 Design notes:
 
-- Terms are immutable dataclasses (:class:`IRI`, :class:`BlankNode`,
-  :class:`Literal`). Literal identity is (lexical form, datatype, language
-  tag); there is no value-space canonicalization, so ``"01"^^xsd:int`` and
-  ``"1"^^xsd:int`` are different terms. The readers build each distinct
-  term once per parsed document and share it between statements (the
-  term dictionary of RDF-3X, Neumann & Weikum, VLDB 2008), so a parsed
-  graph holds one object per distinct term. Equality and hashing are the
-  generated dataclass ones, so a term built by hand equals the parsed one
-  and has the same hash.
+- Terms are immutable slotted classes (:class:`IRI`, :class:`BlankNode`,
+  :class:`Literal`) on :class:`plexflow.record.FrozenRecord`. Literal
+  identity is (lexical form, datatype, language tag); there is no
+  value-space canonicalization, so ``"01"^^xsd:int`` and ``"1"^^xsd:int``
+  are different terms. The readers build each distinct term once per
+  parsed document and share it between statements (the term dictionary
+  of RDF-3X, Neumann & Weikum, VLDB 2008), so a parsed graph holds one
+  object per distinct term. Equality compares the fields, and the hash is
+  the field tuple's, so a term built by hand equals the parsed one and
+  has the same hash.
 - IRI validation is purely syntactic (a scheme followed by ``:``); nothing
   is ever resolved over the network.
 - :class:`Graph` keeps a triple set plus two-level indexes in the manner
@@ -41,12 +42,12 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
 from .lexing import (
     BLANK_RE, IRIREF_RE, LANGTAG_RE, STRING_RE, EscapeError, unescape,
 )
+from .record import FrozenRecord, set_field
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 XSD_NS = "http://www.w3.org/2001/XMLSchema#"
@@ -76,45 +77,56 @@ class BlankBudgetError(RdfError):
     """Isomorphism check refused: too many blank nodes for exact search."""
 
 
-@dataclass(frozen=True, slots=True)
-class IRI:
-    value: str
+class IRI(FrozenRecord):
+    __slots__ = _fields = ("value",)
 
-    def __post_init__(self):
-        if not _SCHEME_RE.match(self.value):
-            raise RdfError(f"not an absolute IRI: {self.value!r}")
+    def __init__(self, value: str):
+        if not _SCHEME_RE.match(value):
+            raise RdfError(f"not an absolute IRI: {value!r}")
+        set_field(self, "value", value)
+
+    # Written out rather than inherited: the store hashes and compares IRIs
+    # more than anything else, and these skip the generic key lookup.
+    def __hash__(self):
+        return hash((self.value,))
+
+    def __eq__(self, other):
+        if other.__class__ is IRI:
+            return self.value == other.value
+        return NotImplemented
 
     def __repr__(self):
         return f"<{self.value}>"
 
 
-@dataclass(frozen=True, slots=True)
-class BlankNode:
-    label: str
+class BlankNode(FrozenRecord):
+    __slots__ = _fields = ("label",)
 
-    def __post_init__(self):
-        if not _BLANK_LABEL_RE.match(self.label):
-            raise RdfError(f"invalid blank node label: {self.label!r}")
+    def __init__(self, label: str):
+        if not _BLANK_LABEL_RE.match(label):
+            raise RdfError(f"invalid blank node label: {label!r}")
+        set_field(self, "label", label)
 
     def __repr__(self):
         return f"_:{self.label}"
 
 
-@dataclass(frozen=True, slots=True)
-class Literal:
-    lexical: str
-    datatype: str = XSD_STRING
-    lang: Optional[str] = None
+class Literal(FrozenRecord):
+    __slots__ = _fields = ("lexical", "datatype", "lang")
 
-    def __post_init__(self):
-        if self.lang is not None:
-            if not _LANG_TAG_RE.match(self.lang):
-                raise RdfError(f"invalid language tag: {self.lang!r}")
-            if self.datatype not in (XSD_STRING, RDF_LANG_STRING):
+    def __init__(self, lexical: str, datatype: str = XSD_STRING,
+                 lang: Optional[str] = None):
+        if lang is not None:
+            if not _LANG_TAG_RE.match(lang):
+                raise RdfError(f"invalid language tag: {lang!r}")
+            if datatype not in (XSD_STRING, RDF_LANG_STRING):
                 raise RdfError("language-tagged literal must use rdf:langString")
-            object.__setattr__(self, "datatype", RDF_LANG_STRING)
-        elif self.datatype == RDF_LANG_STRING:
+            datatype = RDF_LANG_STRING
+        elif datatype == RDF_LANG_STRING:
             raise RdfError("rdf:langString literal requires a language tag")
+        set_field(self, "lexical", lexical)
+        set_field(self, "datatype", datatype)
+        set_field(self, "lang", lang)
 
     def __repr__(self):
         return nt_term(self)
@@ -123,17 +135,17 @@ class Literal:
 Term = Union[IRI, BlankNode, Literal]
 
 
-@dataclass(frozen=True, slots=True)
-class Triple:
-    s: Term
-    p: Term
-    o: Term
+class Triple(FrozenRecord):
+    __slots__ = _fields = ("s", "p", "o")
 
-    def __post_init__(self):
-        if isinstance(self.s, Literal):
+    def __init__(self, s: Term, p: Term, o: Term):
+        if isinstance(s, Literal):
             raise RdfError("literal subject not allowed")
-        if not isinstance(self.p, IRI):
+        if not isinstance(p, IRI):
             raise RdfError("predicate must be an IRI")
+        set_field(self, "s", s)
+        set_field(self, "p", p)
+        set_field(self, "o", o)
 
     def __iter__(self):
         return iter((self.s, self.p, self.o))

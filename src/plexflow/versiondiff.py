@@ -20,25 +20,37 @@ distributions reachable through instruction usage bindings.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Collection
 
 from .rdf import Graph, IRI
+from .record import FrozenRecord, set_field
 from .vocab import BPMN, DCAT, DUL, PPLAN, PROV
 from .workflow import MANUAL, SCRIPT, WorkflowError, is_workflow
 
 
-@dataclass(frozen=True)
-class DiffReport:
-    from_workflow: str
-    to_workflow: str
-    removed_instructions: frozenset[str]
-    changed_instructions: frozenset[tuple[str, str]]
-    added_instructions: frozenset[str]
-    automatized_steps: frozenset[tuple[str, str]]
-    removed_datasets: frozenset[str]
-    changed_datasets: frozenset[tuple[str, str]]
-    added_datasets: frozenset[str]
+class DiffReport(FrozenRecord):
+    __slots__ = _fields = (
+        "from_workflow", "to_workflow", "removed_instructions",
+        "changed_instructions", "added_instructions", "automatized_steps",
+        "removed_datasets", "changed_datasets", "added_datasets")
+
+    def __init__(self, from_workflow: str, to_workflow: str,
+                 removed_instructions: frozenset[str],
+                 changed_instructions: frozenset[tuple[str, str]],
+                 added_instructions: frozenset[str],
+                 automatized_steps: frozenset[tuple[str, str]],
+                 removed_datasets: frozenset[str],
+                 changed_datasets: frozenset[tuple[str, str]],
+                 added_datasets: frozenset[str]):
+        set_field(self, "from_workflow", from_workflow)
+        set_field(self, "to_workflow", to_workflow)
+        set_field(self, "removed_instructions", removed_instructions)
+        set_field(self, "changed_instructions", changed_instructions)
+        set_field(self, "added_instructions", added_instructions)
+        set_field(self, "automatized_steps", automatized_steps)
+        set_field(self, "removed_datasets", removed_datasets)
+        set_field(self, "changed_datasets", changed_datasets)
+        set_field(self, "added_datasets", added_datasets)
 
     def to_json(self) -> str:
         payload = {

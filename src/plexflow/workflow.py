@@ -10,7 +10,7 @@ through ``prov:qualifiedUsage`` / ``prov:Usage`` / ``prov:entity`` chains;
 datasets hang off usages as ``dcat:Distribution`` records.
 
 ``load_workflow`` turns one workflow head (plus one level of sub-plans)
-into dataclasses, ``validate`` reports profile violations as data,
+into records, ``validate`` reports profile violations as data,
 ``step_order`` topologically sorts one plan's steps, and ``emit_triples``
 writes a view back out so that load(emit(view)) round-trips.
 
@@ -38,11 +38,12 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import vocab
 from .rdf import RDF_TYPE, Graph, IRI, Literal, Term, Triple, iri, lit
+from .record import FrozenRecord, Record, set_field
 from .vocab import BPMN, DC, DCAT, DUL, MLS, PPLAN, PROV, PWO, RDF, RDFS, SH, XSD
 
 MANUAL = "manual"
@@ -53,131 +54,197 @@ class WorkflowError(ValueError):
     """Structural failure that prevents loading a workflow at all."""
 
 
-@dataclass(frozen=True)
-class Violation:
-    code: str
-    subject: str
-    detail: str = ""
+class Violation(FrozenRecord):
+    __slots__ = _fields = ("code", "subject", "detail")
+
+    def __init__(self, code: str, subject: str, detail: str = ""):
+        set_field(self, "code", code)
+        set_field(self, "subject", subject)
+        set_field(self, "detail", detail)
 
     def __str__(self):
         msg = f"{self.code} {vocab.compress(self.subject)}"
         return f"{msg}: {self.detail}" if self.detail else msg
 
 
-@dataclass
-class WorkflowDef:
-    iri: str
-    version: str = ""
-    created: str = ""
-    modified: str = ""
-    creator: str = ""
-    attributed_to: str = ""
-    first_step: str = ""
-    label: str = ""
-    description: str = ""
-    language: str = ""
-    license: str = ""
-    revision_of: Optional[str] = None
+class WorkflowDef(Record):
+    __slots__ = _fields = (
+        "iri", "version", "created", "modified", "creator", "attributed_to",
+        "first_step", "label", "description", "language", "license", "revision_of")
+
+    def __init__(self, iri: str, version: str = "", created: str = "",
+                 modified: str = "", creator: str = "", attributed_to: str = "",
+                 first_step: str = "", label: str = "", description: str = "",
+                 language: str = "", license: str = "",
+                 revision_of: Optional[str] = None):
+        self.iri = iri
+        self.version = version
+        self.created = created
+        self.modified = modified
+        self.creator = creator
+        self.attributed_to = attributed_to
+        self.first_step = first_step
+        self.label = label
+        self.description = description
+        self.language = language
+        self.license = license
+        self.revision_of = revision_of
 
 
-@dataclass
-class Instruction:
-    iri: str
-    language: tuple[str, ...] = ()  # loaded values; exactly one is valid
-    description: str = ""
-    label: str = ""
-    version: str = ""
-    described_by: Optional[str] = None
-    revision_of: Optional[str] = None
-    qualified_usages: frozenset[str] = frozenset()
-    first_step: str = ""  # set when the instruction is itself a plan with steps
-    extra_types: frozenset[str] = frozenset()
+class Instruction(Record):
+    __slots__ = _fields = (
+        "iri", "language", "description", "label", "version", "described_by",
+        "revision_of", "qualified_usages", "first_step", "extra_types")
+
+    def __init__(self, iri: str, language: tuple[str, ...] = (),
+                 description: str = "", label: str = "", version: str = "",
+                 described_by: Optional[str] = None,
+                 revision_of: Optional[str] = None,
+                 qualified_usages: frozenset[str] = frozenset(),
+                 first_step: str = "", extra_types: frozenset[str] = frozenset()):
+        self.iri = iri
+        self.language = language  # loaded values; exactly one is valid
+        self.description = description
+        self.label = label
+        self.version = version
+        self.described_by = described_by
+        self.revision_of = revision_of
+        self.qualified_usages = qualified_usages
+        self.first_step = first_step  # set when the instruction is itself a plan with steps
+        self.extra_types = extra_types
 
 
-@dataclass
-class StepDef:
-    iri: str
-    plan: str  # the p-plan:isStepOfPlan target (workflow head or sub-plan)
-    kind: str  # MANUAL or SCRIPT
-    instruction: str
-    precedes: frozenset[str] = frozenset()
-    input_vars: frozenset[str] = frozenset()
-    output_vars: frozenset[str] = frozenset()
-    operation_class: Optional[str] = None
-    label: str = ""
+class StepDef(Record):
+    __slots__ = _fields = (
+        "iri", "plan", "kind", "instruction", "precedes", "input_vars",
+        "output_vars", "operation_class", "label")
+
+    def __init__(self, iri: str, plan: str, kind: str, instruction: str,
+                 precedes: frozenset[str] = frozenset(),
+                 input_vars: frozenset[str] = frozenset(),
+                 output_vars: frozenset[str] = frozenset(),
+                 operation_class: Optional[str] = None, label: str = ""):
+        self.iri = iri
+        self.plan = plan  # the p-plan:isStepOfPlan target (workflow head or sub-plan)
+        self.kind = kind  # MANUAL or SCRIPT
+        self.instruction = instruction
+        self.precedes = precedes
+        self.input_vars = input_vars
+        self.output_vars = output_vars
+        self.operation_class = operation_class
+        self.label = label
 
 
-@dataclass
-class VariableDef:
-    iri: str
-    label: str = ""
+class VariableDef(Record):
+    __slots__ = _fields = ("iri", "label")
+
+    def __init__(self, iri: str, label: str = ""):
+        self.iri = iri
+        self.label = label
 
 
-@dataclass
-class UsageBinding:
-    iri: str
-    entities: frozenset[str] = frozenset()
-    label: str = ""
+class UsageBinding(Record):
+    __slots__ = _fields = ("iri", "entities", "label")
+
+    def __init__(self, iri: str, entities: frozenset[str] = frozenset(),
+                 label: str = ""):
+        self.iri = iri
+        self.entities = entities
+        self.label = label
 
 
-@dataclass
-class DistributionDef:
-    iri: str
-    download_url: str = ""
-    media_type: str = ""
-    label: str = ""
+class DistributionDef(Record):
+    __slots__ = _fields = ("iri", "download_url", "media_type", "label")
+
+    def __init__(self, iri: str, download_url: str = "", media_type: str = "",
+                 label: str = ""):
+        self.iri = iri
+        self.download_url = download_url
+        self.media_type = media_type
+        self.label = label
 
 
-@dataclass
-class DatasetRecord:
-    iri: str
-    distributions: frozenset[str] = frozenset()
-    label: str = ""
-    description: str = ""
-    license: str = ""
+class DatasetRecord(Record):
+    __slots__ = _fields = ("iri", "distributions", "label", "description", "license")
+
+    def __init__(self, iri: str, distributions: frozenset[str] = frozenset(),
+                 label: str = "", description: str = "", license: str = ""):
+        self.iri = iri
+        self.distributions = distributions
+        self.label = label
+        self.description = description
+        self.license = license
 
 
-@dataclass
-class AgentDef:
-    iri: str
-    label: str = ""
-    software: bool = False
-    version: str = ""
+class AgentDef(Record):
+    __slots__ = _fields = ("iri", "label", "software", "version")
+
+    def __init__(self, iri: str, label: str = "", software: bool = False,
+                 version: str = ""):
+        self.iri = iri
+        self.label = label
+        self.software = software
+        self.version = version
 
 
-@dataclass
-class AgentAssociation:
-    iri: str
-    agent: str = ""
-    role: str = ""
-    plans: frozenset[str] = frozenset()
-    label: str = ""
+class AgentAssociation(Record):
+    __slots__ = _fields = ("iri", "agent", "role", "plans", "label")
+
+    def __init__(self, iri: str, agent: str = "", role: str = "",
+                 plans: frozenset[str] = frozenset(), label: str = ""):
+        self.iri = iri
+        self.agent = agent
+        self.role = role
+        self.plans = plans
+        self.label = label
 
 
-@dataclass
-class QueryShape:
-    iri: str
-    constraint_iri: str = ""
-    sparql_text: str = ""
-    target_usage: str = ""
+class QueryShape(Record):
+    __slots__ = _fields = ("iri", "constraint_iri", "sparql_text", "target_usage")
+
+    def __init__(self, iri: str, constraint_iri: str = "", sparql_text: str = "",
+                 target_usage: str = ""):
+        self.iri = iri
+        self.constraint_iri = constraint_iri
+        self.sparql_text = sparql_text
+        self.target_usage = target_usage
 
 
-@dataclass
-class WorkflowView:
-    """One workflow head plus the step/instruction closure around it."""
+class WorkflowView(Record):
+    """One workflow head plus the step/instruction closure around it. Two
+    views are equal when their records are; the load-time ``anomalies``
+    and ``revision_target_present`` take no part."""
 
-    workflow: WorkflowDef
-    steps: dict[str, StepDef] = field(default_factory=dict)
-    instructions: dict[str, Instruction] = field(default_factory=dict)
-    variables: dict[str, VariableDef] = field(default_factory=dict)
-    usages: dict[str, UsageBinding] = field(default_factory=dict)
-    distributions: dict[str, DistributionDef] = field(default_factory=dict)
-    datasets: dict[str, DatasetRecord] = field(default_factory=dict)
-    agents: dict[str, AgentDef] = field(default_factory=dict)
-    associations: dict[str, AgentAssociation] = field(default_factory=dict)
-    shapes: dict[str, QueryShape] = field(default_factory=dict)
-    anomalies: list[Violation] = field(default_factory=list, compare=False)
-    revision_target_present: Optional[bool] = field(default=None, compare=False)
+    __slots__ = _fields = (
+        "workflow", "steps", "instructions", "variables", "usages",
+        "distributions", "datasets", "agents", "associations", "shapes",
+        "anomalies", "revision_target_present")
+    _key = attrgetter(*_fields[:-2])
+
+    def __init__(self, workflow: WorkflowDef,
+                 steps: Optional[dict[str, StepDef]] = None,
+                 instructions: Optional[dict[str, Instruction]] = None,
+                 variables: Optional[dict[str, VariableDef]] = None,
+                 usages: Optional[dict[str, UsageBinding]] = None,
+                 distributions: Optional[dict[str, DistributionDef]] = None,
+                 datasets: Optional[dict[str, DatasetRecord]] = None,
+                 agents: Optional[dict[str, AgentDef]] = None,
+                 associations: Optional[dict[str, AgentAssociation]] = None,
+                 shapes: Optional[dict[str, QueryShape]] = None,
+                 anomalies: Optional[list[Violation]] = None,
+                 revision_target_present: Optional[bool] = None):
+        self.workflow = workflow
+        self.steps = {} if steps is None else steps
+        self.instructions = {} if instructions is None else instructions
+        self.variables = {} if variables is None else variables
+        self.usages = {} if usages is None else usages
+        self.distributions = {} if distributions is None else distributions
+        self.datasets = {} if datasets is None else datasets
+        self.agents = {} if agents is None else agents
+        self.associations = {} if associations is None else associations
+        self.shapes = {} if shapes is None else shapes
+        self.anomalies = [] if anomalies is None else anomalies
+        self.revision_target_present = revision_target_present
 
     def main_step_ids(self) -> list[str]:
         wf = self.workflow.iri
@@ -187,24 +254,32 @@ class WorkflowView:
 # The retrospective records, loaded and emitted by ``plexflow.trace``.
 
 
-@dataclass
-class ActivityRecord:
-    iri: str
-    step: str
-    started: str = ""
-    ended: str = ""
-    associations: frozenset[tuple[str, str]] = frozenset()  # (agent, role)
+class ActivityRecord(Record):
+    __slots__ = _fields = ("iri", "step", "started", "ended", "associations")
+
+    def __init__(self, iri: str, step: str, started: str = "", ended: str = "",
+                 associations: frozenset[tuple[str, str]] = frozenset()):
+        self.iri = iri
+        self.step = step
+        self.started = started
+        self.ended = ended
+        self.associations = associations  # (agent, role)
 
 
-@dataclass
-class ArtifactRecord:
-    iri: str
-    activity: str
-    kind: str  # trace.GENERIC_ARTIFACT or trace.MODEL_EVALUATION
-    value: str = ""
-    measure: Optional[str] = None
-    generation_iri: str = ""
-    generated_at: str = ""
+class ArtifactRecord(Record):
+    __slots__ = _fields = ("iri", "activity", "kind", "value", "measure",
+                           "generation_iri", "generated_at")
+
+    def __init__(self, iri: str, activity: str, kind: str, value: str = "",
+                 measure: Optional[str] = None, generation_iri: str = "",
+                 generated_at: str = ""):
+        self.iri = iri
+        self.activity = activity
+        self.kind = kind  # trace.GENERIC_ARTIFACT or trace.MODEL_EVALUATION
+        self.value = value
+        self.measure = measure
+        self.generation_iri = generation_iri
+        self.generated_at = generated_at
 
 
 # -- the profile table ----------------------------------------------------------
@@ -467,7 +542,8 @@ def load_workflow(g: Graph, wf_iri: str) -> WorkflowView:
             types = g.types(IRI(ent))
             if PPLAN.Variable in types:
                 var_iris.add(ent)
-            if DCAT.Distribution in types:
+            # A distribution shared by two usages is read, and checked, once.
+            if DCAT.Distribution in types and ent not in view.distributions:
                 view.distributions[ent] = _read(g, DistributionDef, ent, anomalies)
     for var_iri in sorted(var_iris):
         # Untyped references surface as dangling in validate.

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 
@@ -455,8 +454,8 @@ def test_hand_built_terms_equal_parsed_ones_with_the_same_hash():
     for term in HAND_BUILT:
         (same,) = [other for other in parsed if other == term]
         assert hash(same) == hash(term)
-        assert hash(term) == hash(tuple(getattr(term, f.name)
-                                        for f in dataclasses.fields(term)))
+        assert hash(term) == hash(tuple(getattr(term, name)
+                                        for name in term._fields))
 
 
 # -- index statistics used by the query planner ------------------------------

@@ -5,6 +5,7 @@ pipeline are loaded by ``run-openpredict`` alone, and the fixture builder
 only by the subcommands that build the fixture.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -118,3 +119,36 @@ def test_run_openpredict_does_not_load_numpy_ma(workdir):
     loaded = _loaded_after(_main(argv), workdir)
     assert "plexflow.openpredict" in loaded
     assert "numpy.ma" not in loaded
+
+
+# Neither is on any subcommand's path: importing dataclasses pulls in
+# inspect, and generating a dataclass's methods costs each class at import.
+# numpy imports inspect itself, so run-openpredict is checked for
+# dataclasses only.
+STARTUP_RUNS = {
+    **{f"{command}-{fmt}": [arg.format(graph=f"fixture.{fmt}") for arg in argv]
+       for command, argv in GRAPH_COMMANDS.items() for fmt in ("nt", "ttl")},
+    "fixture": ["fixture", "--out", "written.nt"],
+    "run-openpredict": ["run-openpredict", "--scheme", "drugs", "--drugs", "12",
+                        "--diseases", "9", "--folds", "2", "--metrics", "metrics.json"],
+}
+
+
+@pytest.mark.parametrize("run", sorted(STARTUP_RUNS))
+def test_no_subcommand_loads_dataclasses(workdir, run):
+    loaded = _loaded_after(_main(STARTUP_RUNS[run]), workdir)
+    assert "dataclasses" not in loaded
+    if run != "run-openpredict":
+        assert "inspect" not in loaded
+
+
+def test_no_module_imports_dataclasses():
+    for path in sorted(Path(SRC, "plexflow").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert "dataclasses" not in {name.split(".")[0] for name in names}, path.name

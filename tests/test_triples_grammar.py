@@ -3,7 +3,6 @@ results pinned across the shared lexer and parser base."""
 
 import hashlib
 import re
-from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import pytest
@@ -13,6 +12,7 @@ from plexflow.cq import query_text
 from plexflow.query import (Group, OrderKey, QueryParseError, SelectQuery, Var,
                             parse_query)
 from plexflow.rdf import Literal, serialize_ntriples
+from plexflow.record import Record
 from plexflow.turtle import TurtleParseError, parse_turtle
 
 from conftest import DATA_DIR, load_listing
@@ -149,9 +149,9 @@ def _rename(node, names: dict):
         return Var(names.get(node.name, node.name))
     if isinstance(node, list):
         return [_rename(n, names) for n in node]
-    if is_dataclass(node):
-        return replace(node, **{f.name: _rename(getattr(node, f.name), names)
-                                for f in fields(node)})
+    if isinstance(node, Record):
+        return type(node)(**{name: _rename(getattr(node, name), names)
+                             for name in node._fields})
     return node
 
 
