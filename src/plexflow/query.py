@@ -550,11 +550,10 @@ class _Parser(TriplesParser):
         while self.tok.kind != "RBRACE":
             if self.tok.kind == "EOF":
                 self._error("unterminated VALUES block")
+            if self.tok.kind == "VAR":
+                self._error("VALUES terms must be constants")
             terms.append(self._term("object"))
         self._next()
-        for t in terms:
-            if isinstance(t, Var):
-                raise QueryError("VALUES terms must be constants")
         return Values(var, terms)
 
 

@@ -299,6 +299,8 @@ _STR = _Encoding(lambda objects: [t.lexical for t in objects if isinstance(t, Li
                  lambda kept: kept[0] if kept else "", lambda v: (lit(v),))
 # A version is its first literal, and an empty one is no version.
 _VERSION = _STR._replace(keep=lambda objects: [v for v in _STR.keep(objects)[:1] if v])
+# An empty URL is no URL.
+_URL = _STR._replace(keep=lambda objects: [v for v in _STR.keep(objects) if v])
 _DATE = _STR._replace(terms=lambda v: (lit(v, XSD.date),))
 _DATETIME = _STR._replace(terms=lambda v: (lit(v, XSD.dateTime),))
 _IRI = _Encoding(lambda objects: [t.value for t in objects if isinstance(t, IRI)],
@@ -360,7 +362,7 @@ _FIELDS: dict[type, tuple[tuple, ...]] = {
         ("label", RDFS.label, _STR),
     ),
     DistributionDef: (
-        ("download_url", DCAT.downloadURL, _STR,
+        ("download_url", DCAT.downloadURL, _URL,
          (1, 1, "E_DIST_URL", "distribution has {n} dcat:downloadURL values")),
         ("media_type", DCAT.mediaType, _IRI),
         ("label", RDFS.label, _STR),

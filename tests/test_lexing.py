@@ -1,5 +1,8 @@
 """The term lexer shared by the N-Triples, Turtle and SPARQL readers."""
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -128,6 +131,87 @@ def test_truncated_ntriples_statement_is_a_parse_error():
             parse_ntriples(line)
 
 
+# Every message the Turtle and SPARQL tokenizers raise, with its exact
+# position: the tokenizers count a column per character, and a line per
+# '\n' only, so a '\r' before it and a tab count as one column each.
+LEXER_ERRORS = [
+    # The triples grammar both syntaxes share.
+    (parse_turtle, '<urn:s> <urn:p>\n  "abc .\n',
+     "line 2, column 3: unterminated string literal"),
+    (parse_turtle, '<urn:s> <urn:p> "x"@ .',
+     "line 1, column 20: malformed language tag"),
+    (parse_turtle, "<urn:s> <urn:p>\n _:.",
+     "line 2, column 2: malformed blank node label"),
+    (parse_turtle, '<urn:s> <urn:p> "a\\uD800" .',
+     "line 1, column 17: escape is not a Unicode scalar value: '\\\\uD800'"),
+    (parse_turtle, "# c\r\n<urn:s> <urn:p> <urn:x\\> .",
+     "line 2, column 17: dangling escape"),
+    (parse_turtle, '<urn:s> <urn:p> "\\u12" .',
+     "line 1, column 17: bad \\u escape: '\\\\u12'"),
+    (parse_turtle, '<urn:s> <urn:p> "\\U0000" .',
+     "line 1, column 17: bad \\U escape: '\\\\U0000'"),
+    (parse_turtle, '<urn:s> <urn:p> "\\q" .',
+     "line 1, column 17: bad escape: \\q"),
+    (parse_query, 'SELECT ?s WHERE {\n ?s <urn:p> "abc }',
+     "line 2, column 13: unterminated string literal"),
+    (parse_query, 'SELECT ?s WHERE { ?s <urn:p> "x"@1 }',
+     "line 1, column 33: malformed language tag"),
+    (parse_query, "SELECT ?s WHERE { ?s <urn:p> _:! }",
+     "line 1, column 30: malformed blank node label"),
+    (parse_query, 'SELECT ?s WHERE { ?s <urn:p> "\\U00110000" }',
+     "line 1, column 30: escape is not a Unicode scalar value: '\\\\U00110000'"),
+    (parse_query, "SELECT ?s WHERE { ?s <urn:p> <urn:x\\> }",
+     "line 1, column 30: dangling escape"),
+    (parse_query, "SELECT ?s WHERE {\r\n\t?s <urn:p> <urn:\\uZZ> }",
+     "line 2, column 13: bad \\u escape: '\\\\uZZ'"),
+    (parse_query, 'SELECT ?s WHERE { ?s <urn:p> "\\a" }',
+     "line 1, column 30: bad escape: \\a"),
+    # Turtle's own.
+    (parse_turtle, "@prefix ex: <urn:ex#> .\n@base <urn:x> .",
+     "line 2, column 1: unsupported construct: @base directive"),
+    (parse_turtle, '<urn:s> <urn:p> """x""" .',
+     "line 1, column 17: unsupported construct: multi-line string literal"),
+    (parse_turtle, "<urn:s> <urn:p> <urn:a b> .",
+     "line 1, column 17: malformed IRI reference"),
+    (parse_turtle, "<urn:s> <urn:p>\n\t[] .",
+     "line 2, column 2: unsupported construct: anonymous blank node '[]'"),
+    (parse_turtle, "<urn:s> <urn:p> (<urn:a>) .",
+     "line 1, column 17: unsupported construct: RDF collection '(...)'"),
+    (parse_turtle, "<urn:s> <urn:p> 42 .",
+     "line 1, column 17: unsupported construct: numeric literal shorthand"),
+    (parse_turtle, "<urn:s> <urn:p>\n\n  -1 .",
+     "line 3, column 3: unsupported construct: numeric literal shorthand"),
+    (parse_turtle, "BASE <urn:x>",
+     "line 1, column 1: unsupported construct: BASE directive"),
+    (parse_turtle, "<urn:s> <urn:p> true .",
+     "line 1, column 17: unsupported construct: boolean literal shorthand"),
+    (parse_turtle, "<urn:s> <urn:p> foo .",
+     "line 1, column 17: unexpected token 'foo'"),
+    (parse_turtle, "<urn:s> <urn:p> ?x .",
+     "line 1, column 17: unexpected character '?'"),
+    # SPARQL's own.
+    (parse_query, "SELECT ?s WHERE {\n  ?s <urn:p> ?1 }",
+     "line 2, column 14: malformed variable name"),
+    (parse_query, "SELECT ?s WHERE { ?s <urn:p> $o }",
+     "line 1, column 30: unsubstituted query parameter (did you supply all "
+     "required parameters?)"),
+    (parse_query, "SELECT ?s WHERE { ?s <urn:p> ~ }",
+     "line 1, column 30: unexpected character '~'"),
+    (parse_query, "SELECT ?s WHERE {\n  VALUES ?s { <urn:a> ?t }\n  ?s ?p ?o }",
+     "line 2, column 23: VALUES terms must be constants"),
+]
+
+
+@pytest.mark.parametrize("parse, text, message", LEXER_ERRORS, ids=[
+    f"{parse.__name__}-{message.split(': ', 1)[1][:32]}"
+    for parse, _, message in LEXER_ERRORS])
+def test_lexer_errors_keep_their_exact_message_and_position(parse, text, message):
+    error = TurtleParseError if parse is parse_turtle else QueryParseError
+    with pytest.raises(error) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
 # -- fuzzing: mutated documents may only fail with typed errors ---------------
 
 FUZZ_ALPHABET = '\\uU"<>@^:_([#'
@@ -212,3 +296,47 @@ def test_mutated_query_raise_only_typed_errors(doc):
         evaluate(parse_query(doc), RQ_GRAPH)
     except QueryError:
         pass
+
+
+# -- a seeded digest of what mutated documents parse to ------------------------
+
+DIGEST_ALPHABET = '\\uU"<>@^:_([#?$!{}()+=.;,a1-'
+
+
+def seeded_mutations(text: str, seed: int, count: int = 400):
+    """``count`` documents, each ``text`` after 1-3 edits that drop 0-2
+    characters and insert 1-8 from the alphabet; half of the edits land at
+    an IRI or string boundary."""
+    rng = random.Random(seed)
+    edges = sorted({j for i, ch in enumerate(text) if ch in '<>"' for j in (i, i + 1)})
+    for _ in range(count):
+        doc = text
+        for _ in range(rng.randint(1, 3)):
+            pos = rng.choice(edges) if rng.random() < 0.5 else rng.randint(0, len(doc))
+            insert = "".join(rng.choices(DIGEST_ALPHABET, k=rng.randint(1, 8)))
+            doc = doc[:pos] + insert + doc[pos + rng.randint(0, 2):]
+        yield doc
+
+
+def _outcome(parse, doc: str) -> str:
+    """The triple count or the query's repr, or the typed error and its text."""
+    try:
+        result = parse(doc)
+    except (TurtleParseError, QueryError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return str(len(result)) if parse is parse_turtle else repr(result)
+
+
+def test_mutated_documents_parse_or_fail_exactly_as_pinned():
+    outcomes = [
+        _outcome(parse, doc)
+        for seed, (parse, sample) in enumerate([
+            (parse_turtle, prefixes_turtle() + NT_SAMPLE),
+            (parse_turtle, TTL_SAMPLE),
+            (parse_query, RQ_SAMPLE),
+        ])
+        for doc in seeded_mutations(sample, seed)
+    ]
+    parsed = sum(not o.startswith(("TurtleParseError", "Query")) for o in outcomes)
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert (len(outcomes), parsed, digest) == (1200, 84, "df45319e371d0f7e6e05e4248e7a66e42b8245cb5411348b512f2b8361ec0034")

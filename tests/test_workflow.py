@@ -390,6 +390,11 @@ opredict:Plan_Spec rdf:type p-plan:Plan ;
         "  prov:entity opredict:Variable_V , opredict:Dist_V .\n"
         "opredict:Dist_V rdf:type dcat:Distribution .\n",
         [("E_DIST_URL", OP.Dist_V, "distribution has 0 dcat:downloadURL values")]),
+    # An empty URL is no URL: emit_triples writes no empty value.
+    "distribution-empty-url": (
+        _USAGE.format(more=" , opredict:Dist_V")
+        + 'opredict:Dist_V rdf:type dcat:Distribution ; dcat:downloadURL "" .\n',
+        [("E_DIST_URL", OP.Dist_V, "distribution has 0 dcat:downloadURL values")]),
     "distribution-two-literal-urls": (
         _USAGE.format(more=" , opredict:Dist_V")
         + "opredict:Dist_V rdf:type dcat:Distribution ;\n"
@@ -426,6 +431,14 @@ def _violations(mutation) -> list[tuple[str, str, str]]:
 def test_one_change_gives_exactly_its_violations(case):
     mutation, expected = VALIDATE_CASES[case]
     assert _violations(mutation) == expected
+
+
+def test_an_empty_download_url_reports_alike_after_a_round_trip():
+    text = _mini_workflow_ttl(VALIDATE_CASES["distribution-empty-url"][0])
+    view = load_workflow(parse_turtle(text).freeze(), OP.Plan_Tiny)
+    again = load_workflow(emit_triples(view).freeze(), OP.Plan_Tiny)
+    assert again == view
+    assert validate(again) == validate(view) != []
 
 
 def test_every_violation_code_in_the_workflow_module_has_a_case():
