@@ -1,10 +1,9 @@
 """Term lexing shared by the N-Triples, Turtle and SPARQL-subset readers.
 
 This module holds the single copy of the terminal patterns the three
-syntaxes have in common, the single escape decoder and the
-position-tracking base of the Turtle and SPARQL tokenizers. Each syntax
-keeps its own typed error class; nothing here knows about graphs or
-queries.
+syntaxes have in common, the single escape decoder and the rule-driven
+tokenizer of Turtle and SPARQL. Each syntax keeps its own typed error
+class; nothing here knows about graphs or queries.
 
 - ``IRIREF`` is the N-Triples production: ``\\u``/``\\U`` escapes are
   allowed inside ``<...>``, as in the W3C Turtle and SPARQL grammars, so
@@ -13,17 +12,21 @@ queries.
   digits are checked, escapes above U+10FFFF or into the surrogate range
   are rejected, and a dangling or unknown escape is an error. Escape-free
   text, by far the common case, is returned unchanged without a scan.
-- :meth:`Lexer._shared_token` cuts the tokens of the triples grammar that
-  Turtle and SPARQL share (IRIREF, STRING, LANGTAG, HATHAT, BLANK, PNAME
-  and the ``. ; ,`` separators); each tokenizer adds only its own kinds
-  around it. The parser base over these tokens is
-  :class:`plexflow.turtle.TriplesParser`.
+- A :class:`Lexer` subclass is one grammar's ordered rule list. A rule is
+  a pattern with either a token kind or an error message, and the first
+  rule that matches at the current offset wins, as in the tokenizer recipe
+  of the Python ``re`` documentation. Turtle and SPARQL both splice in
+  :data:`TRIPLES_RULES`, the tokens of the triples grammar they share
+  (IRIREF, STRING, LANGTAG, HATHAT, BLANK, PNAME and the ``. ; ,``
+  separators). A token keeps its offset; a line and a column are worked
+  out only for an error (:meth:`Lexer.error`). The parser base over these
+  tokens is :class:`plexflow.turtle.TriplesParser`.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple, NoReturn, Optional
+from typing import NamedTuple, NoReturn
 
 IRIREF_RE = re.compile(r'<([^\x00-\x20<>"{}|^`]*)>')
 STRING_RE = re.compile(r'"((?:[^"\\\n\r]|\\.)*)"')
@@ -33,16 +36,13 @@ PN_PREFIX = r"[A-Za-z][A-Za-z0-9_\-]*"
 # A local name may hold dots but not end with one: the dot after
 # ``ex:a.`` ends the statement.
 PN_LOCAL = r"[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?"
-PN_PREFIX_RE = re.compile(PN_PREFIX)
-PNAME_RE = re.compile(rf"({PN_PREFIX})?:({PN_LOCAL})?")
 
 _ECHAR = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
           '"': '"', "'": "'", "\\": "\\"}
 
 _ESCAPE_RE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.)|$)", re.S)
 # Blanks, line ends and '#' comments between Turtle / SPARQL tokens.
-_GAP_RE = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*")
-_SEPARATORS = {".": "DOT", ";": "SEMI", ",": "COMMA"}
+_GAP = r"(?:[ \t\r\n]+|#[^\n]*)*"
 
 
 class EscapeError(ValueError):
@@ -75,100 +75,97 @@ def unescape(raw: str) -> str:
     return _ESCAPE_RE.sub(_decode_escape, raw)
 
 
+# The tokens of the triples grammar, as rules: (pattern, kind) cuts a
+# token, (pattern, None, message) is an error at the offset. A token's
+# value is the text its pattern's groups take, or all it matched when the
+# pattern has no group; IRIREF and STRING values are unescaped.
+TRIPLES_RULES = (
+    (IRIREF_RE.pattern, "IRIREF"),
+    (STRING_RE.pattern, "STRING"),
+    ('"', None, "unterminated string literal"),
+    (LANGTAG_RE.pattern, "LANGTAG"),
+    ("@", None, "malformed language tag"),
+    (r"\^\^", "HATHAT"),
+    (BLANK_RE.pattern, "BLANK"),
+    ("_:", None, "malformed blank node label"),
+    # The value is (prefix, local), either of them possibly empty.
+    (rf"((?:{PN_PREFIX})?):((?:{PN_LOCAL})?)", "PNAME"),
+    (r"\.", "DOT"),
+    (";", "SEMI"),
+    (",", "COMMA"),
+)
+# What every rule list ends with. No rule meets a line end: the gap before
+# each token takes it.
+_LAST_RULES = (
+    (r"\Z", "EOF"),
+    (".", None, "unexpected character {!r}"),
+)
+_DECODED = ("IRIREF", "STRING")
+
+
 class Token(NamedTuple):
     kind: str
     value: object
-    line: int
-    col: int
+    pos: int
 
 
 class Lexer:
-    """Line and column tracking over one Turtle or SPARQL document.
+    """One Turtle or SPARQL document, cut by one grammar's rule list.
 
-    Subclasses set ``error_class``, called as ``error_class(message, line,
-    col)``, and implement :meth:`_cut`, which cuts the token at the current
-    position around :meth:`_shared_token`.
+    Subclasses set ``rules`` (see :data:`TRIPLES_RULES`; ``EOF`` and the
+    unexpected character come last by themselves) and ``error_class``,
+    called as ``error_class(message, line, col)``. A message is formatted
+    with the text its rule matched. The rule list is compiled into one
+    pattern on the grammar's first document.
     """
 
+    rules: tuple[tuple, ...]
     error_class: type[Exception]
+    _scan = None
+    # Per group of the compiled pattern that opens a rule: (kind, message,
+    # the groups that make the value).
+    _actions: list
 
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.line = 1
-        self.col = 1
+        if self._scan is None:
+            self._compile()
+
+    @classmethod
+    def _compile(cls):
+        rules = cls.rules + _LAST_RULES
+        pattern = re.compile(_GAP + "(?:" + "|".join(
+            f"(?P<r{i}>{rule[0]})" for i, rule in enumerate(rules)) + ")")
+        firsts = [pattern.groupindex[f"r{i}"] for i in range(len(rules))]
+        cls._actions = actions = [None] * (pattern.groups + 1)
+        for (_, kind, *message), first, end in zip(
+                rules, firsts, firsts[1:] + [pattern.groups + 1]):
+            actions[first] = (kind, message[0] if message else None,
+                              tuple(range(first + 1, end)) or (first,))
+        cls._scan = pattern.match
 
     def next_token(self) -> Token:
         """The next token; ``EOF`` at the end, and again on every later call."""
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            return Token("EOF", None, self.line, self.col)
-        return self._cut()
+        m = self._scan(self.text, self.pos)
+        # The rule's own group: it closes after every group inside it.
+        rule = m.lastindex
+        kind, message, groups = self._actions[rule]
+        start = m.start(rule)
+        if message:
+            self.error(message.format(m[rule]), start)
+        self.pos = m.end()
+        value = m.group(*groups)
+        if kind in _DECODED:
+            try:
+                value = unescape(value)
+            except EscapeError as exc:
+                self.error(str(exc), start)
+        return Token(kind, value, start)
 
-    def _take(self, kind: str, end: int, value: object) -> Token:
-        """A token from the current position up to ``end``; moves past it.
-        No token spans a line end, so only the column moves."""
-        tok = Token(kind, value, self.line, self.col)
-        self.col += end - self.pos
-        self.pos = end
-        return tok
-
-    def _error(self, message: str) -> NoReturn:
-        raise self.error_class(message, self.line, self.col)
-
-    def _skip_ws(self):
-        text, start = self.text, self.pos
-        end = _GAP_RE.match(text, start).end()
-        newlines = text.count("\n", start, end)
-        if newlines:
-            self.line += newlines
-            self.col = end - text.rfind("\n", start, end)
-        else:
-            self.col += end - start
-        self.pos = end
-
-    def _decoded(self, raw: str) -> str:
-        """``unescape(raw)``, with a malformed escape reported at the token."""
-        try:
-            return unescape(raw)
-        except EscapeError as exc:
-            self._error(str(exc))
-
-    def _shared_token(self) -> Optional[Token]:
-        """The token of the shared triples grammar at the current position:
-        IRIREF, STRING, LANGTAG, HATHAT, BLANK, PNAME (value ``(prefix,
-        local)``), DOT, SEMI or COMMA. ``None`` when the text there starts
-        none of them, including a ``<`` that opens no IRI reference; a
-        malformed string, language tag, blank node label or escape is an
-        error at the token.
-        """
-        text, pos = self.text, self.pos
-        ch = text[pos]
-        if ch == "<":
-            m = IRIREF_RE.match(text, pos)
-            if not m:
-                return None
-            return self._take("IRIREF", m.end(), self._decoded(m.group(1)))
-        if ch == '"':
-            m = STRING_RE.match(text, pos)
-            if not m:
-                self._error("unterminated string literal")
-            return self._take("STRING", m.end(), self._decoded(m.group(1)))
-        if ch == "@":
-            m = LANGTAG_RE.match(text, pos)
-            if not m:
-                self._error("malformed language tag")
-            return self._take("LANGTAG", m.end(), m.group(1))
-        if ch in _SEPARATORS:
-            return self._take(_SEPARATORS[ch], pos + 1, ch)
-        if text.startswith("^^", pos):
-            return self._take("HATHAT", pos + 2, "^^")
-        if text.startswith("_:", pos):
-            m = BLANK_RE.match(text, pos)
-            if not m:
-                self._error("malformed blank node label")
-            return self._take("BLANK", m.end(), m.group(1))
-        m = PNAME_RE.match(text, pos)
-        if not m:
-            return None
-        return self._take("PNAME", m.end(), (m.group(1) or "", m.group(2) or ""))
+    def error(self, message: str, offset: int) -> NoReturn:
+        """Raise ``error_class`` at the line and column of ``offset``."""
+        text = self.text
+        line_start = text.rfind("\n", 0, offset) + 1
+        raise self.error_class(message, text.count("\n", 0, offset) + 1,
+                               offset - line_start + 1)

@@ -17,8 +17,8 @@ Anything else a full SPARQL 1.1 processor would accept (BIND, aggregates,
 subqueries, property-path alternation, updates, ...) is rejected by name
 at parse time.
 
-The triples grammar is Turtle's: the tokens both syntaxes share are cut by
-:meth:`plexflow.lexing.Lexer._shared_token`, and the parser subclasses
+The triples grammar is Turtle's: the query lexer's rule list splices in
+:data:`plexflow.lexing.TRIPLES_RULES`, and the parser subclasses
 :class:`plexflow.turtle.TriplesParser` for the token cursor, prefixes,
 IRIs, literals and the ``;`` / ``,`` lists, adding only what is SPARQL's
 own. Tokens are read one at a time, so the first error in document order
@@ -134,7 +134,7 @@ from itertools import chain
 from operator import attrgetter, itemgetter
 from typing import Callable, Optional
 
-from .lexing import PN_PREFIX_RE, Lexer, Token
+from .lexing import PN_PREFIX, TRIPLES_RULES, Lexer
 from .rdf import XSD_NS, XSD_STRING, RDF_TYPE, Graph, IRI, Literal, Term, nt_term
 from .record import FrozenRecord, Record, set_field
 from .turtle import TriplesParser
@@ -295,48 +295,28 @@ class SelectQuery(Record):
 # ---------------------------------------------------------------------------
 # Lexer
 
-_VAR_RE = re.compile(r"[?]([A-Za-z_][A-Za-z0-9_]*)")
 _PARAM_RE = re.compile(r"[$]([A-Za-z_][A-Za-z0-9_]*)")
-_NUMBER_RE = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?")
-_PUNCTUATION = {"{": "LBRACE", "}": "RBRACE", "(": "LPAREN", ")": "RPAREN",
-                "*": "STAR", "+": "PLUS", "=": "EQ", "<": "LT", ">": "GT"}
 
 
 class _Lexer(Lexer):
-    """Token kinds: the shared ones (:meth:`Lexer._shared_token`), VAR,
-    NUMBER, WORD, NEQ, BANG, those of ``_PUNCTUATION`` and EOF."""
+    """Token kinds: the shared ones (:data:`TRIPLES_RULES`), VAR, NEQ,
+    BANG, the punctuation below, NUMBER, WORD (a keyword or 'a') and EOF."""
 
     error_class = QueryParseError
-
-    def _cut(self) -> Token:
-        tok = self._shared_token()
-        if tok:
-            return tok
-        text, pos = self.text, self.pos
-        ch = text[pos]
-        if ch == "?":
-            m = _VAR_RE.match(text, pos)
-            if not m:
-                self._error("malformed variable name")
-            return self._take("VAR", m.end(), m.group(1))
-        if ch == "$":
-            self._error("unsubstituted query parameter (did you supply all "
-                        "required parameters?)")
-        if text.startswith("!=", pos):
-            return self._take("NEQ", pos + 2, "!=")
-        if ch == "!":
-            return self._take("BANG", pos + 1, ch)
+    rules = (
+        *TRIPLES_RULES,
+        (r"[?]([A-Za-z_][A-Za-z0-9_]*)", "VAR"),
+        (r"\?", None, "malformed variable name"),
+        (r"\$", None, "unsubstituted query parameter (did you supply all "
+                      "required parameters?)"),
+        ("!=", "NEQ"),
+        ("!", "BANG"),
         # '<' reaches here only when it opens no IRI reference.
-        if ch in _PUNCTUATION:
-            return self._take(_PUNCTUATION[ch], pos + 1, ch)
-        m = _NUMBER_RE.match(text, pos)
-        if m:
-            return self._take("NUMBER", m.end(), m.group(0))
-        # A bare word (a prefixed name was cut above): a keyword or 'a'.
-        m = PN_PREFIX_RE.match(text, pos)
-        if m:
-            return self._take("WORD", m.end(), m.group(0))
-        self._error(f"unexpected character {ch!r}")
+        (r"\{", "LBRACE"), (r"\}", "RBRACE"), (r"\(", "LPAREN"), (r"\)", "RPAREN"),
+        (r"\*", "STAR"), (r"\+", "PLUS"), ("=", "EQ"), ("<", "LT"), (">", "GT"),
+        (r"-?[0-9]+(?:\.[0-9]+)?", "NUMBER"),
+        (PN_PREFIX, "WORD"),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +329,6 @@ class _Parser(TriplesParser):
     MINUS, UNION, SELECT and ORDER BY."""
 
     lexer_class = _Lexer
-    error_class = QueryParseError
 
     def _is_word(self, *words: str) -> bool:
         return self.tok.kind == "WORD" and self.tok.value.upper() in words

@@ -16,13 +16,14 @@ the prefix table and its declarations, ``IRIREF | PNAME`` to an IRI,
 with its ``;`` / ``,`` sugar. The SPARQL parser (:mod:`plexflow.query`)
 subclasses it.
 
-Tokens are cut and decoded by the lexer shared with the N-Triples and
-SPARQL readers (:mod:`plexflow.lexing`): IRIs may carry ``\\u``/``\\U``
+Tokens are cut by Turtle's rule list, which splices in the triples rules
+SPARQL shares, and decoded by the escape decoder shared with the
+N-Triples reader (:mod:`plexflow.lexing`): IRIs may carry ``\\u``/``\\U``
 escapes, so any canonical N-Triples document is also valid input. Both
 parsers pull one token at a time, so an error is reported where the parser
-meets it, and every error is a :class:`TurtleParseError` with its position:
-a malformed escape, and an ill-formed literal such as
-``"x"^^rdf:langString``, at the term.
+meets it, and every error is a :class:`TurtleParseError` with its position,
+worked out from the token's offset: a malformed escape, and an ill-formed
+literal such as ``"x"^^rdf:langString``, at the term.
 
 Each parser builds a distinct term once and shares it, as
 :func:`plexflow.rdf.parse_ntriples` does: its term table is keyed on the
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 from typing import Callable, NoReturn, Optional
 
-from .lexing import PN_PREFIX_RE, Lexer, Token
+from .lexing import PN_PREFIX, TRIPLES_RULES, Lexer, Token
 from .rdf import (
     RDF_LANG_STRING, RDF_TYPE, XSD_STRING, BlankNode, Graph, IRI, Literal,
     RdfError, Term, Triple,
@@ -48,65 +49,47 @@ class TurtleParseError(RdfError):
         self.col = col
 
 
+# A bare word that the next character does not continue.
+_WORD_END = r"(?![A-Za-z0-9_\-])"
+
+
 class _Lexer(Lexer):
-    """Token kinds: the shared ones (:meth:`Lexer._shared_token`),
-    PREFIX_DIRECTIVE, A and EOF."""
+    """Token kinds: the shared ones (:data:`TRIPLES_RULES`),
+    PREFIX_DIRECTIVE, A and EOF. The rest of full Turtle is refused by
+    name."""
 
     error_class = TurtleParseError
-
-    def _cut(self) -> Token:
-        text, pos = self.text, self.pos
-        ch = text[pos]
+    rules = (
         # Each of these also starts a shared token, so it goes first.
-        if ch in '@"':
-            if text.startswith("@prefix", pos):
-                return self._take("PREFIX_DIRECTIVE", pos + 7, "@prefix")
-            if text.startswith("@base", pos):
-                self._error("unsupported construct: @base directive")
-            if text.startswith('"""', pos):
-                self._error("unsupported construct: multi-line string literal")
-        tok = self._shared_token()
-        if tok:
-            return tok
-
-        if ch == "<":
-            self._error("malformed IRI reference")
-        if ch == "[":
-            self._error("unsupported construct: anonymous blank node '[]'")
-        if ch == "(":
-            self._error("unsupported construct: RDF collection '(...)'")
-        if ch.isdigit() or (ch in "+-" and text[pos + 1:pos + 2].isdigit()):
-            self._error("unsupported construct: numeric literal shorthand")
-
+        ("@prefix", "PREFIX_DIRECTIVE"),
+        ("@base", None, "unsupported construct: @base directive"),
+        ('"""', None, "unsupported construct: multi-line string literal"),
+        *TRIPLES_RULES,
+        ("<", None, "malformed IRI reference"),
+        (r"\[", None, "unsupported construct: anonymous blank node '[]'"),
+        (r"\(", None, "unsupported construct: RDF collection '(...)'"),
+        (r"[+-]?\d", None, "unsupported construct: numeric literal shorthand"),
         # A bare word (a prefixed name was cut above): the 'a' keyword or a
         # SPARQL-style PREFIX directive.
-        m = PN_PREFIX_RE.match(text, pos)
-        if not m:
-            self._error(f"unexpected character {ch!r}")
-        word = m.group(0)
-        if word == "a":
-            return self._take("A", m.end(), word)
-        if word.upper() == "PREFIX":
-            return self._take("PREFIX_DIRECTIVE", m.end(), "PREFIX")
-        if word.upper() == "BASE":
-            self._error("unsupported construct: BASE directive")
-        if word in ("true", "false"):
-            self._error("unsupported construct: boolean literal shorthand")
-        self._error(f"unexpected token {word!r}")
+        (f"a{_WORD_END}", "A"),
+        (f"(?ai:PREFIX){_WORD_END}", "PREFIX_DIRECTIVE"),
+        (f"(?ai:BASE){_WORD_END}", None, "unsupported construct: BASE directive"),
+        (f"(?:true|false){_WORD_END}", None,
+         "unsupported construct: boolean literal shorthand"),
+        (PN_PREFIX, None, "unexpected token {!r}"),
+    )
 
 
 class TriplesParser:
     """The triples grammar Turtle and SPARQL share, over a streamed lexer.
 
-    Subclasses set ``lexer_class`` and ``error_class`` (called as
-    ``error_class(message, line, col)``) and implement ``_term(position)``
-    for the subject, predicate and object terms they allow. A subclass may
-    override :meth:`_verb`, whose result is passed on to ``emit`` as the
-    predicate.
+    Subclasses set ``lexer_class``, whose ``error_class`` every error is
+    raised as, and implement ``_term(position)`` for the subject, predicate
+    and object terms they allow. A subclass may override :meth:`_verb`,
+    whose result is passed on to ``emit`` as the predicate.
     """
 
     lexer_class: type[Lexer]
-    error_class: type[Exception]
 
     def __init__(self, text: str):
         self.lexer = self.lexer_class(text)
@@ -119,8 +102,7 @@ class TriplesParser:
         self.terms: dict[object, Term] = {RDF_TYPE.value: RDF_TYPE}
 
     def _error(self, message: str, tok: Optional[Token] = None) -> NoReturn:
-        tok = tok or self.tok
-        raise self.error_class(message, tok.line, tok.col)
+        self.lexer.error(message, (tok or self.tok).pos)
 
     def _next(self) -> Token:
         tok = self.tok
@@ -200,7 +182,6 @@ class TriplesParser:
 
 class _Parser(TriplesParser):
     lexer_class = _Lexer
-    error_class = TurtleParseError
 
     def __init__(self, text: str):
         super().__init__(text)
